@@ -40,13 +40,9 @@ from .simulate import (
 __all__ = ["main"]
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
-
-
 def _emit_diags(diags: list[Diagnostic]) -> None:
     for d in diags:
-        print(_dumps(d.to_json()), file=sys.stderr)
+        print(formats._dumps(d.to_json()), file=sys.stderr)
 
 
 def _print(text: str) -> None:
@@ -80,7 +76,7 @@ def _build_line(payload: tuple[Utterance, SerializationMethod, TagSet]):
     u, method, tags = payload
     try:
         seq = serialize_utterance(u, method, tags)
-        return u.utt_id, _dumps(formats.serialized_to_json(seq)), None
+        return u.utt_id, formats._dumps(formats.serialized_to_json(seq)), None
     except ValueError as exc:
         return u.utt_id, None, str(exc)
 
@@ -184,7 +180,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     variant, diags_v = formats.read_serialized(args.variant, variant_tags)
     diags = diags_b + diags_v
 
-    reduction = switch_reduction(base, variant)
+    try:
+        reduction = switch_reduction(base, variant)
+    except ValueError:
+        _emit_diags(diags)  # the skipped lines are usually why the reduction is undefined
+        raise
     result = {
         "utterances": len(base),
         "base_switches": sum(count_switches(s) for s in base),
@@ -199,7 +199,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             )
         )
     else:
-        _print(_dumps(result))
+        _print(formats._dumps(result))
     _emit_diags(diags)
     return 1 if diags else 0
 
@@ -213,7 +213,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     hyps, diags_h = formats.read_channels(args.hyps)
     diags = diags_r + diags_h
     report = evaluate_corpus(refs, hyps, normalize=args.normalize)
-    _print(report.to_table() if args.table else _dumps(report.to_json()))
+    _print(report.to_table() if args.table else formats._dumps(report.to_json()))
     _emit_diags(diags)
     return 1 if diags else 0
 
@@ -237,7 +237,7 @@ def cmd_laal(args: argparse.Namespace) -> int:
         rows = [[c["tag"], f"{c['mean_laal_ms']:.1f}", str(c["traces"])] for c in channels]
         _print(format_table(["tag", "mean LAAL (ms)", "traces"], rows))
     else:
-        _print(_dumps(result))
+        _print(formats._dumps(result))
     _emit_diags(diags)
     return 1 if diags else 0
 
@@ -246,22 +246,8 @@ def cmd_laal(args: argparse.Namespace) -> int:
 # synth / study
 
 
-def _load_json_doc(path: str) -> dict:
-    fh, close = formats._open_read(path)
-    try:
-        try:
-            return json.loads(fh.read())
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    finally:
-        if close:
-            fh.close()
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
-    obj = _load_json_doc(args.config)
+    obj = formats.read_json(args.config)
     if args.seed is not None:
         obj = {**obj, "seed": args.seed}
     if "seed" not in obj:
@@ -272,7 +258,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    obj = _load_json_doc(args.config)
+    obj = formats.read_json(args.config)
     diags: list[Diagnostic] = []
 
     if "corpus" in obj and "synth" in obj:
@@ -298,7 +284,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 
     fh, close = formats._open_write(args.output)
     try:
-        fh.write(_dumps(report))
+        fh.write(formats._dumps(report))
         fh.write("\n")
     finally:
         if close:

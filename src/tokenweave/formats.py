@@ -44,6 +44,7 @@ __all__ = [
     "read_traces",
     "write_traces",
     "read_tag_set",
+    "read_json",
     "write_tag_set",
     "write_serialized_text",
     "read_text_lines",
@@ -97,6 +98,23 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
     finally:
         if close:
             fh.close()
+
+
+def read_json(path: str, what: str = "JSON"):
+    """Parse a whole file as one JSON document; errors name the path and `what` it should be."""
+    fh, close = _open_read(path)
+    try:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
+    finally:
+        if close:
+            fh.close()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid {what}: {exc}") from exc
 
 
 def _check_version(obj: dict) -> None:
@@ -368,13 +386,19 @@ def trace_from_json(obj: dict) -> EmissionTrace:
 
 
 def read_traces(path: str) -> tuple[list[EmissionTrace], list[Diagnostic]]:
+    """Parse JSONL traces.  A trace LAAL cannot score is a bad line, not a fatal error."""
     out: list[EmissionTrace] = []
     diags: list[Diagnostic] = []
     for lineno, line in _read_lines(path):
         if not line.strip():
             continue
         try:
-            out.append(trace_from_json(json.loads(line)))
+            tr = trace_from_json(json.loads(line))
+            if not tr.entries:
+                raise ValueError(f"empty trace for {tr.utt_id!r}/{tr.tag!r}")
+            if tr.source_duration_ms < 1:
+                raise ValueError(f"source_duration_ms must be >= 1, got {tr.source_duration_ms}")
+            out.append(tr)
         except (ValueError, KeyError, TypeError) as exc:
             diags.append(Diagnostic("bad-record", f"{path}:{lineno}: {exc}", index=lineno))
     return out, diags
@@ -414,17 +438,9 @@ def tag_set_from_json(obj: dict) -> TagSet:
 
 
 def read_tag_set(path: str) -> TagSet:
-    fh, close = _open_read(path)
+    obj = read_json(path, "tag set")
     try:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
-    finally:
-        if close:
-            fh.close()
-    try:
-        return tag_set_from_json(json.loads(text))
+        return tag_set_from_json(obj)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: invalid tag set: {exc}") from exc
 

@@ -245,6 +245,25 @@ class TestStats:
         assert "reduction" in out
         assert "base switches" in out
 
+    def test_line_diagnostics_precede_fatal_error(self, tmp_path, demo_files, capsys):
+        # Without origin_times every token reads as a tag, so each line is
+        # skipped and the reduction is undefined; the skipped lines must
+        # still be reported before the fatal error.
+        corpus, tags = demo_files
+        built = tmp_path / "built.jsonl"
+        assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(built)]) == 0
+        record = json.loads(built.read_text())
+        del record["origin_times"]
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text(json.dumps(record) + "\n")
+        capsys.readouterr()
+        rc = main(["stats", "--base", str(bare), "--variant", str(bare)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line)["code"] for line in err[:-1]] == ["bad-record", "bad-record"]
+        assert all(json.loads(line)["index"] == 1 for line in err[:-1])
+        assert err[-1].startswith("error: base corpus has zero tag tokens")
+
 
 class TestLaal:
     def test_json_report_matches_library(self, tmp_path, demo_utterance, demo_tags, capsys):
@@ -270,6 +289,23 @@ class TestLaal:
         rc = main(["laal", "--traces", path, "--table"])
         assert rc == 0
         assert "mean LAAL (ms)" in capsys.readouterr().out
+
+    def test_unscorable_trace_is_a_skipped_line(self, tmp_path, demo_utterance, demo_tags, capsys):
+        seq = inter_time(demo_utterance, tags=demo_tags)
+        traces = list(replay(seq, ReplayPolicy(), source_duration_ms=1200).values())
+        path = tmp_path / "traces.jsonl"
+        write_traces(traces, str(path))
+        lines = path.read_text().splitlines()
+        empty = {**json.loads(lines[0]), "utt_id": "b", "entries": []}
+        silent = {**json.loads(lines[0]), "utt_id": "c", "source_duration_ms": 0}
+        path.write_text("\n".join([lines[0], json.dumps(empty), json.dumps(silent), *lines[1:]]) + "\n")
+        rc = main(["laal", "--traces", str(path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["traces"] == 3
+        diags = [json.loads(line) for line in captured.err.splitlines()]
+        assert [(d["code"], d["index"]) for d in diags] == [("bad-record", 2), ("bad-record", 3)]
+        assert "empty trace for 'b'/" in diags[0]["message"]
 
 
 class TestSynth:

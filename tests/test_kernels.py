@@ -1,19 +1,37 @@
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenweave.kernels import _BACKEND, edit_distance
-from tokenweave.kernels import _levenshtein_py
+from tokenweave.kernels import edit_distance
 
-try:
-    from tokenweave.kernels import _levenshtein as _ext
-except ImportError:  # pure-python build
-    _ext = None
+
+def levenshtein_ints(a, b) -> int:
+    """Two-row Levenshtein DP over integer-coded sequences: the reference kernel."""
+    n, m = len(a), len(b)
+    if n == 0:
+        return m
+    if m == 0:
+        return n
+    if n > m:
+        a, b = b, a
+        n, m = m, n
+
+    current = list(range(n + 1))
+    for i in range(1, m + 1):
+        previous, current = current, [i] + [0] * n
+        bi = b[i - 1]
+        for j in range(1, n + 1):
+            add = previous[j] + 1
+            delete = current[j - 1] + 1
+            change = previous[j - 1]
+            if a[j - 1] != bi:
+                change += 1
+            current[j] = min(add, delete, change)
+    return current[n]
 
 
 def oracle_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -69,18 +87,19 @@ def test_triangle_inequality(a, b, c):
     assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
 
-def test_backend_reported():
-    assert _BACKEND in ("cython", "python")
+def code_lists(alphabet: int):
+    # Lengths uniform up to 300, so masks wider than 64 and 128 bits are common.
+    return st.integers(min_value=0, max_value=300).flatmap(
+        lambda n: st.lists(st.integers(min_value=0, max_value=alphabet - 1), min_size=n, max_size=n)
+    )
 
 
-@pytest.mark.skipif(_ext is None, reason="compiled backend not built")
-@given(
-    st.lists(st.integers(min_value=0, max_value=30), max_size=40),
-    st.lists(st.integers(min_value=0, max_value=30), max_size=40),
-)
-def test_compiled_and_python_backends_agree(a, b):
-    ea, eb = array("i", a), array("i", b)
-    assert _ext.levenshtein_ints(ea, eb) == _levenshtein_py.levenshtein_ints(ea, eb)
+# A 2-symbol alphabet gives long runs of matches; with 50 symbols most cells miss.
+@settings(deadline=None)
+@given(st.sampled_from([2, 50]).flatmap(lambda k: st.tuples(code_lists(k), code_lists(k))))
+def test_bit_parallel_matches_dp(pair):
+    a, b = pair
+    assert edit_distance(a, b) == levenshtein_ints(a, b)
 
 
 def test_distance_is_over_words_not_characters():
