@@ -42,10 +42,8 @@ from .model import (
 from .serialize import (
     GammaConfig,
     assign_group,
-    group_and_reorder,
     inter_gamma,
     inter_time,
-    merge_and_sort,
     render_text,
     serialize_utterance,
 )
@@ -73,8 +71,6 @@ __all__ = [
     "validate_utterance",
     "GammaConfig",
     "assign_group",
-    "group_and_reorder",
-    "merge_and_sort",
     "inter_time",
     "inter_gamma",
     "serialize_utterance",

@@ -246,8 +246,15 @@ def cmd_laal(args: argparse.Namespace) -> int:
 # synth / study
 
 
+def _read_config(path: str) -> dict:
+    obj = formats.read_json(path)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: config must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
-    obj = formats.read_json(args.config)
+    obj = _read_config(args.config)
     if args.seed is not None:
         obj = {**obj, "seed": args.seed}
     if "seed" not in obj:
@@ -258,7 +265,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    obj = formats.read_json(args.config)
+    obj = _read_config(args.config)
     diags: list[Diagnostic] = []
 
     if "corpus" in obj and "synth" in obj:

@@ -51,7 +51,7 @@ class Modality(enum.Enum):
 def _check_token_text(value: str, what: str) -> None:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{what} must be a non-empty string, got {value!r}")
-    if any(ch.isspace() for ch in value):
+    if value.split() != [value]:
         raise ValueError(f"{what} must not contain whitespace: {value!r}")
 
 
@@ -107,6 +107,8 @@ class TagSet:
     """
 
     tags: tuple[Tag, ...]
+    # surface -> (declaration index, tag), built once from `tags`.
+    _by_surface: dict[str, tuple[int, Tag]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         tags = tuple(self.tags)
@@ -121,25 +123,26 @@ class TagSet:
             raise ValueError(f"duplicate tag ids: {ids}")
         if UNKNOWN_CHANNEL in surfaces:
             raise ValueError(f"tag surface {UNKNOWN_CHANNEL!r} is reserved")
+        object.__setattr__(self, "_by_surface", {t.surface: (i, t) for i, t in enumerate(tags)})
 
     def __iter__(self):
         return iter(self.tags)
 
+    def _lookup(self, surface: str) -> tuple[int, Tag] | None:
+        # Surfaces are strings; anything else (even unhashable) matches no tag.
+        return self._by_surface.get(surface) if isinstance(surface, str) else None
+
     def __contains__(self, surface: str) -> bool:
-        return any(t.surface == surface for t in self.tags)
+        return self._lookup(surface) is not None
 
     def get(self, surface: str) -> Tag | None:
-        for t in self.tags:
-            if t.surface == surface:
-                return t
-        return None
+        found = self._lookup(surface)
+        return None if found is None else found[1]
 
     def priority(self, surface: str) -> int:
         """Index of `surface` in declaration order; len(tags) if unknown."""
-        for i, t in enumerate(self.tags):
-            if t.surface == surface:
-                return i
-        return len(self.tags)
+        found = self._lookup(surface)
+        return len(self.tags) if found is None else found[0]
 
     @property
     def surfaces(self) -> tuple[str, ...]:

@@ -4,10 +4,10 @@ Three policies are provided:
 
 * timestamp interleaving (:func:`inter_time`): merge all channels, sort by
   emission time, and emit a channel tag whenever the channel changes;
-* time-step grouping (:func:`group_and_reorder` via ``inter_time(...,
-  grouping=...)``): bucket timestamps into fixed windows and emit each
-  window's words channel-contiguously, trading a bounded latency increase
-  for fewer channel switches;
+* time-step grouping (``inter_time(..., grouping=...)``): bucket timestamps
+  into fixed windows (see :func:`assign_group`) and emit each window's words
+  channel-contiguously, trading a bounded latency increase for fewer channel
+  switches;
 * count-ratio interleaving (:func:`inter_gamma`): a two-channel baseline that
   alternates streams according to a ratio parameter instead of timestamps.
 
@@ -34,11 +34,7 @@ from .model import (
 
 __all__ = [
     "GammaConfig",
-    "MergedWord",
-    "merge_and_sort",
-    "emit_with_tags",
     "assign_group",
-    "group_and_reorder",
     "inter_time",
     "inter_gamma",
     "render_text",
@@ -62,66 +58,6 @@ class GammaConfig:
             raise ValueError(f"gamma must be within [0, 1], got {self.gamma!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class MergedWord:
-    """One word in the merged cross-channel stream.
-
-    Attributes:
-        time: Effective sort timestamp; equals origin_time unless grouping
-            substituted a window boundary.
-        tag: Channel tag the word belongs to.
-        word: Word surface.
-        origin_time: The pre-grouping emission timestamp.
-        channel_rank: Ordinal of the word within its own channel.
-    """
-
-    time: int
-    tag: Tag
-    word: str
-    origin_time: int
-    channel_rank: int
-
-
-def merge_and_sort(u: Utterance, tags: TagSet | None = None) -> list[MergedWord]:
-    """Concatenate all channel words and sort them by emission time.
-
-    Ties are broken by tag priority (declaration order of `tags`, falling
-    back to the utterance's channel order) and then by the word's position
-    in its channel, making the merge fully deterministic.
-    """
-    if tags is not None:
-        priority = {t.surface: i for i, t in enumerate(tags.tags)}
-    else:
-        priority = {ch.tag.surface: i for i, ch in enumerate(u.channels)}
-
-    merged: list[MergedWord] = []
-    for ch in u.channels:
-        for rank, tw in enumerate(ch.words):
-            merged.append(MergedWord(tw.time, ch.tag, tw.word, tw.time, rank))
-    merged.sort(key=lambda mw: (mw.time, priority.get(mw.tag.surface, len(priority)), mw.channel_rank))
-    return merged
-
-
-def emit_with_tags(
-    words: list[MergedWord],
-    utt_id: str = "",
-    method: SerializationMethod | None = None,
-) -> SerializedSequence:
-    """Walk merged words in order, emitting a tag token on every channel switch."""
-    tokens: list[SerializedToken] = []
-    prev_surface: str | None = None
-    for mw in words:
-        if mw.tag.surface != prev_surface:
-            tokens.append(TagToken(mw.tag))
-            prev_surface = mw.tag.surface
-        tokens.append(WordToken(mw.word, origin_time=mw.origin_time))
-    return SerializedSequence(
-        utt_id=utt_id,
-        tokens=tuple(tokens),
-        method=method or SerializationMethod("inter_time"),
-    )
-
-
 def assign_group(time: int, step_ms: int) -> int:
     """Upper boundary of the grouping window containing `time`.
 
@@ -135,41 +71,27 @@ def assign_group(time: int, step_ms: int) -> int:
     return step_ms * (time // step_ms + 1)
 
 
-def group_and_reorder(words: list[MergedWord], step_ms: int) -> list[MergedWord]:
-    """Bucket a time-sorted merge into fixed windows, one channel run per window.
+def _emit(
+    keyed: list[tuple[int, int, int, int, str]],
+    tags: list[Tag],
+    utt_id: str,
+    method: SerializationMethod,
+) -> SerializedSequence:
+    """Tokens for ``(time, priority, rank, channel_index, word)`` keys in order.
 
-    Each word's time becomes its window boundary.  Within a window, words are
-    regrouped by channel in order of each channel's first appearance there,
-    so a window renders as one contiguous block per channel.  Window order
-    and per-channel word order are preserved; origin_time is retained.
+    A tag token, ``tags[channel_index]``, opens every run of words whose tag
+    surface differs from the previous word's; each word carries its time as
+    origin_time.
     """
-    if step_ms < 1:
-        raise ValueError(f"step_ms must be >= 1, got {step_ms}")
-
-    out: list[MergedWord] = []
-    bucket: list[MergedWord] = []
-    bucket_ts: int | None = None
-
-    def flush() -> None:
-        # First-appearance channel order inside the window.
-        by_tag: dict[str, list[MergedWord]] = {}
-        for mw in bucket:
-            by_tag.setdefault(mw.tag.surface, []).append(mw)
-        for run in by_tag.values():
-            out.extend(run)
-
-    for mw in words:
-        ts = assign_group(mw.origin_time, step_ms)
-        if bucket_ts is not None and ts != bucket_ts:
-            flush()
-            bucket = []
-        bucket_ts = ts
-        bucket.append(
-            MergedWord(ts, mw.tag, mw.word, mw.origin_time, mw.channel_rank)
-        )
-    if bucket:
-        flush()
-    return out
+    surfaces = [t.surface for t in tags]
+    tokens: list[SerializedToken] = []
+    prev: str | None = None
+    for time, _, _, ci, word in keyed:
+        if surfaces[ci] != prev:
+            prev = surfaces[ci]
+            tokens.append(TagToken(tags[ci]))
+        tokens.append(WordToken(word, time))
+    return SerializedSequence(utt_id, tuple(tokens), method)
 
 
 def inter_time(
@@ -177,14 +99,47 @@ def inter_time(
     grouping: GroupingConfig | None = None,
     tags: TagSet | None = None,
 ) -> SerializedSequence:
-    """Timestamp-ordered serialization, optionally with time-step grouping."""
-    merged = merge_and_sort(u, tags)
-    if grouping is not None and grouping.step_ms is not None:
-        merged = group_and_reorder(merged, grouping.step_ms)
-        method = SerializationMethod("inter_time", group_ms=grouping.step_ms)
+    """Timestamp-ordered serialization, optionally with time-step grouping.
+
+    Words sort by time, then tag priority (declaration order of `tags`,
+    falling back to the utterance's channel order; unknown tags last), then
+    position in their channel, then channel index, so the merge is fully
+    deterministic.  With grouping, each window of ``time // step_ms`` is
+    re-emitted as one run per tag surface, in order of each surface's first
+    appearance in the window; words keep their own time as origin_time.
+    """
+    channels = u.channels
+    if tags is not None:
+        priority = {t.surface: i for i, t in enumerate(tags.tags)}
     else:
+        priority = {ch.tag.surface: i for i, ch in enumerate(channels)}
+    unknown = len(priority)
+    keyed: list[tuple[int, int, int, int, str]] = []
+    for ci, ch in enumerate(channels):
+        p = priority.get(ch.tag.surface, unknown)
+        keyed += [(tw.time, p, rank, ci, tw.word) for rank, tw in enumerate(ch.words)]
+    keyed.sort()
+
+    step = grouping.step_ms if grouping is not None else None
+    if step is None:
         method = SerializationMethod("inter_time")
-    return emit_with_tags(merged, utt_id=u.utt_id, method=method)
+    else:
+        method = SerializationMethod("inter_time", group_ms=step)
+        surfaces = [ch.tag.surface for ch in channels]
+        grouped: list[tuple[int, int, int, int, str]] = []
+        runs: dict[str, list] = {}
+        window = None
+        for key in keyed:
+            if key[0] // step != window:
+                window = key[0] // step
+                for run in runs.values():
+                    grouped += run
+                runs = {}
+            runs.setdefault(surfaces[key[3]], []).append(key)
+        for run in runs.values():
+            grouped += run
+        keyed = grouped
+    return _emit(keyed, [ch.tag for ch in channels], u.utt_id, method)
 
 
 def inter_gamma(
@@ -207,7 +162,7 @@ def inter_gamma(
     """
     g = float(gamma.gamma if isinstance(gamma, GammaConfig) else GammaConfig(float(gamma)).gamma)
 
-    merged: list[MergedWord] = []
+    keyed: list[tuple[int, int, int, int, str]] = []
     i = j = 0
     while i < len(asr.words) or j < len(st.words):
         if i < len(asr.words) and j < len(st.words):
@@ -216,16 +171,14 @@ def inter_gamma(
             take_asr = i < len(asr.words)
         if take_asr:
             tw = asr.words[i]
-            merged.append(MergedWord(tw.time, asr.tag, tw.word, tw.time, i))
+            keyed.append((tw.time, 0, i, 0, tw.word))
             i += 1
         else:
             tw = st.words[j]
-            merged.append(MergedWord(tw.time, st.tag, tw.word, tw.time, j))
+            keyed.append((tw.time, 0, j, 1, tw.word))
             j += 1
 
-    return emit_with_tags(
-        merged, utt_id=utt_id, method=SerializationMethod("inter_gamma", gamma=g)
-    )
+    return _emit(keyed, [asr.tag, st.tag], utt_id, SerializationMethod("inter_gamma", gamma=g))
 
 
 def render_text(s: SerializedSequence) -> str:

@@ -28,7 +28,6 @@ from .model import (
     TagToken,
     TimedWord,
     Utterance,
-    WordToken,
 )
 from .serialize import assign_group, serialize_utterance
 
@@ -269,20 +268,21 @@ def replay(
     if mode == "group_boundary" and not s.method.group_ms:
         raise ValueError(f"sequence {s.utt_id!r} was not grouped; no boundary to replay")
     step = s.method.group_ms
+    grouped = mode == "group_boundary"
+    overhead = policy.overhead_ms
 
+    # A valid sequence opens with a tag, so `current` is bound before any word.
     delays: dict[str, list[tuple[int, int]]] = {}
-    current: str | None = None
     for ordinal, tok in enumerate(s.tokens):
         if isinstance(tok, TagToken):
-            current = tok.tag.surface
+            current = delays.setdefault(tok.tag.surface, [])
             continue
-        assert isinstance(tok, WordToken) and current is not None
         if tok.origin_time is None:
             raise ValueError(
                 f"word {tok.word!r} in {s.utt_id!r} has no origin time; cannot replay"
             )
-        base = assign_group(tok.origin_time, step) if mode == "group_boundary" else tok.origin_time
-        delays.setdefault(current, []).append((ordinal, base + policy.overhead_ms * ordinal))
+        base = assign_group(tok.origin_time, step) if grouped else tok.origin_time
+        current.append((ordinal, base + overhead * ordinal))
 
     if source_duration_ms is None:
         latest = max((d for ds in delays.values() for _, d in ds), default=0)
@@ -297,6 +297,7 @@ def replay(
             ref_len=len(entries),
         )
         for surface, entries in delays.items()
+        if entries
     }
 
 

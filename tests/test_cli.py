@@ -430,6 +430,19 @@ class TestStudy:
         assert "error: missing field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[]", "5", '"x"', "null"])
+@pytest.mark.parametrize("command", [["synth", "--seed", "3"], ["synth"], ["study"]])
+def test_config_that_is_not_an_object_is_fatal(tmp_path, capsys, command, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    rc = main([*command, "--config", str(path), "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "must be a JSON object" in err
+    assert "Traceback" not in err
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(

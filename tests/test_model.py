@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tokenweave import (
@@ -46,6 +47,45 @@ class TestTimedWord:
             tw.time = 6
 
 
+def _old_whitespace_rule_accepts(value: str) -> bool:
+    """The per-character rule the token-text check used before: no ``isspace`` character."""
+    return bool(value) and not any(ch.isspace() for ch in value)
+
+
+def _accepts(make, value) -> bool:
+    try:
+        make(value)
+    except ValueError:
+        return False
+    return True
+
+
+_TOKEN_TEXT_CHECKS = [
+    lambda v: TimedWord(0, v),
+    lambda v: WordToken(v),
+    lambda v: Tag("x", v, Modality.TRANSCRIPTION, "en"),
+]
+
+
+class TestTokenTextWhitespace:
+    @given(st.text())
+    @example("\x1c")
+    @example("\x85")
+    @example("a\u2003b")
+    @example("\u3000")
+    @example("\u200b")
+    def test_matches_per_character_isspace_rule(self, value):
+        expected = _old_whitespace_rule_accepts(value)
+        for make in _TOKEN_TEXT_CHECKS:
+            assert _accepts(make, value) == expected
+
+    @pytest.mark.parametrize("value", ["\x1c", "\x85", "a\u2003b", "\u3000"])
+    def test_rejects_unicode_whitespace(self, value):
+        for make in _TOKEN_TEXT_CHECKS:
+            with pytest.raises(ValueError, match="whitespace"):
+                make(value)
+
+
 class TestTag:
     def test_fields(self):
         assert ASR.surface == "#ASR#"
@@ -77,6 +117,23 @@ class TestTagSet:
         assert ts.priority("#XX#") == 3
         assert ts.surfaces == ("#ASR#", "#ES#", "#DE#")
         assert list(ts) == [ASR, ES, DE]
+
+    @given(st.one_of(st.sampled_from(["#ASR#", "#ES#", "#DE#", "#FR#", "#asr#", ""]), st.text(), st.none(), st.integers(), st.lists(st.text())))
+    def test_lookup_matches_linear_scan(self, surface):
+        ts = TagSet((ASR, ES, DE))
+        matches = [(i, t) for i, t in enumerate(ts.tags) if t.surface == surface]
+        assert (surface in ts) == bool(matches)
+        assert ts.get(surface) is (matches[0][1] if matches else None)
+        assert ts.priority(surface) == (matches[0][0] if matches else len(ts.tags))
+
+    def test_index_is_not_part_of_value(self):
+        ts = TagSet((ASR, ES))
+        assert ts == TagSet([ASR, ES])
+        assert hash(ts) == hash(TagSet((ASR, ES)))
+        assert "_by_surface" not in repr(ts)
+        copy = pickle.loads(pickle.dumps(ts))
+        assert copy == ts
+        assert copy.get("#ES#") == ES and copy.priority("#ES#") == 1
 
     def test_rejects_duplicate_surface(self):
         dup = Tag("other", "#ASR#", Modality.TRANSLATION, "de")

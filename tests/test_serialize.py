@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenweave import (
     Channel,
     GammaConfig,
     GroupingConfig,
+    ReplayPolicy,
     SerializationMethod,
+    SerializedSequence,
+    Tag,
     TagSet,
     TagToken,
     TimedWord,
@@ -16,14 +21,198 @@ from tokenweave import (
     WordToken,
     assign_group,
     count_switches,
-    group_and_reorder,
     inter_gamma,
     inter_time,
-    merge_and_sort,
     render_text,
+    replay,
     serialize_utterance,
 )
-from conftest import ASR, DE, DEMO_GROUPED_500, DEMO_UNGROUPED, ES
+from conftest import ASR, DE, DEMO_GROUPED_500, DEMO_UNGROUPED, ES, FR
+
+
+# ---------------------------------------------------------------------------
+# Reference: the object-pass pipeline the sorted-tuple serializer replaced.
+# merge_and_sort -> group_and_reorder -> emit_with_tags, one MergedWord per
+# word, and the count-ratio loop built on the same records.
+
+
+@dataclass(frozen=True)
+class MergedWord:
+    time: int
+    tag: Tag
+    word: str
+    origin_time: int
+    channel_rank: int
+
+
+def merge_and_sort(u, tags=None):
+    if tags is not None:
+        priority = {t.surface: i for i, t in enumerate(tags.tags)}
+    else:
+        priority = {ch.tag.surface: i for i, ch in enumerate(u.channels)}
+    merged = []
+    for ch in u.channels:
+        for rank, tw in enumerate(ch.words):
+            merged.append(MergedWord(tw.time, ch.tag, tw.word, tw.time, rank))
+    merged.sort(key=lambda mw: (mw.time, priority.get(mw.tag.surface, len(priority)), mw.channel_rank))
+    return merged
+
+
+def emit_with_tags(words, utt_id, method):
+    tokens = []
+    prev_surface = None
+    for mw in words:
+        if mw.tag.surface != prev_surface:
+            tokens.append(TagToken(mw.tag))
+            prev_surface = mw.tag.surface
+        tokens.append(WordToken(mw.word, origin_time=mw.origin_time))
+    return SerializedSequence(utt_id=utt_id, tokens=tuple(tokens), method=method)
+
+
+def group_and_reorder(words, step_ms):
+    out = []
+    bucket = []
+    bucket_ts = None
+
+    def flush():
+        by_tag = {}
+        for mw in bucket:
+            by_tag.setdefault(mw.tag.surface, []).append(mw)
+        for run in by_tag.values():
+            out.extend(run)
+
+    for mw in words:
+        ts = assign_group(mw.origin_time, step_ms)
+        if bucket_ts is not None and ts != bucket_ts:
+            flush()
+            bucket = []
+        bucket_ts = ts
+        bucket.append(MergedWord(ts, mw.tag, mw.word, mw.origin_time, mw.channel_rank))
+    if bucket:
+        flush()
+    return out
+
+
+def oracle_inter_gamma(asr, st_ch, g, utt_id):
+    merged = []
+    i = j = 0
+    while i < len(asr.words) or j < len(st_ch.words):
+        if i < len(asr.words) and j < len(st_ch.words):
+            take_asr = (1.0 - g) * (1 + j) >= g * (1 + i)
+        else:
+            take_asr = i < len(asr.words)
+        if take_asr:
+            tw = asr.words[i]
+            merged.append(MergedWord(tw.time, asr.tag, tw.word, tw.time, i))
+            i += 1
+        else:
+            tw = st_ch.words[j]
+            merged.append(MergedWord(tw.time, st_ch.tag, tw.word, tw.time, j))
+            j += 1
+    return emit_with_tags(merged, utt_id, SerializationMethod("inter_gamma", gamma=g))
+
+
+def oracle_serialize(u, method, tags):
+    if method.name == "inter_time":
+        merged = merge_and_sort(u, tags)
+        if method.group_ms is not None:
+            merged = group_and_reorder(merged, method.group_ms)
+        return emit_with_tags(merged, u.utt_id, SerializationMethod("inter_time", group_ms=method.group_ms))
+    first, second = u.channels
+    if first.tag.modality != second.tag.modality and second.tag.modality.value == "asr":
+        first, second = second, first
+    return oracle_inter_gamma(first, second, float(method.gamma), u.utt_id)
+
+
+# The seven methods of the study-sweep benchmark workload.
+STUDY_METHODS = [
+    SerializationMethod("inter_time"),
+    SerializationMethod("inter_time", group_ms=250),
+    SerializationMethod("inter_time", group_ms=500),
+    SerializationMethod("inter_time", group_ms=1000),
+    SerializationMethod("inter_gamma", gamma=0.0),
+    SerializationMethod("inter_gamma", gamma=0.5),
+    SerializationMethod("inter_gamma", gamma=1.0),
+]
+
+# None falls back to channel order; the others reorder priorities, lack a
+# channel's tag, or know none of them (every channel ties at "unknown").
+ORACLE_TAG_SETS = [
+    None,
+    TagSet((ASR, ES, DE)),
+    TagSet((DE, ES, ASR)),
+    TagSet((ES, DE)),
+    TagSet((FR,)),
+]
+
+
+@st.composite
+def _oracle_utterances(draw):
+    """Channels in any order (tags may repeat), possibly empty or non-monotone,
+    with times on a coarse grid so that cross-channel ties are common, and
+    just below grid points so that words sit on window edges."""
+    channel_tags = draw(st.lists(st.sampled_from([ASR, ES, DE]), min_size=1, max_size=3))
+    channels = []
+    for tag in channel_tags:
+        times = draw(
+            st.lists(
+                st.one_of(
+                    st.integers(0, 12).map(lambda k: 125 * k),
+                    st.integers(1, 12).map(lambda k: 125 * k - 1),
+                    st.integers(0, 1600),
+                ),
+                max_size=10,
+            )
+        )
+        if draw(st.booleans()):
+            times.sort()
+        words = draw(st.lists(st.sampled_from(["a", "b", "c."]), min_size=len(times), max_size=len(times)))
+        channels.append(Channel(tag, tuple(TimedWord(t, w) for t, w in zip(times, words))))
+    return Utterance("o", 2000, tuple(channels))
+
+
+def _surfaces(seq):
+    return [t.tag.surface if isinstance(t, TagToken) else t.word for t in seq.tokens]
+
+
+class TestMatchesOracle:
+    @given(_oracle_utterances(), st.sampled_from(ORACLE_TAG_SETS))
+    @settings(max_examples=300)
+    @example(  # timestamps tied across channels, no tag set
+        Utterance("o", 2000, (Channel(ES, (TimedWord(250, "b"),)), Channel(ASR, (TimedWord(250, "a"),)))),
+        None,
+    )
+    @example(  # a tag set lacking one channel's tag (it ties last), and an empty channel
+        Utterance("o", 2000, (Channel(ASR, (TimedWord(0, "a"),)), Channel(ES, (TimedWord(0, "b"),)), Channel(DE, ()))),
+        TagSet((ES, DE)),
+    )
+    @example(  # a non-monotone channel
+        Utterance("o", 2000, (Channel(ASR, (TimedWord(900, "a"), TimedWord(100, "b"))), Channel(ES, (TimedWord(500, "c."),)))),
+        TagSet((ASR, ES)),
+    )
+    @example(  # two channels with one tag: one run, one tag token
+        Utterance("o", 2000, (Channel(ASR, (TimedWord(0, "a"),)), Channel(ASR, (TimedWord(10, "b"),)))),
+        None,
+    )
+    @example(  # a window opened by the lower-priority channel
+        Utterance("o", 2000, (Channel(ASR, (TimedWord(300, "a"),)), Channel(ES, (TimedWord(100, "b"),)))),
+        TagSet((ASR, ES)),
+    )
+    @example(  # a word on the last millisecond of a window
+        Utterance("o", 2000, (Channel(ASR, (TimedWord(100, "a"), TimedWord(499, "a"))), Channel(ES, (TimedWord(200, "b"),)))),
+        TagSet((ASR, ES)),
+    )
+    def test_every_study_method_matches_reference(self, u, tags):
+        for method in STUDY_METHODS:
+            if method.name == "inter_gamma" and len(u.channels) != 2:
+                with pytest.raises(ValueError, match="exactly two channels"):
+                    serialize_utterance(u, method, tags)
+                continue
+            got = serialize_utterance(u, method, tags)
+            want = oracle_serialize(u, method, tags)
+            assert _surfaces(got) == _surfaces(want)
+            # Token equality covers each tag, word and origin_time.
+            assert got == want
 
 
 class TestGoldenSerialization:
@@ -57,10 +246,12 @@ class TestGoldenSerialization:
 
 
 class TestMergeAndSort:
+    """The time, tag-priority, rank merge inside inter_time."""
+
     def test_orders_by_time(self, demo_utterance, demo_tags):
-        merged = merge_and_sort(demo_utterance, demo_tags)
-        assert [mw.time for mw in merged] == sorted(mw.time for mw in merged)
-        assert [mw.word for mw in merged] == [
+        merged = inter_time(demo_utterance, tags=demo_tags).word_tokens
+        assert [wt.origin_time for wt in merged] == sorted(wt.origin_time for wt in merged)
+        assert [wt.word for wt in merged] == [
             "I", "Estoy", "am", "Ich", "happy.", "bin", "feliz.", "froh.",
         ]
 
@@ -72,11 +263,11 @@ class TestMergeAndSort:
                 Channel(ASR, (TimedWord(50, "hello"),)),
             ),
         )
-        merged = merge_and_sort(u, TagSet((ASR, ES)))
-        assert [mw.word for mw in merged] == ["hello", "hola"]
+        merged = inter_time(u, tags=TagSet((ASR, ES))).word_tokens
+        assert [wt.word for wt in merged] == ["hello", "hola"]
         # Without a tag set the utterance's channel order is the priority.
-        merged = merge_and_sort(u, None)
-        assert [mw.word for mw in merged] == ["hola", "hello"]
+        merged = inter_time(u, tags=None).word_tokens
+        assert [wt.word for wt in merged] == ["hola", "hello"]
 
 
 class TestAssignGroup:
@@ -153,11 +344,14 @@ class TestGroupingProperties:
     @settings(max_examples=60)
     def test_one_run_per_channel_per_window(self, u, step):
         tags = TagSet((ASR, ES, DE))
-        merged = group_and_reorder(merge_and_sort(u, tags), step)
         seen_in_window: set[tuple[int, str]] = set()
         prev_key = None
-        for mw in merged:
-            key = (mw.time, mw.tag.surface)
+        current = None
+        for tok in inter_time(u, GroupingConfig(step), tags).tokens:
+            if isinstance(tok, TagToken):
+                current = tok.tag.surface
+                continue
+            key = (assign_group(tok.origin_time, step), current)
             if key != prev_key:
                 assert key not in seen_in_window, "channel run split inside a window"
                 seen_in_window.add(key)
@@ -166,9 +360,16 @@ class TestGroupingProperties:
     @given(_utterances(), st.sampled_from([250, 500]))
     @settings(max_examples=60)
     def test_substituted_times_are_window_boundaries(self, u, step):
+        # The substituted time is what a boundary replay charges each word.
         tags = TagSet((ASR, ES, DE))
-        for mw in group_and_reorder(merge_and_sort(u, tags), step):
-            assert mw.time == assign_group(mw.origin_time, step)
+        seq = inter_time(u, GroupingConfig(step), tags)
+        traces = replay(seq, ReplayPolicy(mode="group_boundary"))
+        charged = sorted(entry for trace in traces.values() for entry in trace.entries)
+        words = [(i, t) for i, t in enumerate(seq.tokens) if isinstance(t, WordToken)]
+        assert [ordinal for ordinal, _ in charged] == [i for i, _ in words]
+        for (_, time), (_, wt) in zip(charged, words):
+            assert time == assign_group(wt.origin_time, step)
+        assert [time for _, time in charged] == sorted(time for _, time in charged)
 
     @given(_utterances())
     @settings(max_examples=60)

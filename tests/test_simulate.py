@@ -150,6 +150,16 @@ class TestReplay:
         seq = SerializedSequence("u", (), SerializationMethod("inter_time"))
         assert replay(seq, ReplayPolicy(), 1000) == {}
 
+    def test_tag_without_words_yields_no_trace(self):
+        seq = SerializedSequence(
+            "u",
+            (TagToken(ASR), WordToken("a", 10), TagToken(ES)),
+            SerializationMethod("inter_time"),
+        )
+        traces = replay(seq, ReplayPolicy(), 1000)
+        assert list(traces) == ["#ASR#"]
+        assert traces["#ASR#"].entries == ((1, 10),)
+
     def test_per_token_overhead_counts_every_token(self, demo_utterance, demo_tags):
         seq = inter_time(demo_utterance, tags=demo_tags)
         traces = replay(seq, ReplayPolicy(mode="origin_time", overhead_ms=10), 1200)
