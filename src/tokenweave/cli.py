@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import formats
 from .demux import demux_full
@@ -96,6 +95,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
     payloads = [(u, method, tags) for u in work]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
             results = list(ex.map(_build_line, payloads, chunksize=32))
     else:
@@ -246,11 +247,16 @@ def cmd_laal(args: argparse.Namespace) -> int:
 # synth / study
 
 
-def _read_config(path: str) -> dict:
-    obj = formats.read_json(path)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: config must be a JSON object, got {type(obj).__name__}")
+def _section(path: str, name: str, obj, kind: type):
+    """`obj` if it has the JSON type `kind` (dict or list), else a ValueError."""
+    if not isinstance(obj, kind):
+        what = "object" if kind is dict else "list"
+        raise ValueError(f"{path}: {name} must be a JSON {what}, got {type(obj).__name__}")
     return obj
+
+
+def _read_config(path: str) -> dict:
+    return _section(path, "config", formats.read_json(path), dict)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -273,18 +279,20 @@ def cmd_study(args: argparse.Namespace) -> int:
     if "corpus" in obj:
         corpus, diags = formats.read_corpus(obj["corpus"])
     elif "synth" in obj:
-        corpus = synth_corpus(synth_config_from_json(obj["synth"]))
+        synth = _section(args.config, "synth", obj["synth"], dict)
+        corpus = synth_corpus(synth_config_from_json(synth))
     else:
         raise ValueError("study config must have a \"corpus\" path or a \"synth\" section")
 
     methods = []
-    for m in obj.get("methods", []):
+    for i, m in enumerate(_section(args.config, "methods", obj.get("methods", []), list)):
+        m = _section(args.config, f"methods[{i}]", m, dict)
         m = {**m, "name": str(m.get("name", "")).replace("-", "_")}
         methods.append(SerializationMethod.from_json(m))
     if not methods:
         raise ValueError("study config lists no methods")
 
-    policy = replay_policy_from_json(obj.get("replay", {}))
+    policy = replay_policy_from_json(_section(args.config, "replay", obj.get("replay", {}), dict))
     tags = formats.read_tag_set(obj["tags"]) if "tags" in obj else None
 
     report = latency_study(corpus, methods, policy, tags)

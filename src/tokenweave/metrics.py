@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import string
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .kernels import edit_distance
@@ -31,6 +31,8 @@ __all__ = [
     "MetricReport",
     "normalize_words",
     "wer",
+    "bleu_stats",
+    "bleu_from_stats",
     "bleu_corpus",
     "laal",
     "count_switches",
@@ -106,52 +108,42 @@ def wer(reference: list[str], hypothesis: list[str], normalize: bool = False) ->
     return edit_distance(reference, hypothesis) / len(reference)
 
 
-def _ngram_counts(words: list[str], n: int) -> Counter:
-    return Counter(tuple(words[i : i + n]) for i in range(len(words) - n + 1))
+def bleu_stats(reference: list[str], hypothesis: list[str]) -> Counter:
+    """BLEU sufficient statistics of one segment; a corpus's are their sum.
 
-
-def bleu_corpus(
-    references: list[list[str]],
-    hypotheses: list[list[str]],
-    smoothing: bool = False,
-) -> float:
-    """Corpus BLEU on pre-tokenized segments, scaled to [0, 100].
-
-    Clipped n-gram matches (orders 1..4) are pooled over the whole corpus,
-    combined with uniform weights, and multiplied by the brevity penalty
-    computed from total lengths.  Orders the corpus is too short to ever
-    produce (pooled denominator 0) are dropped from the mean, so identical
-    short segments still score 100.  Without smoothing any zero pooled
-    precision zeroes the score; with `smoothing` every count gets +1, which
-    keeps gradients alive on tiny corpora.
+    ``"ref_len"``, ``"hyp_len"`` and, per order n, the hypothesis n-grams
+    ``("totals", n)`` and their reference-clipped matches ``("matches", n)``.
     """
-    if len(references) != len(hypotheses):
-        raise ValueError(f"got {len(references)} references but {len(hypotheses)} hypotheses")
-    if not references:
-        raise ValueError("BLEU needs at least one segment")
+    stats = Counter(ref_len=len(reference), hyp_len=len(hypothesis))
+    for n in range(1, min(len(hypothesis), BLEU_MAX_ORDER) + 1):
+        ref_count = Counter(zip(*(reference[i:] for i in range(n)))).get
+        matches = 0
+        for gram, c in Counter(zip(*(hypothesis[i:] for i in range(n)))).items():
+            r = ref_count(gram)
+            if r:
+                matches += c if c < r else r
+        stats["matches", n] = matches
+        stats["totals", n] = len(hypothesis) - n + 1
+    return stats
 
-    matches = [0] * (BLEU_MAX_ORDER + 1)
-    totals = [0] * (BLEU_MAX_ORDER + 1)
-    ref_len = 0
-    hyp_len = 0
-    for ref, hyp in zip(references, hypotheses):
-        ref_len += len(ref)
-        hyp_len += len(hyp)
-        for n in range(1, BLEU_MAX_ORDER + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngram_counts(ref, n)
-            matches[n] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-            totals[n] += max(0, len(hyp) - n + 1)
 
+def bleu_from_stats(stats: Counter, smoothing: bool = False) -> float:
+    """Corpus BLEU, scaled to [0, 100], from summed `bleu_stats`.
+
+    Uniform weights over the pooled clipped precisions of orders 1..4, times
+    the brevity penalty of the total lengths.  Orders the corpus is too short
+    to produce (pooled total 0) are dropped from the mean, so identical short
+    segments still score 100.  Any other zero precision zeroes the score,
+    unless `smoothing` adds 1 to every count.
+    """
+    ref_len, hyp_len = stats["ref_len"], stats["hyp_len"]
     if hyp_len == 0:
         return 0.0
 
     log_sum = 0.0
     orders = 0
     for n in range(1, BLEU_MAX_ORDER + 1):
-        num, den = matches[n], totals[n]
+        num, den = stats["matches", n], stats["totals", n]
         if smoothing:
             num, den = num + 1, den + 1
         if den == 0:
@@ -165,6 +157,19 @@ def bleu_corpus(
 
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * math.exp(log_sum / orders)
+
+
+def bleu_corpus(
+    references: list[list[str]],
+    hypotheses: list[list[str]],
+    smoothing: bool = False,
+) -> float:
+    """Corpus BLEU on pre-tokenized segments: `bleu_from_stats` of their sum."""
+    if len(references) != len(hypotheses):
+        raise ValueError(f"got {len(references)} references but {len(hypotheses)} hypotheses")
+    if not references:
+        raise ValueError("BLEU needs at least one segment")
+    return bleu_from_stats(sum(map(bleu_stats, references, hypotheses), Counter()), smoothing)
 
 
 def laal(trace: EmissionTrace) -> float:
@@ -336,8 +341,7 @@ def evaluate_corpus(
 
     per_tag_dist: dict[str, int] = {s: 0 for s in tag_order}
     per_tag_ref_words: dict[str, int] = {s: 0 for s in tag_order}
-    per_tag_refs: dict[str, list[list[str]]] = {s: [] for s in tag_order}
-    per_tag_hyps: dict[str, list[list[str]]] = {s: [] for s in tag_order}
+    per_tag_bleu: defaultdict[str, Counter] = defaultdict(Counter)
     per_tag_segments: dict[str, int] = {s: 0 for s in tag_order}
 
     for u in refs:
@@ -354,8 +358,7 @@ def evaluate_corpus(
             if ch.tag.modality is Modality.TRANSCRIPTION:
                 per_tag_dist[s] += edit_distance(ref_words, hyp_words)
             else:
-                per_tag_refs[s].append(ref_words)
-                per_tag_hyps[s].append(hyp_words)
+                per_tag_bleu[s] += bleu_stats(ref_words, hyp_words)
 
     laal_by_tag: dict[str, list[float]] = {}
     if traces:
@@ -365,8 +368,6 @@ def evaluate_corpus(
     channels = []
     total_dist = 0
     total_ref_words = 0
-    all_refs: list[list[str]] = []
-    all_hyps: list[list[str]] = []
     for s, modality in tag_order.items():
         tag_wer = tag_bleu = None
         if modality is Modality.TRANSCRIPTION:
@@ -376,9 +377,7 @@ def evaluate_corpus(
             total_dist += per_tag_dist[s]
             total_ref_words += per_tag_ref_words[s]
         else:
-            tag_bleu = bleu_corpus(per_tag_refs[s], per_tag_hyps[s])
-            all_refs.extend(per_tag_refs[s])
-            all_hyps.extend(per_tag_hyps[s])
+            tag_bleu = bleu_from_stats(per_tag_bleu[s])
         tag_laal = laal_by_tag.get(s)
         channels.append(
             ChannelMetrics(
@@ -396,7 +395,7 @@ def evaluate_corpus(
     return MetricReport(
         channels=tuple(channels),
         overall_wer=total_dist / total_ref_words if total_ref_words else None,
-        overall_bleu=bleu_corpus(all_refs, all_hyps) if all_refs else None,
+        overall_bleu=bleu_from_stats(sum(per_tag_bleu.values(), Counter())) if per_tag_bleu else None,
         mean_laal_ms=sum(all_laal) / len(all_laal) if all_laal else None,
         utterances=len(refs),
     )

@@ -415,6 +415,25 @@ class TestStudy:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"synth": []}, "synth must be a JSON object, got list"),
+            ({"methods": [5]}, "methods[0] must be a JSON object, got int"),
+            ({"methods": {"name": "inter_time"}}, "methods must be a JSON list, got dict"),
+            ({"methods": 3}, "methods must be a JSON list, got int"),
+            ({"replay": []}, "replay must be a JSON object, got list"),
+            ({"replay": 7}, "replay must be a JSON object, got int"),
+        ],
+    )
+    def test_section_of_the_wrong_type_is_fatal(self, tmp_path, capsys, overrides, message):
+        config = self._study_config(tmp_path, **overrides)
+        rc = main(["study", "--config", config, "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {config}: {message}\n"
+        assert "Traceback" not in err
+
     def test_neither_corpus_nor_synth(self, tmp_path, capsys):
         path = tmp_path / "study.json"
         path.write_text(json.dumps({"methods": [{"name": "inter_time"}]}))
@@ -452,6 +471,16 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "build" in proc.stdout and "demux" in proc.stdout
+
+    def test_import_leaves_out_the_process_pool(self):
+        # Only `build --jobs N` with N > 1 needs worker processes.
+        code = (
+            "import sys, tokenweave.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_unreadable_input_is_fatal(self, tmp_path, capsys):
         rc = main(["laal", "--traces", str(tmp_path / "missing.jsonl")])

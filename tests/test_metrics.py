@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from tokenweave import (
     wer,
 )
 from tokenweave.metrics import format_table, normalize_words
-from conftest import ASR, ES
+from conftest import ASR, DE, ES, FR
 
 
 # Expected distances verified against an exhaustive-alignment oracle
@@ -151,6 +152,151 @@ class TestBleu:
         perturbed = [list(r) for r in refs]
         perturbed[0] = perturbed[0] + ["zzz"]
         assert bleu_corpus(refs, perturbed) < 100.0
+
+
+# Where `bleu_corpus` departs from sacreBLEU's corpus BLEU (Post 2018,
+# arXiv:1804.08771), one hand-computed case each; the README lists them.
+class TestBleuDepartsFromSacreBleu:
+    def test_segments_are_pre_tokenized(self):
+        # "mat." and "mat" + "." are different tokens here; sacreBLEU's 13a
+        # tokenizer splits off the period, so both sides match and it gives 100.
+        # Matches/totals: 1-grams 5/7, 2-grams 4/6, 3-grams 3/5, 4-grams 2/4;
+        # hyp 7 >= ref 6, BP 1.  (5·4·3·2 / 7·6·5·4)^(1/4) = (1/7)^(1/4).
+        refs = [["the", "cat", "sat", "on", "the", "mat."]]
+        hyps = [["the", "cat", "sat", "on", "the", "mat", "."]]
+        assert bleu_corpus(refs, hyps) == pytest.approx(100 * (1 / 7) ** 0.25, abs=1e-9)  # 61.48
+
+    def test_orders_with_no_ngrams_are_dropped(self):
+        # A 3-word hypothesis has no 4-grams: pooled total 0, so the mean runs
+        # over orders 1-3 only (3/3, 2/2, 1/1).  BP = exp(1 - 4/3).  sacreBLEU
+        # keeps order 4 with precision 0 and scores 0 (unless effective_order).
+        assert bleu_corpus([["a", "b", "c", "d"]], [["a", "b", "c"]]) == pytest.approx(
+            100 * math.exp(-1 / 3), abs=1e-9  # 71.65
+        )
+
+    def test_no_smoothing_by_default(self):
+        # 1-grams 3/4, 2-grams 2/3, 3-grams 1/2, 4-grams 0/1: a zero precision
+        # gives 0.  sacreBLEU's default "exp" smoothing puts 1/(2·1) for the
+        # 4-grams: (3/4 · 2/3 · 1/2 · 1/2)^(1/4) = 0.125^(1/4), i.e. 59.46.
+        assert bleu_corpus([["a", "b", "c", "d"]], [["a", "b", "c", "x"]]) == 0.0
+
+    def test_add_one_smoothing_covers_every_order(self):
+        # +1 on all four orders: 4/5 · 3/4 · 2/3 · 1/2 = 0.2, and 0.2^(1/4).
+        # sacreBLEU's "add-k" (k=1) leaves 1-grams alone (Lin and Och 2004):
+        # 3/4 · 3/4 · 2/3 · 1/2 = 0.1875, and 0.1875^(1/4), i.e. 65.80.
+        assert bleu_corpus(
+            [["a", "b", "c", "d"]], [["a", "b", "c", "x"]], smoothing=True
+        ) == pytest.approx(100 * 0.2**0.25, abs=1e-9)  # 66.87
+
+
+# The two-pass BLEU that per-segment statistics replaced, kept as the oracle:
+# every call counts tuple slices, and `evaluate_corpus` scored each tag's
+# segments and then all translation segments pooled.
+def _ngram_counts(words: list[str], n: int) -> Counter:
+    return Counter(tuple(words[i : i + n]) for i in range(len(words) - n + 1))
+
+
+def _bleu_oracle(references, hypotheses, smoothing=False):
+    matches = [0] * 5
+    totals = [0] * 5
+    ref_len = 0
+    hyp_len = 0
+    for ref, hyp in zip(references, hypotheses):
+        ref_len += len(ref)
+        hyp_len += len(hyp)
+        for n in range(1, 5):
+            hyp_counts = _ngram_counts(hyp, n)
+            if not hyp_counts:
+                continue
+            ref_counts = _ngram_counts(ref, n)
+            matches[n] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+            totals[n] += max(0, len(hyp) - n + 1)
+
+    if hyp_len == 0:
+        return 0.0
+
+    log_sum = 0.0
+    orders = 0
+    for n in range(1, 5):
+        num, den = matches[n], totals[n]
+        if smoothing:
+            num, den = num + 1, den + 1
+        if den == 0:
+            continue
+        if num == 0:
+            return 0.0
+        log_sum += math.log(num / den)
+        orders += 1
+    if orders == 0:
+        return 0.0
+
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * bp * math.exp(log_sum / orders)
+
+
+def _evaluate_bleu_oracle(corpus, hyps, normalize):
+    """Per-tag and overall BLEU as the two-pass `evaluate_corpus` gave them."""
+    per_tag: dict[str, tuple[list, list]] = {}
+    for u in corpus:
+        for ch in u.channels:
+            if ch.tag.modality is Modality.TRANSCRIPTION:
+                continue
+            ref = [tw.word for tw in ch.words]
+            hyp = list(hyps[u.utt_id].get(ch.tag.surface, []))
+            if normalize:
+                ref, hyp = normalize_words(ref), normalize_words(hyp)
+            refs, tag_hyps = per_tag.setdefault(ch.tag.surface, ([], []))
+            refs.append(ref)
+            tag_hyps.append(hyp)
+    by_tag = {s: _bleu_oracle(r, h) for s, (r, h) in per_tag.items()}
+    if not per_tag:
+        return by_tag, None
+    pooled_refs = [r for refs, _ in per_tag.values() for r in refs]
+    pooled_hyps = [h for _, tag_hyps in per_tag.values() for h in tag_hyps]
+    return by_tag, _bleu_oracle(pooled_refs, pooled_hyps)
+
+
+# A small alphabet repeats n-grams (clipping); "A" and "b," change under
+# normalization and "..." disappears.
+_SEGMENTS = st.lists(st.sampled_from(["a", "b", "c", "A", "b,", "..."]), max_size=7)
+
+
+@st.composite
+def _scored_corpora(draw):
+    """An ASR channel plus one to three translation channels per utterance;
+    a translation hypothesis may be missing, empty or shorter than 4 words."""
+    tags = [ES, DE, FR][: draw(st.integers(1, 3))]
+    corpus, hyps = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        utt_id = f"u{i}"
+        channels = [Channel(ASR, (TimedWord(0, "a"),))]
+        hyps[utt_id] = {"#ASR#": draw(_SEGMENTS)}
+        for tag in tags:
+            words = draw(_SEGMENTS)
+            channels.append(Channel(tag, tuple(TimedWord(10 * k, w) for k, w in enumerate(words))))
+            hyp = draw(st.none() | _SEGMENTS)
+            if hyp is not None:
+                hyps[utt_id][tag.surface] = hyp
+        corpus.append(Utterance(utt_id, 1000, tuple(channels)))
+    return corpus, hyps
+
+
+class TestBleuMatchesTwoPassOracle:
+    @given(_scored_corpora(), st.booleans())
+    @settings(max_examples=300)
+    def test_evaluate_corpus(self, corpus_and_hyps, normalize):
+        corpus, hyps = corpus_and_hyps
+        report = evaluate_corpus(corpus, hyps, normalize=normalize)
+        by_tag, overall = _evaluate_bleu_oracle(corpus, hyps, normalize)
+        assert {c.tag: c.bleu for c in report.channels if c.bleu is not None} == by_tag
+        assert report.overall_bleu == overall
+
+    @given(st.lists(st.tuples(_SEGMENTS, _SEGMENTS), min_size=1, max_size=6), st.booleans())
+    @settings(max_examples=300)
+    def test_bleu_corpus(self, pairs, smoothing):
+        refs = [r for r, _ in pairs]
+        hyps = [h for _, h in pairs]
+        assert bleu_corpus(refs, hyps, smoothing=smoothing) == _bleu_oracle(refs, hyps, smoothing)
 
 
 def _trace(delays, duration, ref_len, tag="#ES#"):
