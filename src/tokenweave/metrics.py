@@ -31,8 +31,6 @@ __all__ = [
     "MetricReport",
     "normalize_words",
     "wer",
-    "bleu_stats",
-    "bleu_from_stats",
     "bleu_corpus",
     "laal",
     "count_switches",
@@ -108,7 +106,7 @@ def wer(reference: list[str], hypothesis: list[str], normalize: bool = False) ->
     return edit_distance(reference, hypothesis) / len(reference)
 
 
-def bleu_stats(reference: list[str], hypothesis: list[str]) -> Counter:
+def _bleu_stats(reference: list[str], hypothesis: list[str]) -> Counter:
     """BLEU sufficient statistics of one segment; a corpus's are their sum.
 
     ``"ref_len"``, ``"hyp_len"`` and, per order n, the hypothesis n-grams
@@ -127,8 +125,8 @@ def bleu_stats(reference: list[str], hypothesis: list[str]) -> Counter:
     return stats
 
 
-def bleu_from_stats(stats: Counter, smoothing: bool = False) -> float:
-    """Corpus BLEU, scaled to [0, 100], from summed `bleu_stats`.
+def _bleu_from_stats(stats: Counter, smoothing: bool = False) -> float:
+    """Corpus BLEU, scaled to [0, 100], from summed `_bleu_stats`.
 
     Uniform weights over the pooled clipped precisions of orders 1..4, times
     the brevity penalty of the total lengths.  Orders the corpus is too short
@@ -164,12 +162,12 @@ def bleu_corpus(
     hypotheses: list[list[str]],
     smoothing: bool = False,
 ) -> float:
-    """Corpus BLEU on pre-tokenized segments: `bleu_from_stats` of their sum."""
+    """Corpus BLEU on pre-tokenized segments: `_bleu_from_stats` of their sum."""
     if len(references) != len(hypotheses):
         raise ValueError(f"got {len(references)} references but {len(hypotheses)} hypotheses")
     if not references:
         raise ValueError("BLEU needs at least one segment")
-    return bleu_from_stats(sum(map(bleu_stats, references, hypotheses), Counter()), smoothing)
+    return _bleu_from_stats(sum(map(_bleu_stats, references, hypotheses), Counter()), smoothing)
 
 
 def laal(trace: EmissionTrace) -> float:
@@ -358,7 +356,7 @@ def evaluate_corpus(
             if ch.tag.modality is Modality.TRANSCRIPTION:
                 per_tag_dist[s] += edit_distance(ref_words, hyp_words)
             else:
-                per_tag_bleu[s] += bleu_stats(ref_words, hyp_words)
+                per_tag_bleu[s] += _bleu_stats(ref_words, hyp_words)
 
     laal_by_tag: dict[str, list[float]] = {}
     if traces:
@@ -377,7 +375,7 @@ def evaluate_corpus(
             total_dist += per_tag_dist[s]
             total_ref_words += per_tag_ref_words[s]
         else:
-            tag_bleu = bleu_from_stats(per_tag_bleu[s])
+            tag_bleu = _bleu_from_stats(per_tag_bleu[s])
         tag_laal = laal_by_tag.get(s)
         channels.append(
             ChannelMetrics(
@@ -395,7 +393,7 @@ def evaluate_corpus(
     return MetricReport(
         channels=tuple(channels),
         overall_wer=total_dist / total_ref_words if total_ref_words else None,
-        overall_bleu=bleu_from_stats(sum(per_tag_bleu.values(), Counter())) if per_tag_bleu else None,
+        overall_bleu=_bleu_from_stats(sum(per_tag_bleu.values(), Counter())) if per_tag_bleu else None,
         mean_laal_ms=sum(all_laal) / len(all_laal) if all_laal else None,
         utterances=len(refs),
     )
