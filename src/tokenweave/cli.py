@@ -10,12 +10,11 @@ JSON object per line; primary results go to the requested output path, with
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import formats
 from .demux import demux_full
-from .metrics import count_switches, evaluate_corpus, format_table, laal, switch_reduction
+from .metrics import _switch_reduction, count_switches, evaluate_corpus, format_table, laal
 from .model import (
     Diagnostic,
     GroupingConfig,
@@ -145,51 +144,53 @@ def cmd_demux(args: argparse.Namespace) -> int:
 # stats
 
 
-def _tag_set_from_serialized_file(path: str) -> TagSet:
-    """Recover the tag vocabulary of a build-written file.
+def _read_build_output(path: str) -> tuple[list[SerializedSequence], list[Diagnostic]]:
+    """Read a build-written file, recovering its tag vocabulary from the records.
 
-    Tag tokens are exactly the positions whose origin_times entry is null,
-    because the serializer stamps an origin time on every word.  Only files
-    produced by `build` are guaranteed to satisfy this.
+    Each line is read and decoded once.  Tag tokens are exactly the
+    positions whose origin_times entry is null, because the serializer
+    stamps an origin time on every word.  Only files produced by `build` are
+    guaranteed to satisfy this.
     """
+    records = list(formats._decode_lines(path))
     surfaces: dict[str, None] = {}
-    for lineno, line in formats._read_lines(path):
-        if not line.strip():
-            continue
+    for _, obj in records:
+        if not isinstance(obj, dict):
+            continue  # the parser diagnoses this line
         try:
-            obj = json.loads(line)
             origins = obj.get("origin_times") or [None] * len(obj["tokens"])
             for text, origin in zip(obj["tokens"], origins):
                 if origin is None:
                     surfaces.setdefault(text)
-        except (ValueError, KeyError, TypeError):
-            continue  # the real reader diagnoses this line
+        except (KeyError, TypeError):
+            continue
     # Modality and language are not recoverable from the stream and do not
     # matter for switch counting; "und" is the undetermined language code.
-    return TagSet(
+    tags = TagSet(
         tuple(
             Tag(id=s, surface=s, modality=Modality.TRANSCRIPTION, language="und")
             for s in surfaces
         )
     )
+    return formats._parse_serialized(path, records, tags)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    base_tags = _tag_set_from_serialized_file(args.base)
-    base, diags_b = formats.read_serialized(args.base, base_tags)
-    variant_tags = _tag_set_from_serialized_file(args.variant)
-    variant, diags_v = formats.read_serialized(args.variant, variant_tags)
+    base, diags_b = _read_build_output(args.base)
+    variant, diags_v = _read_build_output(args.variant)
     diags = diags_b + diags_v
 
+    base_counts = [(s.utt_id, count_switches(s)) for s in base]
+    variant_counts = [(s.utt_id, count_switches(s)) for s in variant]
     try:
-        reduction = switch_reduction(base, variant)
+        reduction = _switch_reduction(base_counts, variant_counts)
     except ValueError:
         _emit_diags(diags)  # the skipped lines are usually why the reduction is undefined
         raise
     result = {
         "utterances": len(base),
-        "base_switches": sum(count_switches(s) for s in base),
-        "variant_switches": sum(count_switches(s) for s in variant),
+        "base_switches": sum(n for _, n in base_counts),
+        "variant_switches": sum(n for _, n in variant_counts),
         "reduction": reduction,
     }
     if args.table:
@@ -248,11 +249,8 @@ def cmd_laal(args: argparse.Namespace) -> int:
 
 
 def _section(path: str, name: str, obj, kind: type):
-    """`obj` if it has the JSON type `kind` (dict or list), else a ValueError."""
-    if not isinstance(obj, kind):
-        what = "object" if kind is dict else "list"
-        raise ValueError(f"{path}: {name} must be a JSON {what}, got {type(obj).__name__}")
-    return obj
+    """`obj` if it has the JSON type `kind`, else a ValueError naming `path` and `name`."""
+    return formats._expect_json(obj, f"{path}: {name}", kind)
 
 
 def _read_config(path: str) -> dict:
@@ -277,7 +275,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     if "corpus" in obj and "synth" in obj:
         raise ValueError("study config must have exactly one of \"corpus\" or \"synth\"")
     if "corpus" in obj:
-        corpus, diags = formats.read_corpus(obj["corpus"])
+        corpus, diags = formats.read_corpus(_section(args.config, "corpus", obj["corpus"], str))
     elif "synth" in obj:
         synth = _section(args.config, "synth", obj["synth"], dict)
         corpus = synth_corpus(synth_config_from_json(synth))
@@ -293,7 +291,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         raise ValueError("study config lists no methods")
 
     policy = replay_policy_from_json(_section(args.config, "replay", obj.get("replay", {}), dict))
-    tags = formats.read_tag_set(obj["tags"]) if "tags" in obj else None
+    tags = formats.read_tag_set(_section(args.config, "tags", obj["tags"], str)) if "tags" in obj else None
 
     report = latency_study(corpus, methods, policy, tags)
 

@@ -10,6 +10,7 @@ recorded as a diagnostic, so all decodable content survives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .kernels import edit_distance
 from .model import (
@@ -165,10 +166,8 @@ def demux_full(
     their tag appeared in the stream, even if no words followed.
     """
     if isinstance(stream, SerializedSequence):
-        tokens: list = list(stream.tokens)
-        if not utt_id:
-            utt_id = stream.utt_id
-    elif isinstance(stream, str):
+        return _demux_sequence(stream, tags, utt_id or stream.utt_id)
+    if isinstance(stream, str):
         tokens = stream.split(" ") if stream else []
     else:
         tokens = list(stream)
@@ -184,6 +183,43 @@ def demux_full(
             # words ever follow.
             state.words.setdefault(state.current_tag.surface, [])
     return DemuxResult(words=state.words, diagnostics=state.diagnostics, events=events)
+
+
+def _demux_sequence(seq: SerializedSequence, tags: TagSet, utt_id: str) -> DemuxResult:
+    """:func:`demux_full` of a sequence, read run by run from its columns.
+
+    Equals the fold of :func:`feed` over ``seq.tokens``.  A valid sequence
+    opens with a tag, never repeats one without a switch and has no empty
+    word, so an undeclared tag is the only anomaly it can carry.
+    """
+    items, origin_times = seq.items, seq.origin_times
+    starts = [i for i, x in enumerate(items) if isinstance(x, Tag)]
+    words: dict[str, list[str]] = {}
+    diagnostics: list[Diagnostic] = []
+    events: list[RoutedEvent] = []
+    for start, end in zip(starts, starts[1:] + [len(items)]):
+        tag = items[start]
+        if tag.surface in tags:
+            routed: Tag | None = tag
+            bucket = words.setdefault(tag.surface, [])
+        else:
+            diagnostics.append(
+                Diagnostic(
+                    "unknown-tag",
+                    f"tag {tag.surface!r} is not in the tag set",
+                    utt_id=utt_id,
+                    tag=tag.surface,
+                    index=start,
+                )
+            )
+            routed = None
+            if end == start + 1:
+                continue
+            bucket = words.setdefault(UNKNOWN_CHANNEL, [])
+        run = items[start + 1 : end]
+        bucket += run
+        events += map(RoutedEvent, repeat(routed), run, range(start + 1, end), origin_times[start + 1 : end])
+    return DemuxResult(words=words, diagnostics=diagnostics, events=events)
 
 
 def diff_channels(expected: Utterance, actual: dict[str, list[str]]) -> dict[str, int]:

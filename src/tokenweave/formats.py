@@ -22,13 +22,10 @@ from .model import (
     Modality,
     SerializationMethod,
     SerializedSequence,
-    SerializedToken,
     Tag,
     TagSet,
-    TagToken,
     TimedWord,
     Utterance,
-    WordToken,
     validate_utterance,
 )
 from .serialize import render_text
@@ -115,6 +112,16 @@ def read_json(path: str, what: str = "JSON"):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid {what}: {exc}") from exc
+
+
+_JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
+
+
+def _expect_json(value, what: str, kind: type):
+    """`value` if it has the JSON type `kind`, else a ValueError naming `what`."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
 
 
 def _check_version(obj: dict) -> None:
@@ -219,21 +226,12 @@ def write_corpus(corpus: Iterable[Utterance], path: str) -> None:
 
 
 def serialized_to_json(s: SerializedSequence) -> dict:
-    tokens: list[str] = []
-    origin_times: list[int | None] = []
-    for tok in s.tokens:
-        if isinstance(tok, TagToken):
-            tokens.append(tok.tag.surface)
-            origin_times.append(None)
-        else:
-            tokens.append(tok.word)
-            origin_times.append(tok.origin_time)
     return {
         "v": SCHEMA_VERSION,
         "utt_id": s.utt_id,
         "method": s.method.to_json(),
-        "tokens": tokens,
-        "origin_times": origin_times,
+        "tokens": [x.surface if isinstance(x, Tag) else x for x in s.items],
+        "origin_times": list(s.origin_times),
     }
 
 
@@ -247,29 +245,48 @@ def serialized_from_json(obj: dict, tags: TagSet) -> SerializedSequence:
         raise ValueError(
             f"origin_times length {len(origin_times)} != tokens length {len(raw_tokens)}"
         )
-    toks: list[SerializedToken] = []
-    for text, origin in zip(raw_tokens, origin_times):
-        if text in tags:
-            toks.append(TagToken(tags.get(text)))
-        else:
-            toks.append(WordToken(text, origin_time=origin))
-    return SerializedSequence(
-        utt_id=obj["utt_id"],
-        tokens=tuple(toks),
-        method=SerializationMethod.from_json(obj["method"]),
+    # One lookup per token: a declared surface becomes its Tag, anything else
+    # stays as it is and must pass the word check.
+    by_surface = tags._by_surface
+    try:
+        items = tuple([by_surface.get(text, text) for text in raw_tokens])
+    except TypeError:  # an unhashable token, which the word check rejects
+        items = tuple([by_surface.get(text, text) if isinstance(text, str) else text for text in raw_tokens])
+    # An origin time at a tag position is dropped.
+    origins = tuple([None if isinstance(x, Tag) else t for x, t in zip(items, origin_times)])
+    return SerializedSequence._from_columns(
+        obj["utt_id"], items, origins, SerializationMethod.from_json(obj["method"])
     )
 
 
 def read_serialized(path: str, tags: TagSet) -> tuple[list[SerializedSequence], list[Diagnostic]]:
     """Parse JSONL serialized records, resolving tag surfaces via `tags`."""
-    out: list[SerializedSequence] = []
-    diags: list[Diagnostic] = []
-    seen_ids: set[str] = set()
+    return _parse_serialized(path, _decode_lines(path), tags)
+
+
+def _decode_lines(path: str) -> Iterator[tuple[int, object]]:
+    """Yield (line number, decoded JSON value or its decode error) per non-blank line."""
     for lineno, line in _read_lines(path):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
+        except ValueError as exc:
+            obj = exc
+        yield lineno, obj
+
+
+def _parse_serialized(
+    path: str, records: Iterable[tuple[int, object]], tags: TagSet
+) -> tuple[list[SerializedSequence], list[Diagnostic]]:
+    """`read_serialized` of lines that :func:`_decode_lines` already decoded."""
+    out: list[SerializedSequence] = []
+    diags: list[Diagnostic] = []
+    seen_ids: set[str] = set()
+    for lineno, obj in records:
+        try:
+            if isinstance(obj, ValueError):
+                raise obj  # the line is not JSON
             s = serialized_from_json(obj, tags)
         except (ValueError, KeyError, TypeError) as exc:
             diags.append(Diagnostic("bad-record", f"{path}:{lineno}: {exc}", index=lineno))

@@ -21,7 +21,7 @@ from .kernels import edit_distance
 from .model import (
     Modality,
     SerializedSequence,
-    TagToken,
+    Tag,
     Utterance,
 )
 
@@ -197,7 +197,7 @@ def laal(trace: EmissionTrace) -> float:
 
 def count_switches(s: SerializedSequence) -> int:
     """Number of tag tokens in a sequence (each one is a channel switch)."""
-    return sum(1 for t in s.tokens if isinstance(t, TagToken))
+    return sum(isinstance(x, Tag) for x in s.items)
 
 
 def switch_reduction(
@@ -209,12 +209,18 @@ def switch_reduction(
     Requires the same utterance ids on both sides; raises when the base has
     no tags at all (undefined ratio).
     """
-    base_ids = sorted(s.utt_id for s in base)
-    variant_ids = sorted(s.utt_id for s in variant)
-    if base_ids != variant_ids:
+    return _switch_reduction(
+        [(s.utt_id, count_switches(s)) for s in base],
+        [(s.utt_id, count_switches(s)) for s in variant],
+    )
+
+
+def _switch_reduction(base: list[tuple[str, int]], variant: list[tuple[str, int]]) -> float:
+    """`switch_reduction` of ``(utt_id, switch count)`` pairs counted once by the caller."""
+    if sorted(u for u, _ in base) != sorted(u for u, _ in variant):
         raise ValueError("base and variant corpora carry different utterance ids")
-    base_total = sum(count_switches(s) for s in base)
-    variant_total = sum(count_switches(s) for s in variant)
+    base_total = sum(n for _, n in base)
+    variant_total = sum(n for _, n in variant)
     if base_total == 0:
         raise ValueError("base corpus has zero tag tokens; reduction is undefined")
     return 1.0 - variant_total / base_total

@@ -107,8 +107,8 @@ class TagSet:
     """
 
     tags: tuple[Tag, ...]
-    # surface -> (declaration index, tag), built once from `tags`.
-    _by_surface: dict[str, tuple[int, Tag]] = field(init=False, compare=False, repr=False)
+    # surface -> tag, built once from `tags`.
+    _by_surface: dict[str, Tag] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         tags = tuple(self.tags)
@@ -123,26 +123,22 @@ class TagSet:
             raise ValueError(f"duplicate tag ids: {ids}")
         if UNKNOWN_CHANNEL in surfaces:
             raise ValueError(f"tag surface {UNKNOWN_CHANNEL!r} is reserved")
-        object.__setattr__(self, "_by_surface", {t.surface: (i, t) for i, t in enumerate(tags)})
+        object.__setattr__(self, "_by_surface", {t.surface: t for t in tags})
 
     def __iter__(self):
         return iter(self.tags)
 
-    def _lookup(self, surface: str) -> tuple[int, Tag] | None:
+    def __contains__(self, surface: str) -> bool:
+        return self.get(surface) is not None
+
+    def get(self, surface: str) -> Tag | None:
         # Surfaces are strings; anything else (even unhashable) matches no tag.
         return self._by_surface.get(surface) if isinstance(surface, str) else None
 
-    def __contains__(self, surface: str) -> bool:
-        return self._lookup(surface) is not None
-
-    def get(self, surface: str) -> Tag | None:
-        found = self._lookup(surface)
-        return None if found is None else found[1]
-
     def priority(self, surface: str) -> int:
         """Index of `surface` in declaration order; len(tags) if unknown."""
-        found = self._lookup(surface)
-        return len(self.tags) if found is None else found[0]
+        found = self.get(surface)
+        return len(self.tags) if found is None else self.tags.index(found)
 
     @property
     def surfaces(self) -> tuple[str, ...]:
@@ -247,58 +243,127 @@ class SerializationMethod:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SerializedSequence:
     """The flattened token stream a joint model would train on or emit.
 
-    Invariants (enforced at construction): a non-empty sequence starts with
-    a tag token, tags only appear on channel switches (never twice in a row,
-    never equal to the previous tag), and every word token follows some tag.
+    Stored as the two columns of its JSONL record: `items` holds the shared
+    :class:`Tag` at each tag position and the word string at each word
+    position (a ``Tag`` versus a ``str`` is what tells the two apart, so a
+    word that spells a tag surface stays a word), and `origin_times` holds
+    each word's origin time, always None at tag positions.  `tokens` builds
+    :class:`TagToken`/:class:`WordToken` views of the columns on each read.
+
+    Invariants (enforced at construction): every word is a non-empty string
+    without whitespace, a non-empty sequence starts with a tag, tags only
+    appear on channel switches (never twice in a row, never equal to the
+    previous tag), and every word follows some tag.
     """
 
     utt_id: str
-    tokens: tuple[SerializedToken, ...]
+    items: tuple[Tag | str, ...]
+    origin_times: tuple[int | None, ...]
     method: SerializationMethod
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        problems = check_sequence(self.tokens)
+    def __init__(self, utt_id: str, tokens, method: SerializationMethod) -> None:
+        """Build from TagToken and WordToken objects (a bare Tag or word string is taken as its item)."""
+        items: list = []
+        origin_times: list[int | None] = []
+        for tok in tokens:
+            if isinstance(tok, WordToken):
+                items.append(tok.word)
+                origin_times.append(tok.origin_time)
+            else:
+                items.append(tok.tag if isinstance(tok, TagToken) else tok)
+                origin_times.append(None)
+        self._fill(utt_id, tuple(items), tuple(origin_times), method)
+
+    @classmethod
+    def _from_columns(
+        cls,
+        utt_id: str,
+        items: tuple[Tag | str, ...],
+        origin_times: tuple[int | None, ...],
+        method: SerializationMethod,
+    ) -> "SerializedSequence":
+        """Build from columns; `origin_times` must already be None at tag positions."""
+        seq = object.__new__(cls)
+        seq._fill(utt_id, items, origin_times, method)
+        return seq
+
+    def _fill(self, utt_id, items, origin_times, method) -> None:
+        # Word text first, in bulk: for strings the join/split round trip is
+        # exact iff every word is non-empty and has no whitespace.  On
+        # failure, the per-word check finds the first bad word and its message.
+        words = [x for x in items if not isinstance(x, Tag)]
+        try:
+            words_ok = " ".join(words).split() == words
+        except TypeError:
+            words_ok = False
+        if not words_ok:
+            for w in words:
+                _check_token_text(w, "word")
+        problems = check_sequence(items)
         if problems:
-            raise ValueError(f"invalid serialized sequence {self.utt_id!r}: {problems[0]}")
+            raise ValueError(f"invalid serialized sequence {utt_id!r}: {problems[0]}")
+        object.__setattr__(self, "utt_id", utt_id)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "origin_times", origin_times)
+        object.__setattr__(self, "method", method)
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.items)
+
+    @property
+    def tokens(self) -> tuple[SerializedToken, ...]:
+        """One TagToken or WordToken per position, built from the columns on each read."""
+        return tuple(
+            TagToken(x) if isinstance(x, Tag) else WordToken(x, t)
+            for x, t in zip(self.items, self.origin_times)
+        )
 
     @property
     def word_tokens(self) -> tuple[WordToken, ...]:
-        return tuple(t for t in self.tokens if isinstance(t, WordToken))
+        """The WordTokens of `tokens`, built on each read."""
+        return tuple(
+            WordToken(x, t) for x, t in zip(self.items, self.origin_times) if not isinstance(x, Tag)
+        )
 
 
 def check_sequence(tokens) -> list[str]:
     """Single linear scan over the serialized-sequence invariants.
 
-    Returns one message per violation; an empty list means the token stream
-    is well-formed.
+    `tokens` holds TagToken/WordToken objects or a sequence's items (a Tag
+    or a word string).  Returns one message per violation; an empty list
+    means the token stream is well-formed.
     """
     problems: list[str] = []
     prev_tag: Tag | None = None
     prev_was_tag = False
     for i, tok in enumerate(tokens):
-        if isinstance(tok, TagToken):
-            if i == 0:
-                pass
-            elif prev_was_tag:
-                problems.append(f"adjacent tag tokens at index {i}")
-            elif prev_tag is not None and tok.tag.surface == prev_tag.surface:
-                problems.append(f"tag {tok.tag.surface!r} repeated without a switch at index {i}")
-            prev_tag = tok.tag
-            prev_was_tag = True
+        if isinstance(tok, str):
+            tag = None
+        elif isinstance(tok, Tag):
+            tag = tok
         elif isinstance(tok, WordToken):
-            if prev_tag is None:
-                problems.append(f"word {tok.word!r} at index {i} precedes any tag")
-            prev_was_tag = False
+            tag = None
+            tok = tok.word
+        elif isinstance(tok, TagToken):
+            tag = tok.tag
         else:
             problems.append(f"unknown token type at index {i}: {tok!r}")
+            continue
+        if tag is None:
+            if prev_tag is None:
+                problems.append(f"word {tok!r} at index {i} precedes any tag")
+            prev_was_tag = False
+            continue
+        if prev_was_tag:
+            problems.append(f"adjacent tag tokens at index {i}")
+        elif prev_tag is not None and tag.surface == prev_tag.surface:
+            problems.append(f"tag {tag.surface!r} repeated without a switch at index {i}")
+        prev_tag = tag
+        prev_was_tag = True
     return problems
 
 

@@ -24,12 +24,9 @@ from .model import (
     GroupingConfig,
     SerializationMethod,
     SerializedSequence,
-    SerializedToken,
     Tag,
     TagSet,
-    TagToken,
     Utterance,
-    WordToken,
 )
 
 __all__ = [
@@ -77,21 +74,24 @@ def _emit(
     utt_id: str,
     method: SerializationMethod,
 ) -> SerializedSequence:
-    """Tokens for ``(time, priority, rank, channel_index, word)`` keys in order.
+    """The sequence for ``(time, priority, rank, channel_index, word)`` keys in order.
 
-    A tag token, ``tags[channel_index]``, opens every run of words whose tag
+    The tag ``tags[channel_index]`` opens every run of words whose tag
     surface differs from the previous word's; each word carries its time as
-    origin_time.
+    origin time.
     """
     surfaces = [t.surface for t in tags]
-    tokens: list[SerializedToken] = []
+    items: list[Tag | str] = []
+    origin_times: list[int | None] = []
     prev: str | None = None
     for time, _, _, ci, word in keyed:
         if surfaces[ci] != prev:
             prev = surfaces[ci]
-            tokens.append(TagToken(tags[ci]))
-        tokens.append(WordToken(word, time))
-    return SerializedSequence(utt_id, tuple(tokens), method)
+            items.append(tags[ci])
+            origin_times.append(None)
+        items.append(word)
+        origin_times.append(time)
+    return SerializedSequence._from_columns(utt_id, tuple(items), tuple(origin_times), method)
 
 
 def inter_time(
@@ -183,10 +183,7 @@ def inter_gamma(
 
 def render_text(s: SerializedSequence) -> str:
     """Render a sequence as plain text: token surfaces joined by single spaces."""
-    parts: list[str] = []
-    for tok in s.tokens:
-        parts.append(tok.tag.surface if isinstance(tok, TagToken) else tok.word)
-    return " ".join(parts)
+    return " ".join([x.surface if isinstance(x, Tag) else x for x in s.items])
 
 
 def serialize_utterance(

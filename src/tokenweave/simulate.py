@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .formats import _expect_json
 from .metrics import EmissionTrace, count_switches, laal
 from .model import (
     Channel,
@@ -25,7 +26,6 @@ from .model import (
     SerializedSequence,
     Tag,
     TagSet,
-    TagToken,
     TimedWord,
     Utterance,
 )
@@ -117,34 +117,44 @@ def synth_config_to_json(c: SynthConfig) -> dict:
     }
 
 
+def _json_range(obj: dict, name: str) -> tuple[int, int]:
+    pair = _expect_json(obj[name], name, list)
+    if len(pair) != 2:
+        raise ValueError(f"{name} must be a [low, high] pair, got {pair!r}")
+    return (_expect_json(pair[0], f"{name}[0]", int), _expect_json(pair[1], f"{name}[1]", int))
+
+
 def synth_config_from_json(obj: dict) -> SynthConfig:
+    """Parse a generator config; a field of the wrong JSON type is a ValueError naming it."""
     if obj.get("v") != 1:
         raise ValueError(f"unsupported config version {obj.get('v')!r} (expected 1)")
-    channels = tuple(
-        Tag(
-            id=t["surface"],
-            surface=t["surface"],
-            modality=Modality(t["modality"]),
-            language=t["lang"],
+    channels = []
+    for i, t in enumerate(_expect_json(obj["channels"], "channels", list)):
+        t = _expect_json(t, f"channels[{i}]", dict)
+        channels.append(
+            Tag(
+                id=t["surface"],
+                surface=t["surface"],
+                modality=Modality(t["modality"]),
+                language=t["lang"],
+            )
         )
-        for t in obj["channels"]
-    )
     return SynthConfig(
-        seed=obj["seed"],
-        num_utterances=obj["num_utterances"],
-        words_per_channel=tuple(obj["words_per_channel"]),
-        word_rate_ms=tuple(obj["word_rate_ms"]),
-        translation_lag_ms=tuple(obj["translation_lag_ms"]),
-        reorder_window_ms=obj["reorder_window_ms"],
-        channels=channels,
-        vocab_size=obj["vocab_size"],
+        seed=_expect_json(obj["seed"], "seed", int),
+        num_utterances=_expect_json(obj["num_utterances"], "num_utterances", int),
+        words_per_channel=_json_range(obj, "words_per_channel"),
+        word_rate_ms=_json_range(obj, "word_rate_ms"),
+        translation_lag_ms=_json_range(obj, "translation_lag_ms"),
+        reorder_window_ms=_expect_json(obj["reorder_window_ms"], "reorder_window_ms", int),
+        channels=tuple(channels),
+        vocab_size=_expect_json(obj["vocab_size"], "vocab_size", int),
     )
 
 
 def replay_policy_from_json(obj: dict) -> ReplayPolicy:
     return ReplayPolicy(
         mode=obj.get("mode", "auto"),
-        overhead_ms=obj.get("overhead_ms", 0),
+        overhead_ms=_expect_json(obj.get("overhead_ms", 0), "overhead_ms", int),
     )
 
 
@@ -273,15 +283,15 @@ def replay(
 
     # A valid sequence opens with a tag, so `current` is bound before any word.
     delays: dict[str, list[tuple[int, int]]] = {}
-    for ordinal, tok in enumerate(s.tokens):
-        if isinstance(tok, TagToken):
-            current = delays.setdefault(tok.tag.surface, [])
+    for ordinal, (item, origin) in enumerate(zip(s.items, s.origin_times)):
+        if isinstance(item, Tag):
+            current = delays.setdefault(item.surface, [])
             continue
-        if tok.origin_time is None:
+        if origin is None:
             raise ValueError(
-                f"word {tok.word!r} in {s.utt_id!r} has no origin time; cannot replay"
+                f"word {item!r} in {s.utt_id!r} has no origin time; cannot replay"
             )
-        base = assign_group(tok.origin_time, step) if grouped else tok.origin_time
+        base = assign_group(origin, step) if grouped else origin
         current.append((ordinal, base + overhead * ordinal))
 
     if source_duration_ms is None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -264,6 +265,41 @@ class TestStats:
         assert all(json.loads(line)["index"] == 1 for line in err[:-1])
         assert err[-1].startswith("error: base corpus has zero tag tokens")
 
+    def _builds(self, tmp_path, demo_files):
+        corpus, tags = demo_files
+        base = tmp_path / "base.jsonl"
+        variant = tmp_path / "variant.jsonl"
+        assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(base)]) == 0
+        assert main(["build", "--method", "inter-time", "--group-ms", "500", "--tags", tags, "--input", corpus, "--output", str(variant)]) == 0
+        return base, variant
+
+    def test_base_from_stdin(self, tmp_path, demo_files, capsys, monkeypatch):
+        # Each input is read once, so `-` works for --base.
+        base, variant = self._builds(tmp_path, demo_files)
+        capsys.readouterr()
+        assert main(["stats", "--base", str(base), "--variant", str(variant)]) == 0
+        from_files = capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO(base.read_text()))
+        assert main(["stats", "--base", "-", "--variant", str(variant)]) == 0
+        from_stdin = capsys.readouterr()
+        assert from_stdin.err == ""
+        assert from_stdin.out == from_files.out
+        assert json.loads(from_stdin.out)["reduction"] == 0.25
+
+    @pytest.mark.parametrize("text", ["[1]", "5", '"x"', "null", "{nope"])
+    def test_line_that_is_not_a_record_is_skipped(self, tmp_path, demo_files, capsys, text):
+        base, variant = self._builds(tmp_path, demo_files)
+        base.write_text(text + "\n" + base.read_text())
+        variant.write_text(text + "\n" + variant.read_text())
+        capsys.readouterr()
+        rc = main(["stats", "--base", str(base), "--variant", str(variant)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert json.loads(captured.out)["reduction"] == 0.25
+        diags = [json.loads(line) for line in captured.err.splitlines()]
+        assert [(d["code"], d["index"]) for d in diags] == [("bad-record", 1), ("bad-record", 1)]
+        assert "Traceback" not in captured.err
+
 
 class TestLaal:
     def test_json_report_matches_library(self, tmp_path, demo_utterance, demo_tags, capsys):
@@ -433,6 +469,61 @@ class TestStudy:
         assert rc == 2
         assert err == f"error: {config}: {message}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"synth": None, "corpus": 5}, "corpus must be a JSON string, got int"),
+            ({"synth": None, "corpus": ["corpus.jsonl"]}, "corpus must be a JSON string, got list"),
+            ({"tags": 5}, "tags must be a JSON string, got int"),
+            ({"tags": {"v": 1}}, "tags must be a JSON string, got dict"),
+        ],
+    )
+    def test_path_that_is_not_a_string_is_fatal(self, tmp_path, capsys, overrides, message):
+        # An integer must not reach open(), which would take it as a file descriptor.
+        config = self._study_config(tmp_path, **overrides)
+        if overrides.get("synth", "keep") is None:
+            blob = json.loads(open(config).read())
+            del blob["synth"]
+            open(config, "w").write(json.dumps(blob))
+        rc = main(["study", "--config", config, "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {config}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["synth", "study"])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"channels": 5}, "channels must be a JSON list, got int"),
+            ({"channels": [5]}, "channels[0] must be a JSON object, got int"),
+            ({"words_per_channel": 5}, "words_per_channel must be a JSON list, got int"),
+            ({"word_rate_ms": [100]}, "word_rate_ms must be a [low, high] pair, got [100]"),
+            ({"translation_lag_ms": [0, None]}, "translation_lag_ms[1] must be a JSON integer, got NoneType"),
+            ({"num_utterances": "5"}, "num_utterances must be a JSON integer, got str"),
+            ({"vocab_size": 2.5}, "vocab_size must be a JSON integer, got float"),
+            ({"reorder_window_ms": True}, "reorder_window_ms must be a JSON integer, got bool"),
+            ({"seed": [1]}, "seed must be a JSON integer, got list"),
+        ],
+    )
+    def test_synth_field_of_the_wrong_type_is_fatal(self, tmp_path, capsys, command, overrides, message):
+        synth = json.loads(open(self._study_config(tmp_path)).read())["synth"]
+        synth.update(overrides)
+        if command == "synth":
+            config = tmp_path / "synth.json"
+            config.write_text(json.dumps(synth))
+        else:
+            config = self._study_config(tmp_path, synth=synth)
+        rc = main([command, "--config", str(config), "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {message}\n"
+
+    def test_replay_overhead_of_the_wrong_type_is_fatal(self, tmp_path, capsys):
+        config = self._study_config(tmp_path, replay={"mode": "auto", "overhead_ms": "5"})
+        rc = main(["study", "--config", config, "--output", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: overhead_ms must be a JSON integer, got str\n"
 
     def test_neither_corpus_nor_synth(self, tmp_path, capsys):
         path = tmp_path / "study.json"

@@ -8,8 +8,10 @@ from tokenweave import (
     Channel,
     DemuxState,
     GroupingConfig,
+    Modality,
     SerializationMethod,
     SerializedSequence,
+    Tag,
     TagSet,
     TagToken,
     TimedWord,
@@ -155,3 +157,62 @@ class TestDiffChannels:
         words = demux_full(seq, demo_tags).words
         words["#ES#"][0] = "Soy"
         assert diff_channels(demo_utterance, words)["#ES#"] == 1
+
+
+def _oracle_demux_full(tokens, tags, utt_id):
+    """The previous `demux_full` of a sequence: a fold of `feed` over its tokens."""
+    state = DemuxState(utt_id=utt_id)
+    events = []
+    for token in tokens:
+        ev = feed(state, token, tags)
+        if ev is not None:
+            events.append(ev)
+        elif state.current_known and state.current_tag is not None:
+            state.words.setdefault(state.current_tag.surface, [])
+    return state.words, state.diagnostics, events
+
+
+# Same surface as ES, another language: a TagSet holding it still declares "#ES#".
+_ES_PT = Tag("#ES#", "#ES#", Modality.TRANSLATION, "pt")
+
+
+@st.composite
+def _sequences(draw):
+    tokens = []
+    prev = None
+    for i, (tag, words) in enumerate(
+        draw(st.lists(st.tuples(st.sampled_from([ASR, ES, DE]), st.lists(st.sampled_from(["a", "b", "#ES#", "#XX#"]), max_size=4)), max_size=7))
+    ):
+        if tag == prev or (tokens and isinstance(tokens[-1], TagToken)):
+            continue
+        prev = tag
+        tokens.append(TagToken(tag))
+        tokens += [WordToken(w, draw(st.one_of(st.none(), st.integers(0, 3000)))) for w in words]
+    return SerializedSequence("u7", tokens, SerializationMethod("inter_time"))
+
+
+class TestColumnarDemuxMatchesFeedFold:
+    @given(
+        _sequences(),
+        st.lists(st.sampled_from([ASR, ES, DE, _ES_PT]), min_size=1, max_size=3, unique_by=lambda t: t.surface),
+        st.sampled_from(["", "given-id"]),
+    )
+    @settings(max_examples=400)
+    def test_words_diagnostics_and_events(self, seq, declared, utt_id):
+        tags = TagSet(tuple(declared))
+        result = demux_full(seq, tags, utt_id=utt_id)
+        words, diagnostics, events = _oracle_demux_full(seq.tokens, tags, utt_id or seq.utt_id)
+        assert list(result.words.items()) == list(words.items())  # channel order too
+        assert result.diagnostics == diagnostics
+        assert result.events == events
+        # Routed events carry the sequence's own Tag objects.
+        assert all(e.tag is None or any(e.tag is t for t in seq.items) for e in result.events)
+
+    def test_unknown_tag_run_goes_to_the_unknown_bucket(self):
+        seq = SerializedSequence(
+            "u", (TagToken(ASR), WordToken("a", 1), TagToken(DE), WordToken("x", 2), TagToken(ES)), SerializationMethod("inter_time")
+        )
+        result = demux_full(seq, TagSet((ASR, ES)))
+        assert result.words == {"#ASR#": ["a"], UNKNOWN_CHANNEL: ["x"], "#ES#": []}
+        assert [(d.code, d.index, d.utt_id) for d in result.diagnostics] == [("unknown-tag", 2, "u")]
+        assert [(e.tag, e.word, e.token_index, e.emission_time) for e in result.events] == [(ASR, "a", 1, 1), (None, "x", 3, 2)]

@@ -1,21 +1,32 @@
 from __future__ import annotations
 
+import copy
 import io
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenweave import (
     EmissionTrace,
     GroupingConfig,
     ReplayPolicy,
+    SerializationMethod,
+    SerializedSequence,
     SynthConfig,
     TagSet,
+    TagToken,
+    WordToken,
+    count_switches,
     inter_time,
     replay,
     synth_corpus,
 )
 from tokenweave.formats import (
+    _check_version,
+    _dumps,
     channels_from_json,
     read_channels,
     read_corpus,
@@ -34,7 +45,7 @@ from tokenweave.formats import (
     write_tag_set,
     write_traces,
 )
-from tokenweave.serialize import render_text
+from tokenweave.serialize import assign_group, render_text
 from conftest import ASR, DE, ES
 
 
@@ -286,3 +297,251 @@ class TestStdStreams:
         write_tag_set(demo_tags, "-")
         out = capsys.readouterr().out
         assert json.loads(out)["tags"][0]["surface"] == "#ASR#"
+
+
+# ---------------------------------------------------------------------------
+# The object-based stream of the previous version, kept as the reference for
+# the columnar one: one TagToken or WordToken per position, checked by the
+# scan below, and read, written, counted, rendered and replayed from tokens.
+
+
+def _oracle_check_sequence(tokens) -> list[str]:
+    problems: list[str] = []
+    prev_tag = None
+    prev_was_tag = False
+    for i, tok in enumerate(tokens):
+        if isinstance(tok, TagToken):
+            if i == 0:
+                pass
+            elif prev_was_tag:
+                problems.append(f"adjacent tag tokens at index {i}")
+            elif prev_tag is not None and tok.tag.surface == prev_tag.surface:
+                problems.append(f"tag {tok.tag.surface!r} repeated without a switch at index {i}")
+            prev_tag = tok.tag
+            prev_was_tag = True
+        elif isinstance(tok, WordToken):
+            if prev_tag is None:
+                problems.append(f"word {tok.word!r} at index {i} precedes any tag")
+            prev_was_tag = False
+        else:
+            problems.append(f"unknown token type at index {i}: {tok!r}")
+    return problems
+
+
+def _oracle_from_json(obj, tags):
+    """(utt_id, tokens, method) as the object-based reader built them."""
+    _check_version(obj)
+    raw_tokens = obj["tokens"]
+    origin_times = obj.get("origin_times")
+    if origin_times is None:
+        origin_times = [None] * len(raw_tokens)
+    if len(origin_times) != len(raw_tokens):
+        raise ValueError(
+            f"origin_times length {len(origin_times)} != tokens length {len(raw_tokens)}"
+        )
+    toks = []
+    for text, origin in zip(raw_tokens, origin_times):
+        if text in tags:
+            toks.append(TagToken(tags.get(text)))
+        else:
+            toks.append(WordToken(text, origin_time=origin))
+    utt_id = obj["utt_id"]
+    method = SerializationMethod.from_json(obj["method"])
+    problems = _oracle_check_sequence(toks)
+    if problems:
+        raise ValueError(f"invalid serialized sequence {utt_id!r}: {problems[0]}")
+    return utt_id, tuple(toks), method
+
+
+def _oracle_to_json(utt_id, tokens, method) -> dict:
+    out_tokens, origin_times = [], []
+    for tok in tokens:
+        if isinstance(tok, TagToken):
+            out_tokens.append(tok.tag.surface)
+            origin_times.append(None)
+        else:
+            out_tokens.append(tok.word)
+            origin_times.append(tok.origin_time)
+    return {"v": 1, "utt_id": utt_id, "method": method.to_json(), "tokens": out_tokens, "origin_times": origin_times}
+
+
+def _oracle_count_switches(tokens) -> int:
+    return sum(1 for t in tokens if isinstance(t, TagToken))
+
+
+def _oracle_render_text(tokens) -> str:
+    return " ".join(t.tag.surface if isinstance(t, TagToken) else t.word for t in tokens)
+
+
+def _oracle_replay(utt_id, tokens, method, policy, source_duration_ms):
+    mode = policy.mode
+    if mode == "auto":
+        mode = "group_boundary" if method.group_ms else "origin_time"
+    if mode == "group_boundary" and not method.group_ms:
+        raise ValueError(f"sequence {utt_id!r} was not grouped; no boundary to replay")
+    delays: dict[str, list[tuple[int, int]]] = {}
+    for ordinal, tok in enumerate(tokens):
+        if isinstance(tok, TagToken):
+            current = delays.setdefault(tok.tag.surface, [])
+            continue
+        if tok.origin_time is None:
+            raise ValueError(f"word {tok.word!r} in {utt_id!r} has no origin time; cannot replay")
+        base = assign_group(tok.origin_time, method.group_ms) if mode == "group_boundary" else tok.origin_time
+        current.append((ordinal, base + policy.overhead_ms * ordinal))
+    if source_duration_ms is None:
+        latest = max((d for ds in delays.values() for _, d in ds), default=0)
+        source_duration_ms = max(1, latest)
+    return {
+        surface: EmissionTrace(utt_id, surface, tuple(entries), source_duration_ms, len(entries))
+        for surface, entries in delays.items()
+        if entries
+    }
+
+
+_STREAM_TAGS = TagSet((ASR, ES, DE))
+_SURFACES = ["#ASR#", "#ES#", "#DE#"]
+# "#XX#" spells no declared surface, so it is a word.
+_WORDS = st.sampled_from(["a", "b", "está", "#XX#", "w1", "x.y"])
+_METHODS = [{"name": "inter_time"}, {"name": "inter_time", "group_ms": 500}, {"name": "inter_gamma", "gamma": 0.5}]
+_BAD_TOKENS = ["a b", " ", "\t", "x\u3000y", "\n", "", 5, 1.5, None, True, [1], {"a": 1}, ["#ASR#"]]
+_CORRUPTIONS = [
+    None,
+    "bad token",
+    "short origins",
+    "long origins",
+    "word first",
+    "adjacent tags",
+    "repeated tag",
+    "origin at tag",
+    "no origin_times",
+    "null origin_times",
+]
+
+
+@st.composite
+def _records(draw):
+    """A build-shaped serialized record, then at most one corruption of it."""
+    tokens: list = []
+    origins: list = []
+    prev = None
+    for surface, words in draw(st.lists(st.tuples(st.sampled_from(_SURFACES), st.lists(_WORDS, min_size=1, max_size=4)), max_size=6)):
+        if surface == prev:
+            continue
+        prev = surface
+        tokens.append(surface)
+        origins.append(None)
+        for w in words:
+            tokens.append(w)
+            origins.append(draw(st.integers(0, 3000)))
+    record = {"v": 1, "utt_id": "u1", "method": draw(st.sampled_from(_METHODS)), "tokens": tokens, "origin_times": origins}
+    corruption = draw(st.sampled_from(_CORRUPTIONS))
+    tag_positions = [i for i, t in enumerate(tokens) if t in _SURFACES]
+    word_positions = [i for i, t in enumerate(tokens) if t not in _SURFACES]
+    if corruption == "bad token":
+        i = draw(st.integers(0, len(tokens)))
+        tokens.insert(i, draw(st.sampled_from(_BAD_TOKENS)))
+        origins.insert(i, 7)
+    elif corruption == "short origins" and origins:
+        origins.pop()
+    elif corruption == "long origins":
+        origins.append(1)
+    elif corruption == "word first":
+        tokens.insert(0, "early")
+        origins.insert(0, 3)
+    elif corruption == "adjacent tags" and tag_positions:
+        i = draw(st.sampled_from(tag_positions))
+        tokens.insert(i + 1, next(s for s in _SURFACES if s != tokens[i]))
+        origins.insert(i + 1, None)
+    elif corruption == "repeated tag" and word_positions:
+        i = draw(st.sampled_from(word_positions))
+        tokens.insert(i + 1, [t for t in tokens[:i] if t in _SURFACES][-1])
+        origins.insert(i + 1, None)
+    elif corruption == "origin at tag" and tag_positions:
+        origins[draw(st.sampled_from(tag_positions))] = draw(st.integers(0, 3000))
+    elif corruption == "no origin_times":
+        del record["origin_times"]
+    elif corruption == "null origin_times":
+        record["origin_times"] = None
+    return record
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, KeyError, TypeError) as exc:
+        return (type(exc), str(exc))
+
+
+class TestColumnarStreamMatchesObjectOracle:
+    @given(_records())
+    @settings(max_examples=500)
+    def test_reader_writer_and_stream_consumers(self, record):
+        expected = _outcome(_oracle_from_json, copy.deepcopy(record), _STREAM_TAGS)
+        got = _outcome(serialized_from_json, record, _STREAM_TAGS)
+        if not isinstance(got, SerializedSequence):
+            assert got == expected  # same exception type, same message
+            return
+        utt_id, tokens, method = expected
+        assert (got.utt_id, got.tokens, got.method) == (utt_id, tokens, method)
+        assert got.word_tokens == tuple(t for t in tokens if isinstance(t, WordToken))
+        assert len(got) == len(tokens)
+        assert _dumps(serialized_to_json(got)) == _dumps(_oracle_to_json(utt_id, tokens, method))
+        assert count_switches(got) == _oracle_count_switches(tokens)
+        assert render_text(got) == _oracle_render_text(tokens)
+        for policy in (ReplayPolicy(), ReplayPolicy("origin_time", 5), ReplayPolicy("group_boundary", 0)):
+            for duration in (None, 4000):
+                assert _outcome(replay, got, policy, duration) == _outcome(
+                    _oracle_replay, utt_id, tokens, method, policy, duration
+                )
+
+    @given(_records())
+    @settings(max_examples=200)
+    def test_both_constructors_give_one_value(self, record):
+        columnar = _outcome(serialized_from_json, record, _STREAM_TAGS)
+        if not isinstance(columnar, SerializedSequence):
+            return
+        from_tokens = SerializedSequence(columnar.utt_id, columnar.tokens, columnar.method)
+        assert from_tokens == columnar
+        assert hash(from_tokens) == hash(columnar)
+        assert repr(from_tokens) == repr(columnar)
+        for seq in (from_tokens, columnar):
+            back = pickle.loads(pickle.dumps(seq))
+            assert back == columnar
+            assert repr(back) == repr(columnar)
+            assert back.tokens == columnar.tokens
+
+    def test_word_spelling_a_tag_stays_a_word(self):
+        seq = SerializedSequence("u", (TagToken(ASR), WordToken("#ES#", 5)), SerializationMethod("inter_time"))
+        assert seq.items == (ASR, "#ES#")
+        assert seq.tokens == (TagToken(ASR), WordToken("#ES#", 5))
+        assert count_switches(seq) == 1
+        assert render_text(seq) == "#ASR# #ES#"
+
+    @pytest.mark.parametrize(
+        "tokens, origins",
+        [
+            (["#ASR#", "a b"], [None, 1]),
+            (["#ASR#", ""], [None, 1]),
+            (["#ASR#", 5], [None, 1]),
+            (["#ASR#", ["a"]], [None, 1]),
+            (["#ASR#", {"a": 1}], [None, 1]),
+            (["#ASR#", "a"], [None]),
+            (["a", "#ASR#"], [1, None]),
+            (["#ASR#", "#ES#", "a"], [None, None, 1]),
+            (["#ASR#", "a", "#ASR#", "b"], [None, 1, None, 2]),
+        ],
+    )
+    def test_bad_record_messages_are_unchanged(self, tmp_path, tokens, origins):
+        record = {"v": 1, "utt_id": "u1", "method": {"name": "inter_time"}, "tokens": tokens, "origin_times": origins}
+        exc_type, message = _outcome(_oracle_from_json, copy.deepcopy(record), _STREAM_TAGS)
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        seqs, diags = read_serialized(str(path), _STREAM_TAGS)
+        assert seqs == []
+        assert [(d.code, d.message) for d in diags] == [("bad-record", f"{path}:1: {message}")]
+
+    def test_origin_at_a_tag_position_is_dropped(self):
+        record = {"v": 1, "utt_id": "u1", "method": {"name": "inter_time"}, "tokens": ["#ASR#", "a"], "origin_times": [9, 1]}
+        seq = serialized_from_json(record, _STREAM_TAGS)
+        assert seq.origin_times == (None, 1)
+        assert serialized_to_json(seq)["origin_times"] == [None, 1]

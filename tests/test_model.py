@@ -234,6 +234,34 @@ class TestSerializedSequence:
     def test_check_sequence_flags_foreign_objects(self):
         assert check_sequence([object()]) != []
 
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            (TagToken(ASR), WordToken("a"), TagToken(ES), WordToken("b")),
+            (WordToken("a"), WordToken("b"), TagToken(ASR)),
+            (TagToken(ASR), TagToken(ES), TagToken(ASR), WordToken("a"), TagToken(ASR)),
+            (TagToken(ASR), WordToken("#ASR#"), TagToken(ASR)),
+            (TagToken(ASR), 5, TagToken(ES)),
+        ],
+    )
+    def test_check_sequence_reads_items_like_tokens(self, tokens):
+        def item(t):
+            return t.tag if isinstance(t, TagToken) else t.word if isinstance(t, WordToken) else t
+
+        assert check_sequence([item(t) for t in tokens]) == check_sequence(tokens)
+
+    def test_foreign_object_rejected(self):
+        with pytest.raises(ValueError, match="word must be a non-empty string"):
+            SerializedSequence("u", (TagToken(ASR), object()), SerializationMethod("inter_time"))
+
+    def test_columns_and_token_view(self):
+        toks = (TagToken(ASR), WordToken("a", 10), WordToken("b"), TagToken(ES), WordToken("c", 30))
+        s = SerializedSequence("u", toks, SerializationMethod("inter_time"))
+        assert s.items == (ASR, "a", "b", ES, "c")
+        assert s.origin_times == (None, 10, None, None, 30)
+        assert s.tokens == toks
+        assert s.items[0] is ASR
+
     def test_word_tokens_property(self):
         toks = (TagToken(ASR), WordToken("a"), TagToken(ES), WordToken("b"))
         s = SerializedSequence("u", toks, SerializationMethod("inter_time"))
