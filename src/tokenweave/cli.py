@@ -69,16 +69,6 @@ def _method_from_args(args: argparse.Namespace) -> SerializationMethod:
     return SerializationMethod("inter_gamma", gamma=args.gamma)
 
 
-def _build_line(payload: tuple[Utterance, SerializationMethod, TagSet]):
-    """Serialize one utterance to its output line.  Top level for pickling."""
-    u, method, tags = payload
-    try:
-        seq = serialize_utterance(u, method, tags)
-        return u.utt_id, formats._dumps(formats.serialized_to_json(seq)), None
-    except ValueError as exc:
-        return u.utt_id, None, str(exc)
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     tags = formats.read_tag_set(args.tags)
     method = _method_from_args(args)
@@ -92,21 +82,14 @@ def cmd_build(args: argparse.Namespace) -> int:
         else:
             work.append(u)
 
-    payloads = [(u, method, tags) for u in work]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_build_line, payloads, chunksize=32))
-    else:
-        results = [_build_line(p) for p in payloads]
-
     lines = []
-    for utt_id, line, err in results:
-        if err is not None:
-            diags.append(Diagnostic("serialize-error", err, utt_id=utt_id))
-        else:
-            lines.append(line)
+    for u in work:
+        try:
+            seq = serialize_utterance(u, method, tags)
+        except ValueError as exc:
+            diags.append(Diagnostic("serialize-error", str(exc), utt_id=u.utt_id))
+            continue
+        lines.append(formats._dumps(formats.serialized_to_json(seq)))
     formats._write_lines(args.output, lines)
     _emit_diags(diags)
     return 1 if diags else 0
@@ -333,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tags", required=True, help="tag set JSON file")
     p.add_argument("--input", required=True, help="corpus JSONL, - for stdin")
     p.add_argument("--output", required=True, help="serialized JSONL, - for stdout")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes; output order is input order")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("demux", help="split serialized streams back into channels")

@@ -10,7 +10,6 @@ recorded as a diagnostic, so all decodable content survives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .kernels import edit_distance
 from .model import (
@@ -24,24 +23,7 @@ from .model import (
     WordToken,
 )
 
-__all__ = ["DemuxState", "RoutedEvent", "DemuxResult", "feed", "demux_full", "diff_channels"]
-
-
-@dataclass(frozen=True, slots=True)
-class RoutedEvent:
-    """One word routed to a channel.
-
-    Attributes:
-        tag: Destination tag, or None when the word fell in the unknown bucket.
-        word: The routed word.
-        token_index: Position of the word token in the serialized stream.
-        emission_time: Propagated origin timestamp, when the stream carries one.
-    """
-
-    tag: Tag | None
-    word: str
-    token_index: int
-    emission_time: int | None = None
+__all__ = ["DemuxState", "DemuxResult", "feed", "demux_full", "diff_channels"]
 
 
 @dataclass(slots=True)
@@ -65,26 +47,26 @@ class DemuxState:
         return self.current_tag.surface
 
 
-def feed(state: DemuxState, token: TagToken | WordToken | str, tags: TagSet) -> RoutedEvent | None:
-    """Consume one token, updating `state`; returns the event for a routed word.
+def feed(state: DemuxState, token: TagToken | WordToken | str, tags: TagSet) -> Tag | None:
+    """Consume one token, updating `state`; returns the tag a word was routed to.
 
     Accepts model tokens or raw strings (a string matching a tag surface in
-    `tags` counts as that tag).  Tag tokens switch the current channel and
-    yield no event.  Error handling is diagnostic-only: a word before any tag
-    or after an undeclared tag goes to the unknown bucket; a repeated
-    identical tag is flagged but the stream stays decodable.
+    `tags` counts as that tag).  Tag tokens switch the current channel, and
+    a declared one materializes its channel even if no words ever follow.
+    Error handling is diagnostic-only: a word before any tag or after an
+    undeclared tag goes to the unknown bucket; a repeated identical tag is
+    flagged but the stream stays decodable.  Returns None for a tag token,
+    an empty token and a word in the unknown bucket.
     """
     idx = state.token_index
     state.token_index += 1
 
     tag: Tag | None = None
     word: str | None = None
-    origin: int | None = None
     if isinstance(token, TagToken):
         tag = token.tag
     elif isinstance(token, WordToken):
         word = token.word
-        origin = token.origin_time
     else:
         looked = tags.get(token)
         if looked is not None:
@@ -116,6 +98,8 @@ def feed(state: DemuxState, token: TagToken | WordToken | str, tags: TagSet) -> 
             )
         state.current_tag = tag
         state.current_known = known
+        if known:
+            state.words.setdefault(tag.surface, [])
         return None
 
     assert word is not None
@@ -140,8 +124,7 @@ def feed(state: DemuxState, token: TagToken | WordToken | str, tags: TagSet) -> 
         )
     key = state.channel_key()
     state.words.setdefault(key, []).append(word)
-    routed_tag = state.current_tag if key != UNKNOWN_CHANNEL else None
-    return RoutedEvent(tag=routed_tag, word=word, token_index=idx, emission_time=origin)
+    return state.current_tag if key != UNKNOWN_CHANNEL else None
 
 
 @dataclass(slots=True)
@@ -150,7 +133,6 @@ class DemuxResult:
 
     words: dict[str, list[str]]
     diagnostics: list[Diagnostic]
-    events: list[RoutedEvent]
 
 
 def demux_full(
@@ -173,16 +155,9 @@ def demux_full(
         tokens = list(stream)
 
     state = DemuxState(utt_id=utt_id)
-    events: list[RoutedEvent] = []
     for token in tokens:
-        ev = feed(state, token, tags)
-        if ev is not None:
-            events.append(ev)
-        elif state.current_known and state.current_tag is not None:
-            # A declared tag appeared: materialize its channel even if no
-            # words ever follow.
-            state.words.setdefault(state.current_tag.surface, [])
-    return DemuxResult(words=state.words, diagnostics=state.diagnostics, events=events)
+        feed(state, token, tags)
+    return DemuxResult(words=state.words, diagnostics=state.diagnostics)
 
 
 def _demux_sequence(seq: SerializedSequence, tags: TagSet, utt_id: str) -> DemuxResult:
@@ -192,15 +167,13 @@ def _demux_sequence(seq: SerializedSequence, tags: TagSet, utt_id: str) -> Demux
     opens with a tag, never repeats one without a switch and has no empty
     word, so an undeclared tag is the only anomaly it can carry.
     """
-    items, origin_times = seq.items, seq.origin_times
+    items = seq.items
     starts = [i for i, x in enumerate(items) if isinstance(x, Tag)]
     words: dict[str, list[str]] = {}
     diagnostics: list[Diagnostic] = []
-    events: list[RoutedEvent] = []
     for start, end in zip(starts, starts[1:] + [len(items)]):
         tag = items[start]
         if tag.surface in tags:
-            routed: Tag | None = tag
             bucket = words.setdefault(tag.surface, [])
         else:
             diagnostics.append(
@@ -212,14 +185,11 @@ def _demux_sequence(seq: SerializedSequence, tags: TagSet, utt_id: str) -> Demux
                     index=start,
                 )
             )
-            routed = None
             if end == start + 1:
                 continue
             bucket = words.setdefault(UNKNOWN_CHANNEL, [])
-        run = items[start + 1 : end]
-        bucket += run
-        events += map(RoutedEvent, repeat(routed), run, range(start + 1, end), origin_times[start + 1 : end])
-    return DemuxResult(words=words, diagnostics=diagnostics, events=events)
+        bucket += items[start + 1 : end]
+    return DemuxResult(words=words, diagnostics=diagnostics)
 
 
 def diff_channels(expected: Utterance, actual: dict[str, list[str]]) -> dict[str, int]:
@@ -231,7 +201,7 @@ def diff_channels(expected: Utterance, actual: dict[str, list[str]]) -> dict[str
     out: dict[str, int] = {}
     seen = set()
     for ch in expected.channels:
-        ref = [tw.word for tw in ch.words]
+        ref = list(ch.texts)
         hyp = actual.get(ch.tag.surface, [])
         out[ch.tag.surface] = edit_distance(ref, hyp)
         seen.add(ch.tag.surface)

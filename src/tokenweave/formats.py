@@ -146,7 +146,7 @@ def utterance_to_json(u: Utterance) -> dict:
                 "tag": ch.tag.surface,
                 "modality": ch.tag.modality.value,
                 "lang": ch.tag.language,
-                "words": [{"t": w.time, "w": w.word} for w in ch.words],
+                "words": [{"t": t, "w": w} for t, w in zip(ch.times, ch.texts)],
             }
             for ch in u.channels
         ],
@@ -163,10 +163,15 @@ def utterance_from_json(obj: dict) -> Utterance:
             modality=Modality(ch["modality"]),
             language=ch["lang"],
         )
-        words = tuple(TimedWord(w["t"], w["w"]) for w in ch["words"])
-        channels.append(Channel(tag=tag, words=words))
+        words = ch["words"]
+        try:
+            channel = Channel._from_columns(tag, tuple([w["t"] for w in words]), tuple([w["w"] for w in words]))
+        except (KeyError, TypeError):
+            # Word by word, so that the first faulty word raises its own error.
+            channel = Channel(tag, [TimedWord(w["t"], w["w"]) for w in words])
+        channels.append(channel)
     return Utterance(
-        utt_id=obj["utt_id"],
+        utt_id=_expect_json(obj["utt_id"], "utt_id", str),
         duration_ms=obj["duration_ms"],
         channels=tuple(channels),
     )
@@ -255,7 +260,7 @@ def serialized_from_json(obj: dict, tags: TagSet) -> SerializedSequence:
     # An origin time at a tag position is dropped.
     origins = tuple([None if isinstance(x, Tag) else t for x, t in zip(items, origin_times)])
     return SerializedSequence._from_columns(
-        obj["utt_id"], items, origins, SerializationMethod.from_json(obj["method"])
+        _expect_json(obj["utt_id"], "utt_id", str), items, origins, SerializationMethod.from_json(obj["method"])
     )
 
 
@@ -342,7 +347,7 @@ def channels_from_json(obj: dict) -> tuple[str, dict[str, tuple[str, ...]]]:
         if tag in out:
             raise ValueError(f"duplicate channel tag {tag!r}")
         out[tag] = tuple(str(w) for w in ch["words"])
-    return obj["utt_id"], out
+    return _expect_json(obj["utt_id"], "utt_id", str), out
 
 
 def read_channels(path: str) -> tuple[dict[str, dict[str, tuple[str, ...]]], list[Diagnostic]]:

@@ -352,7 +352,7 @@ def evaluate_corpus(
         hyp_channels = hyps[u.utt_id]
         for ch in u.channels:
             s = ch.tag.surface
-            ref_words = [tw.word for tw in ch.words]
+            ref_words = list(ch.texts)
             hyp_words = list(hyp_channels.get(s, []))
             if normalize:
                 ref_words = normalize_words(ref_words)

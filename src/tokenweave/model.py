@@ -145,23 +145,55 @@ class TagSet:
         return tuple(t.surface for t in self.tags)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Channel:
     """One tagged output stream: a tag plus its timed words.
 
+    Stored as two parallel columns, `times` (ms) and `texts` (word
+    surfaces); `words` builds :class:`TimedWord` views of them on each read.
     Words are expected non-decreasing in time (a streaming model's emission
     trace is monotone by construction), but a violating channel is still
     constructible so that :func:`validate_utterance` can report it.
     """
 
     tag: Tag
-    words: tuple[TimedWord, ...]
+    times: tuple[int, ...]
+    texts: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(self.words))
+    def __init__(self, tag: Tag, words) -> None:
+        """Build from TimedWord objects."""
+        words = tuple(words)
+        self._fill(tag, tuple([w.time for w in words]), tuple([w.word for w in words]))
+
+    @classmethod
+    def _from_columns(cls, tag: Tag, times: tuple[int, ...], texts: tuple[str, ...]) -> "Channel":
+        """Build from columns of equal length."""
+        ch = object.__new__(cls)
+        ch._fill(tag, times, texts)
+        return ch
+
+    def _fill(self, tag, times, texts) -> None:
+        # The checks of TimedWord, in bulk: for strings the join/split round
+        # trip is exact iff every word is non-empty and has no whitespace.
+        # On failure, TimedWord finds the first bad word and its message.
+        try:
+            ok = " ".join(texts).split() == list(texts)
+        except TypeError:
+            ok = False
+        if not (ok and set(map(type, times)) <= {int} and min(times, default=0) >= 0):
+            for t, w in zip(times, texts):
+                TimedWord(t, w)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "texts", texts)
+
+    @property
+    def words(self) -> tuple[TimedWord, ...]:
+        """One TimedWord per word, built from the columns on each read."""
+        return tuple(map(TimedWord, self.times, self.texts))
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.times)
 
 
 @dataclass(frozen=True, slots=True)
@@ -446,24 +478,27 @@ def validate_utterance(u: Utterance, tags: TagSet) -> list[Diagnostic]:
                     index=ci,
                 )
             )
+        times, texts = ch.times, ch.texts
+        if list(times) == sorted(times) and surfaces.isdisjoint(texts):
+            continue
         prev = None
-        for wi, tw in enumerate(ch.words):
-            if prev is not None and tw.time < prev:
+        for wi, (time, word) in enumerate(zip(times, texts)):
+            if prev is not None and time < prev:
                 diags.append(
                     Diagnostic(
                         "non-monotone-time",
-                        f"time {tw.time} after {prev} in channel {s!r}",
+                        f"time {time} after {prev} in channel {s!r}",
                         utt_id=u.utt_id,
                         tag=s,
                         index=wi,
                     )
                 )
-            prev = tw.time
-            if tw.word in surfaces:
+            prev = time
+            if word in surfaces:
                 diags.append(
                     Diagnostic(
                         "word-is-tag",
-                        f"word at index {wi} equals tag surface {tw.word!r}",
+                        f"word at index {wi} equals tag surface {word!r}",
                         utt_id=u.utt_id,
                         tag=s,
                         index=wi,

@@ -18,6 +18,7 @@ input word exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .model import (
     Channel,
@@ -117,7 +118,7 @@ def inter_time(
     keyed: list[tuple[int, int, int, int, str]] = []
     for ci, ch in enumerate(channels):
         p = priority.get(ch.tag.surface, unknown)
-        keyed += [(tw.time, p, rank, ci, tw.word) for rank, tw in enumerate(ch.words)]
+        keyed += zip(ch.times, repeat(p), range(len(ch)), repeat(ci), ch.texts)
     keyed.sort()
 
     step = grouping.step_ms if grouping is not None else None
@@ -163,19 +164,18 @@ def inter_gamma(
     g = float(gamma.gamma if isinstance(gamma, GammaConfig) else GammaConfig(float(gamma)).gamma)
 
     keyed: list[tuple[int, int, int, int, str]] = []
+    n, m = len(asr), len(st)
     i = j = 0
-    while i < len(asr.words) or j < len(st.words):
-        if i < len(asr.words) and j < len(st.words):
+    while i < n or j < m:
+        if i < n and j < m:
             take_asr = (1.0 - g) * (1 + j) >= g * (1 + i)
         else:
-            take_asr = i < len(asr.words)
+            take_asr = i < n
         if take_asr:
-            tw = asr.words[i]
-            keyed.append((tw.time, 0, i, 0, tw.word))
+            keyed.append((asr.times[i], 0, i, 0, asr.texts[i]))
             i += 1
         else:
-            tw = st.words[j]
-            keyed.append((tw.time, 0, j, 1, tw.word))
+            keyed.append((st.times[j], 0, j, 1, st.texts[j]))
             j += 1
 
     return _emit(keyed, [asr.tag, st.tag], utt_id, SerializationMethod("inter_gamma", gamma=g))

@@ -26,7 +26,6 @@ from .model import (
     SerializedSequence,
     Tag,
     TagSet,
-    TimedWord,
     Utterance,
 )
 from .serialize import assign_group, serialize_utterance
@@ -213,10 +212,9 @@ def synth_corpus(config: SynthConfig) -> list[Utterance]:
 
         channels = []
         for tag in config.channels:
-            words = tuple(
-                TimedWord(t, _word(rng, config.vocab_size)) for t in times_by_tag[tag.surface]
-            )
-            channels.append(Channel(tag=tag, words=words))
+            times = tuple(times_by_tag[tag.surface])
+            texts = tuple([_word(rng, config.vocab_size) for _ in times])
+            channels.append(Channel._from_columns(tag, times, texts))
 
         asr_times = [
             t

@@ -87,14 +87,6 @@ class TestBuild:
         assert record["utt_id"] == "demo-001"
         assert " ".join(record["tokens"]) == DEMO_UNGROUPED
 
-    def test_parallel_jobs_keep_order_and_bytes(self, tmp_path):
-        corpus, tags = _synth_files(tmp_path, n=40)
-        one = tmp_path / "one.jsonl"
-        two = tmp_path / "two.jsonl"
-        assert main(["build", "--method", "inter-time", "--group-ms", "250", "--tags", tags, "--input", corpus, "--output", str(one), "--jobs", "1"]) == 0
-        assert main(["build", "--method", "inter-time", "--group-ms", "250", "--tags", tags, "--input", corpus, "--output", str(two), "--jobs", "2"]) == 0
-        assert one.read_bytes() == two.read_bytes()
-
     def test_bad_corpus_line_skipped_with_exit_1(self, tmp_path, demo_files, capsys):
         corpus, tags = demo_files
         with open(corpus, "a", encoding="utf-8") as fh:
@@ -553,6 +545,36 @@ def test_config_that_is_not_an_object_is_fatal(tmp_path, capsys, command, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["build", "demux", "stats", "eval"])
+def test_utt_id_that_is_not_a_string_is_a_bad_record(tmp_path, demo_files, capsys, command):
+    corpus, tags = demo_files
+    built, hyps = tmp_path / "built.jsonl", tmp_path / "hyps.jsonl"
+    assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(built)]) == 0
+    assert main(["demux", "--tags", tags, "--input", str(built), "--output", str(hyps)]) == 0
+    capsys.readouterr()
+    # A copy of the input's last record, with a list for its utt_id.
+    bad = {"build": corpus, "eval": corpus}.get(command, str(built))
+    with open(bad, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**json.loads(open(bad).read().splitlines()[-1]), "utt_id": [1]}) + "\n")
+    out = str(tmp_path / "out.jsonl")
+    argv = {
+        "build": ["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", out],
+        "demux": ["demux", "--tags", tags, "--input", str(built), "--output", out],
+        "stats": ["stats", "--base", str(built), "--variant", str(built)],
+        "eval": ["eval", "--refs", corpus, "--hyps", str(hyps)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    diags = [json.loads(line) for line in captured.err.splitlines()]
+    assert {(d["code"], d["index"], d["message"].split(": ", 1)[1]) for d in diags} == {
+        ("bad-record", 2, "utt_id must be a JSON string, got list")
+    }
+    if command in ("build", "demux"):
+        assert [json.loads(line)["utt_id"] for line in open(out)] == ["demo-001"]
+    else:
+        assert json.loads(captured.out)
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -564,7 +586,7 @@ class TestEntryPoints:
         assert "build" in proc.stdout and "demux" in proc.stdout
 
     def test_import_leaves_out_the_process_pool(self):
-        # Only `build --jobs N` with N > 1 needs worker processes.
+        # No subcommand starts worker processes.
         code = (
             "import sys, tokenweave.cli; "
             "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"

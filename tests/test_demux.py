@@ -52,25 +52,28 @@ class TestRoundTrip:
         assert from_seq.words == from_text.words == from_list.words
         assert from_seq.diagnostics == from_text.diagnostics == from_list.diagnostics
 
-    def test_events_carry_routing_and_times(self, demo_utterance, demo_tags):
+    def test_words_keep_routing_and_times(self, demo_utterance, demo_tags):
         seq = inter_time(demo_utterance, tags=demo_tags)
-        result = demux_full(seq, demo_tags)
-        assert [e.word for e in result.events] == [w.word for w in seq.word_tokens]
-        assert [e.emission_time for e in result.events] == [
-            w.origin_time for w in seq.word_tokens
-        ]
-        assert all(e.tag is not None for e in result.events)
+        state = DemuxState()
+        routed: dict[str, list] = {}
+        for tok in seq.tokens:
+            tag = feed(state, tok, demo_tags)
+            if isinstance(tok, WordToken):
+                assert tag is not None
+                routed.setdefault(tag.surface, []).append((tok.origin_time, tok.word))
+        assert routed == {ch.tag.surface: list(zip(ch.times, ch.texts)) for ch in demo_utterance.channels}
+        assert demux_full(seq, demo_tags).words == {s: [w for _, w in pairs] for s, pairs in routed.items()}
 
 
 class TestIncrementality:
     def test_fold_equals_batch(self, demo_utterance, demo_tags):
         seq = inter_time(demo_utterance, tags=demo_tags)
         state = DemuxState(utt_id=seq.utt_id)
-        events = [ev for tok in seq.tokens if (ev := feed(state, tok, demo_tags))]
+        routed = [feed(state, tok, demo_tags) for tok in seq.tokens]
         batch = demux_full(seq, demo_tags)
         assert state.words == batch.words
         assert state.diagnostics == batch.diagnostics
-        assert events == batch.events
+        assert routed == _run_tags(seq.items, demo_tags)
 
     def test_midstream_state_reflects_prefix(self, demo_tags):
         state = DemuxState()
@@ -122,7 +125,6 @@ class TestRobustness:
         result = demux_full("", demo_tags)
         assert result.words == {}
         assert result.diagnostics == []
-        assert result.events == []
 
     @given(st.lists(st.sampled_from(["#ASR#", "#ES#", "#XX#", "a", "b", ""]), max_size=25))
     @settings(max_examples=120)
@@ -162,14 +164,20 @@ class TestDiffChannels:
 def _oracle_demux_full(tokens, tags, utt_id):
     """The previous `demux_full` of a sequence: a fold of `feed` over its tokens."""
     state = DemuxState(utt_id=utt_id)
-    events = []
-    for token in tokens:
-        ev = feed(state, token, tags)
-        if ev is not None:
-            events.append(ev)
-        elif state.current_known and state.current_tag is not None:
-            state.words.setdefault(state.current_tag.surface, [])
-    return state.words, state.diagnostics, events
+    routed = [feed(state, token, tags) for token in tokens]
+    return state.words, state.diagnostics, routed
+
+
+def _run_tags(items, tags):
+    """Per position of a valid sequence: None at a tag, else the run's tag when `tags` declares it."""
+    out, current = [], None
+    for x in items:
+        if isinstance(x, Tag):
+            current = x if x.surface in tags else None
+            out.append(None)
+        else:
+            out.append(current)
+    return out
 
 
 # Same surface as ES, another language: a TagSet holding it still declares "#ES#".
@@ -198,15 +206,15 @@ class TestColumnarDemuxMatchesFeedFold:
         st.sampled_from(["", "given-id"]),
     )
     @settings(max_examples=400)
-    def test_words_diagnostics_and_events(self, seq, declared, utt_id):
+    def test_words_diagnostics_and_routing(self, seq, declared, utt_id):
         tags = TagSet(tuple(declared))
         result = demux_full(seq, tags, utt_id=utt_id)
-        words, diagnostics, events = _oracle_demux_full(seq.tokens, tags, utt_id or seq.utt_id)
+        words, diagnostics, routed = _oracle_demux_full(seq.tokens, tags, utt_id or seq.utt_id)
         assert list(result.words.items()) == list(words.items())  # channel order too
         assert result.diagnostics == diagnostics
-        assert result.events == events
-        # Routed events carry the sequence's own Tag objects.
-        assert all(e.tag is None or any(e.tag is t for t in seq.items) for e in result.events)
+        assert routed == _run_tags(seq.items, tags)
+        # A routed word reports the sequence's own Tag object.
+        assert all(t is None or any(t is x for x in seq.items) for t in routed)
 
     def test_unknown_tag_run_goes_to_the_unknown_bucket(self):
         seq = SerializedSequence(
@@ -215,4 +223,7 @@ class TestColumnarDemuxMatchesFeedFold:
         result = demux_full(seq, TagSet((ASR, ES)))
         assert result.words == {"#ASR#": ["a"], UNKNOWN_CHANNEL: ["x"], "#ES#": []}
         assert [(d.code, d.index, d.utt_id) for d in result.diagnostics] == [("unknown-tag", 2, "u")]
-        assert [(e.tag, e.word, e.token_index, e.emission_time) for e in result.events] == [(ASR, "a", 1, 1), (None, "x", 3, 2)]
+        state = DemuxState()
+        routed = [feed(state, tok, TagSet((ASR, ES))) for tok in seq.tokens]
+        words = [(t, x, i, o) for i, (t, x, o) in enumerate(zip(routed, seq.items, seq.origin_times)) if isinstance(x, str)]
+        assert words == [(ASR, "a", 1, 1), (None, "x", 3, 2)]

@@ -10,19 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenweave import (
+    Channel,
+    Diagnostic,
     EmissionTrace,
     GroupingConfig,
+    Modality,
     ReplayPolicy,
     SerializationMethod,
     SerializedSequence,
     SynthConfig,
+    Tag,
     TagSet,
     TagToken,
+    TimedWord,
+    Utterance,
     WordToken,
     count_switches,
     inter_time,
     replay,
     synth_corpus,
+    validate_utterance,
 )
 from tokenweave.formats import (
     _check_version,
@@ -545,3 +552,124 @@ class TestColumnarStreamMatchesObjectOracle:
         seq = serialized_from_json(record, _STREAM_TAGS)
         assert seq.origin_times == (None, 1)
         assert serialized_to_json(seq)["origin_times"] == [None, 1]
+
+
+# ---------------------------------------------------------------------------
+# The TimedWord-based corpus reader and validator of the previous version,
+# kept as the reference for the columnar channel.
+
+
+def _oracle_utterance_from_json(obj):
+    _check_version(obj)
+    channels = []
+    for ch in obj["channels"]:
+        tag = Tag(id=ch["tag"], surface=ch["tag"], modality=Modality(ch["modality"]), language=ch["lang"])
+        words = tuple(TimedWord(w["t"], w["w"]) for w in ch["words"])
+        channels.append(Channel(tag=tag, words=words))
+    return Utterance(utt_id=obj["utt_id"], duration_ms=obj["duration_ms"], channels=tuple(channels))
+
+
+def _oracle_validate_utterance(u, words_by_channel, tags):
+    diags = []
+    if not u.channels:
+        diags.append(Diagnostic("no-channels", "utterance has no channels", utt_id=u.utt_id))
+    seen = {}
+    surfaces = set(tags.surfaces)
+    for ci, (ch, words) in enumerate(zip(u.channels, words_by_channel)):
+        s = ch.tag.surface
+        if s in seen:
+            diags.append(Diagnostic("duplicate-channel-tag", f"tag {s!r} used by channels {seen[s]} and {ci}", utt_id=u.utt_id, tag=s, index=ci))
+        else:
+            seen[s] = ci
+        if s not in surfaces:
+            diags.append(Diagnostic("unknown-channel-tag", f"tag {s!r} is not in the tag set", utt_id=u.utt_id, tag=s, index=ci))
+        prev = None
+        for wi, tw in enumerate(words):
+            if prev is not None and tw.time < prev:
+                diags.append(Diagnostic("non-monotone-time", f"time {tw.time} after {prev} in channel {s!r}", utt_id=u.utt_id, tag=s, index=wi))
+            prev = tw.time
+            if tw.word in surfaces:
+                diags.append(Diagnostic("word-is-tag", f"word at index {wi} equals tag surface {tw.word!r}", utt_id=u.utt_id, tag=s, index=wi))
+    return diags
+
+
+_CORPUS_TAGS = TagSet((ASR, ES, DE))
+_CHANNEL_PLAN = [("#ASR#", "asr", "en"), ("#ES#", "st", "es"), ("#DE#", "st", "de"), ("#XX#", "st", "xx")]
+_WORD_FAULTS = {
+    "missing t": lambda w: {"w": w["w"]},
+    "missing w": lambda w: {"t": w["t"]},
+    "bool time": lambda w: {**w, "t": True},
+    "float time": lambda w: {**w, "t": float(w["t"])},
+    "negative time": lambda w: {**w, "t": -1},
+    "string time": lambda w: {**w, "t": "5"},
+    "whitespace word": lambda w: {**w, "w": "a b"},
+    "tab word": lambda w: {**w, "w": "\t"},
+    "empty word": lambda w: {**w, "w": ""},
+    "int word": lambda w: {**w, "w": 7},
+    "list entry": lambda w: [w["t"], w["w"]],
+    "int entry": lambda w: 5,
+    "string entry": lambda w: "tw",
+    "tag word": lambda w: {**w, "w": "#ES#"},
+}
+
+
+@st.composite
+def _corpus_records(draw):
+    """A corpus record, valid by construction, then at most one fault in it."""
+    plan = draw(st.lists(st.sampled_from(_CHANNEL_PLAN), max_size=3, unique=True))
+    channels = []
+    for surface, modality, lang in plan:
+        times = sorted(draw(st.lists(st.integers(0, 5000), max_size=6)))
+        words = [{"t": t, "w": draw(st.sampled_from(["a", "b", "está", "x.y", "#XX#"]))} for t in times]
+        channels.append({"tag": surface, "modality": modality, "lang": lang, "words": words})
+    record = {"v": 1, "utt_id": "u1", "duration_ms": draw(st.integers(1, 6000)), "channels": channels}
+    fault = draw(st.sampled_from([None, "non-monotone", "words not a list", *_WORD_FAULTS]))
+    words = [w for ch in channels for w in ch["words"]]
+    if fault == "words not a list" and channels:
+        draw(st.sampled_from(channels))["words"] = draw(st.sampled_from([5, "ab", None, {"t": 1}]))
+    elif fault == "non-monotone":
+        long = [ch["words"] for ch in channels if len(ch["words"]) >= 2 and ch["words"][0]["t"] < ch["words"][-1]["t"]]
+        if long:
+            ws = draw(st.sampled_from(long))
+            ws[0], ws[-1] = ws[-1], ws[0]
+    elif fault is not None and words:
+        ch = draw(st.sampled_from([ch for ch in channels if ch["words"]]))
+        i = draw(st.integers(0, len(ch["words"]) - 1))
+        ch["words"][i] = _WORD_FAULTS[fault](ch["words"][i])
+    return record
+
+
+class TestColumnarChannelMatchesTimedWordOracle:
+    @given(_corpus_records())
+    @settings(max_examples=400)
+    def test_reader_and_validator(self, record):
+        expected = _outcome(_oracle_utterance_from_json, copy.deepcopy(record))
+        got = _outcome(utterance_from_json, copy.deepcopy(record))
+        if not isinstance(got, Utterance):
+            assert got == expected  # same exception type, same message
+            return
+        assert got == expected
+        words = [tuple(TimedWord(w["t"], w["w"]) for w in ch["words"]) for ch in record["channels"]]
+        assert [ch.words for ch in got.channels] == words
+        assert [len(ch) for ch in got.channels] == [len(w) for w in words]
+        assert validate_utterance(got, _CORPUS_TAGS) == _oracle_validate_utterance(got, words, _CORPUS_TAGS)
+        assert utterance_to_json(got) == record
+        for ch in got.channels:
+            from_words = Channel(ch.tag, ch.words)
+            assert from_words == ch and hash(from_words) == hash(ch) and repr(from_words) == repr(ch)
+            assert pickle.loads(pickle.dumps(ch)) == ch
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            [{"t": 1}, {"w": "a"}],
+            [{"t": -1, "w": "a"}, {"w": "b"}],
+            [{"t": 1, "w": "a b"}, 5],
+            [{"t": 1.5, "w": "a"}, {"t": 2, "w": 7}],
+        ],
+    )
+    def test_first_of_two_faults_is_reported(self, words):
+        # Pulling the time column first would meet the second fault first.
+        record = {"v": 1, "utt_id": "u1", "duration_ms": 10, "channels": [{"tag": "#ASR#", "modality": "asr", "lang": "en", "words": words}]}
+        expected = _outcome(_oracle_utterance_from_json, copy.deepcopy(record))
+        assert _outcome(utterance_from_json, record) == expected
