@@ -82,6 +82,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         else:
             work.append(u)
 
+    # Every validation diagnostic is reported before any serialize error.
     lines = []
     for u in work:
         try:

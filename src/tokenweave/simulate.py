@@ -157,10 +157,6 @@ def replay_policy_from_json(obj: dict) -> ReplayPolicy:
     )
 
 
-def _word(rng: random.Random, vocab_size: int) -> str:
-    return f"w{rng.randrange(vocab_size)}"
-
-
 def _gen_monotone_times(rng: random.Random, n: int, rate: tuple[int, int]) -> list[int]:
     times = []
     t = 0
@@ -213,7 +209,7 @@ def synth_corpus(config: SynthConfig) -> list[Utterance]:
         channels = []
         for tag in config.channels:
             times = tuple(times_by_tag[tag.surface])
-            texts = tuple([_word(rng, config.vocab_size) for _ in times])
+            texts = tuple([f"w{rng.randrange(config.vocab_size)}" for _ in times])
             channels.append(Channel._from_columns(tag, times, texts))
 
         asr_times = [
