@@ -156,7 +156,7 @@ def _read_build_output(path: str) -> tuple[list[SerializedSequence], list[Diagno
             for s in surfaces
         )
     )
-    return formats._parse_serialized(path, records, tags)
+    return formats._read_jsonl(path, lambda obj: formats.serialized_from_json(obj, tags), formats._utt_id, records)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Iterator
 
 from .metrics import EmissionTrace
@@ -132,6 +133,68 @@ def _check_version(obj: dict) -> None:
         raise ValueError(f"unsupported schema version {v!r} (expected {SCHEMA_VERSION})")
 
 
+def _decode_lines(path: str) -> Iterator[tuple[int, object]]:
+    """Yield (line number, decoded JSON value or its decode error) per non-blank line."""
+    for lineno, line in _read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            obj = exc
+        yield lineno, obj
+
+
+_utt_id = attrgetter("utt_id")
+
+
+class _Invalid(ValueError):
+    """Raised by a record parser with the validation diagnostics of its record."""
+
+    def __init__(self, problems: list[Diagnostic]) -> None:
+        super().__init__(problems[0].message)
+        self.problems = problems
+
+
+def _read_jsonl(path: str, parse, key=None, lines=None) -> tuple[list, list[Diagnostic]]:
+    """The record loop of every JSONL reader: records in line order, and diagnostics.
+
+    Each non-blank line of `path` (or each pre-decoded line of `lines`) goes
+    through `parse`.  A line that is not JSON, or whose `parse` raises a
+    ValueError, KeyError or TypeError, is a ``bad-record`` diagnostic; an
+    :class:`_Invalid` carries its own diagnostics instead.  With `key`, a
+    record whose key was already read is a ``duplicate-utt-id`` diagnostic:
+    the first one wins.
+    """
+    out: list = []
+    diags: list[Diagnostic] = []
+    seen: set[str] = set()
+    for lineno, obj in _decode_lines(path) if lines is None else lines:
+        where = f"{path}:{lineno}: "
+        try:
+            if isinstance(obj, ValueError):
+                raise obj  # the line is not JSON
+            record = parse(obj)
+        except _Invalid as exc:
+            diags.extend(
+                Diagnostic(p.code, where + p.message, utt_id=p.utt_id, tag=p.tag, index=lineno) for p in exc.problems
+            )
+            continue
+        except (ValueError, KeyError, TypeError) as exc:
+            diags.append(Diagnostic("bad-record", f"{where}{exc}", index=lineno))
+            continue
+        if key is not None:
+            utt_id = key(record)
+            if utt_id in seen:
+                diags.append(
+                    Diagnostic("duplicate-utt-id", f"{where}duplicate utt_id {utt_id!r}; line skipped", utt_id=utt_id, index=lineno)
+                )
+                continue
+            seen.add(utt_id)
+        out.append(record)
+    return out, diags
+
+
 # ---------------------------------------------------------------------------
 # corpus records
 
@@ -177,6 +240,14 @@ def utterance_from_json(obj: dict) -> Utterance:
     )
 
 
+def _corpus_record(obj) -> Utterance:
+    u = utterance_from_json(obj)
+    problems = validate_utterance(u, TagSet(tuple(ch.tag for ch in u.channels)))
+    if problems:
+        raise _Invalid(problems)
+    return u
+
+
 def read_corpus(path: str) -> tuple[list[Utterance], list[Diagnostic]]:
     """Parse a JSONL corpus.  Invalid lines are skipped with a diagnostic.
 
@@ -185,41 +256,7 @@ def read_corpus(path: str) -> tuple[list[Utterance], list[Diagnostic]]:
     validated against its own declared tags (monotone times, no duplicate
     channel tags, no word equal to a tag surface).
     """
-    corpus: list[Utterance] = []
-    diags: list[Diagnostic] = []
-    seen_ids: set[str] = set()
-    for lineno, line in _read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            u = utterance_from_json(obj)
-            own_tags = TagSet(tuple(ch.tag for ch in u.channels))
-        except (ValueError, KeyError, TypeError) as exc:
-            diags.append(
-                Diagnostic("bad-record", f"{path}:{lineno}: {exc}", index=lineno)
-            )
-            continue
-        problems = validate_utterance(u, own_tags)
-        if problems:
-            for p in problems:
-                diags.append(
-                    Diagnostic(p.code, f"{path}:{lineno}: {p.message}", utt_id=p.utt_id, tag=p.tag, index=lineno)
-                )
-            continue
-        if u.utt_id in seen_ids:
-            diags.append(
-                Diagnostic(
-                    "duplicate-utt-id",
-                    f"{path}:{lineno}: duplicate utt_id {u.utt_id!r}; line skipped",
-                    utt_id=u.utt_id,
-                    index=lineno,
-                )
-            )
-            continue
-        seen_ids.add(u.utt_id)
-        corpus.append(u)
-    return corpus, diags
+    return _read_jsonl(path, _corpus_record, _utt_id)
 
 
 def write_corpus(corpus: Iterable[Utterance], path: str) -> None:
@@ -266,49 +303,7 @@ def serialized_from_json(obj: dict, tags: TagSet) -> SerializedSequence:
 
 def read_serialized(path: str, tags: TagSet) -> tuple[list[SerializedSequence], list[Diagnostic]]:
     """Parse JSONL serialized records, resolving tag surfaces via `tags`."""
-    return _parse_serialized(path, _decode_lines(path), tags)
-
-
-def _decode_lines(path: str) -> Iterator[tuple[int, object]]:
-    """Yield (line number, decoded JSON value or its decode error) per non-blank line."""
-    for lineno, line in _read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            obj = exc
-        yield lineno, obj
-
-
-def _parse_serialized(
-    path: str, records: Iterable[tuple[int, object]], tags: TagSet
-) -> tuple[list[SerializedSequence], list[Diagnostic]]:
-    """`read_serialized` of lines that :func:`_decode_lines` already decoded."""
-    out: list[SerializedSequence] = []
-    diags: list[Diagnostic] = []
-    seen_ids: set[str] = set()
-    for lineno, obj in records:
-        try:
-            if isinstance(obj, ValueError):
-                raise obj  # the line is not JSON
-            s = serialized_from_json(obj, tags)
-        except (ValueError, KeyError, TypeError) as exc:
-            diags.append(Diagnostic("bad-record", f"{path}:{lineno}: {exc}", index=lineno))
-            continue
-        if s.utt_id in seen_ids:
-            diags.append(
-                Diagnostic(
-                    "duplicate-utt-id",
-                    f"{path}:{lineno}: duplicate utt_id {s.utt_id!r}; line skipped",
-                    utt_id=s.utt_id,
-                    index=lineno,
-                )
-            )
-            continue
-        seen_ids.add(s.utt_id)
-        out.append(s)
-    return out, diags
+    return _read_jsonl(path, lambda obj: serialized_from_json(obj, tags), _utt_id)
 
 
 def write_serialized(seqs: Iterable[SerializedSequence], path: str) -> None:
@@ -352,29 +347,8 @@ def channels_from_json(obj: dict) -> tuple[str, dict[str, tuple[str, ...]]]:
 
 def read_channels(path: str) -> tuple[dict[str, dict[str, tuple[str, ...]]], list[Diagnostic]]:
     """Parse demuxed channel records into {utt_id: {tag: words}}."""
-    out: dict[str, dict[str, tuple[str, ...]]] = {}
-    diags: list[Diagnostic] = []
-    for lineno, line in _read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            utt_id, channels = channels_from_json(obj)
-        except (ValueError, KeyError, TypeError) as exc:
-            diags.append(Diagnostic("bad-record", f"{path}:{lineno}: {exc}", index=lineno))
-            continue
-        if utt_id in out:
-            diags.append(
-                Diagnostic(
-                    "duplicate-utt-id",
-                    f"{path}:{lineno}: duplicate utt_id {utt_id!r}; line skipped",
-                    utt_id=utt_id,
-                    index=lineno,
-                )
-            )
-            continue
-        out[utt_id] = channels
-    return out, diags
+    records, diags = _read_jsonl(path, channels_from_json, itemgetter(0))
+    return dict(records), diags
 
 
 def write_channels(records: Iterable[tuple[str, dict[str, tuple[str, ...] | list[str]]]], path: str) -> None:
@@ -407,23 +381,18 @@ def trace_from_json(obj: dict) -> EmissionTrace:
     )
 
 
+def _trace_record(obj) -> EmissionTrace:
+    tr = trace_from_json(obj)
+    if not tr.entries:
+        raise ValueError(f"empty trace for {tr.utt_id!r}/{tr.tag!r}")
+    if tr.source_duration_ms < 1:
+        raise ValueError(f"source_duration_ms must be >= 1, got {tr.source_duration_ms}")
+    return tr
+
+
 def read_traces(path: str) -> tuple[list[EmissionTrace], list[Diagnostic]]:
     """Parse JSONL traces.  A trace LAAL cannot score is a bad line, not a fatal error."""
-    out: list[EmissionTrace] = []
-    diags: list[Diagnostic] = []
-    for lineno, line in _read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            tr = trace_from_json(json.loads(line))
-            if not tr.entries:
-                raise ValueError(f"empty trace for {tr.utt_id!r}/{tr.tag!r}")
-            if tr.source_duration_ms < 1:
-                raise ValueError(f"source_duration_ms must be >= 1, got {tr.source_duration_ms}")
-            out.append(tr)
-        except (ValueError, KeyError, TypeError) as exc:
-            diags.append(Diagnostic("bad-record", f"{path}:{lineno}: {exc}", index=lineno))
-    return out, diags
+    return _read_jsonl(path, _trace_record)
 
 
 def write_traces(traces: Iterable[EmissionTrace], path: str) -> None:
