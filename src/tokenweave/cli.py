@@ -23,6 +23,7 @@ from .model import (
     SerializedSequence,
     Tag,
     TagSet,
+    UNKNOWN_CHANNEL,
     Utterance,
     validate_utterance,
 )
@@ -134,7 +135,9 @@ def _read_build_output(path: str) -> tuple[list[SerializedSequence], list[Diagno
     Each line is read and decoded once.  Tag tokens are exactly the
     positions whose origin_times entry is null, because the serializer
     stamps an origin time on every word.  Only files produced by `build` are
-    guaranteed to satisfy this.
+    guaranteed to satisfy this.  A token that cannot be a tag surface (not a
+    non-empty string without whitespace, or the reserved unknown bucket)
+    stays a word, so its line fails the word check instead of the run.
     """
     records = list(formats._decode_lines(path))
     surfaces: dict[str, None] = {}
@@ -144,18 +147,13 @@ def _read_build_output(path: str) -> tuple[list[SerializedSequence], list[Diagno
         try:
             origins = obj.get("origin_times") or [None] * len(obj["tokens"])
             for text, origin in zip(obj["tokens"], origins):
-                if origin is None:
+                if origin is None and isinstance(text, str) and text.split() == [text] and text != UNKNOWN_CHANNEL:
                     surfaces.setdefault(text)
         except (KeyError, TypeError):
             continue
     # Modality and language are not recoverable from the stream and do not
     # matter for switch counting; "und" is the undetermined language code.
-    tags = TagSet(
-        tuple(
-            Tag(id=s, surface=s, modality=Modality.TRANSCRIPTION, language="und")
-            for s in surfaces
-        )
-    )
+    tags = TagSet(tuple(Tag(s, Modality.TRANSCRIPTION, "und") for s in surfaces))
     return formats._read_jsonl(path, lambda obj: formats.serialized_from_json(obj, tags), formats._utt_id, records)
 
 
@@ -279,13 +277,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 
     report = latency_study(corpus, methods, policy, tags)
 
-    fh, close = formats._open_write(args.output)
-    try:
-        fh.write(formats._dumps(report))
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    formats._write_lines(args.output, [formats._dumps(report)])
 
     rows = []
     for entry in report["methods"]:

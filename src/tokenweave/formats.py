@@ -125,11 +125,19 @@ def _expect_json(value, what: str, kind: type):
     return value
 
 
+def _expect_int_pair(value, what: str, shape: str) -> tuple[int, int]:
+    """`value` as a tuple if it is a JSON list of two integers, else a ValueError naming `what`."""
+    pair = _expect_json(value, what, list)
+    if len(pair) != 2:
+        raise ValueError(f"{what} must be a {shape} pair, got {pair!r}")
+    return (_expect_json(pair[0], f"{what}[0]", int), _expect_json(pair[1], f"{what}[1]", int))
+
+
 def _check_version(obj: dict) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"record must be a JSON object, got {type(obj).__name__}")
     v = obj.get("v")
-    if v != SCHEMA_VERSION:
+    if type(v) is not int or v != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {v!r} (expected {SCHEMA_VERSION})")
 
 
@@ -220,12 +228,7 @@ def utterance_from_json(obj: dict) -> Utterance:
     _check_version(obj)
     channels = []
     for ch in obj["channels"]:
-        tag = Tag(
-            id=ch["tag"],
-            surface=ch["tag"],
-            modality=Modality(ch["modality"]),
-            language=ch["lang"],
-        )
+        tag = Tag(ch["tag"], Modality(ch["modality"]), ch["lang"])
         words = ch["words"]
         try:
             channel = Channel._from_columns(tag, tuple([w["t"] for w in words]), tuple([w["w"] for w in words]))
@@ -338,10 +341,14 @@ def channels_from_json(obj: dict) -> tuple[str, dict[str, tuple[str, ...]]]:
     _check_version(obj)
     out: dict[str, tuple[str, ...]] = {}
     for ch in obj["channels"]:
-        tag = ch["tag"]
+        tag = _expect_json(ch["tag"], "tag", str)
         if tag in out:
             raise ValueError(f"duplicate channel tag {tag!r}")
-        out[tag] = tuple(str(w) for w in ch["words"])
+        words = tuple(_expect_json(ch["words"], "words", list))
+        if not set(map(type, words)) <= {str}:
+            for w in words:
+                _expect_json(w, "word", str)  # raises at the first word that is not a string
+        out[tag] = words
     return _expect_json(obj["utt_id"], "utt_id", str), out
 
 
@@ -373,11 +380,14 @@ def trace_to_json(tr: EmissionTrace) -> dict:
 def trace_from_json(obj: dict) -> EmissionTrace:
     _check_version(obj)
     return EmissionTrace(
-        utt_id=obj["utt_id"],
-        tag=obj["tag"],
-        entries=tuple((int(o), int(d)) for o, d in obj["entries"]),
-        source_duration_ms=obj["source_duration_ms"],
-        ref_len=obj["ref_len"],
+        utt_id=_expect_json(obj["utt_id"], "utt_id", str),
+        tag=_expect_json(obj["tag"], "tag", str),
+        entries=tuple(
+            _expect_int_pair(e, f"entries[{i}]", "[ordinal, delay]")
+            for i, e in enumerate(_expect_json(obj["entries"], "entries", list))
+        ),
+        source_duration_ms=_expect_json(obj["source_duration_ms"], "source_duration_ms", int),
+        ref_len=_expect_json(obj["ref_len"], "ref_len", int),
     )
 
 
@@ -403,29 +413,27 @@ def write_traces(traces: Iterable[EmissionTrace], path: str) -> None:
 # tag set sidecar (single JSON document, not JSONL)
 
 
+def _tags_to_json(tags: Iterable[Tag]) -> list[dict]:
+    """The JSON list of `{"surface","modality","lang"}` objects that a tag set and a synth config hold."""
+    return [{"surface": t.surface, "modality": t.modality.value, "lang": t.language} for t in tags]
+
+
+def _tags_from_json(value, what: str) -> tuple[Tag, ...]:
+    """Tags from a list written by :func:`_tags_to_json`; a JSON type error names `what`."""
+    tags = []
+    for i, t in enumerate(_expect_json(value, what, list)):
+        t = _expect_json(t, f"{what}[{i}]", dict)
+        tags.append(Tag(t["surface"], Modality(t["modality"]), t["lang"]))
+    return tuple(tags)
+
+
 def tag_set_to_json(tags: TagSet) -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "tags": [
-            {"surface": t.surface, "modality": t.modality.value, "lang": t.language}
-            for t in tags.tags
-        ],
-    }
+    return {"v": SCHEMA_VERSION, "tags": _tags_to_json(tags.tags)}
 
 
 def tag_set_from_json(obj: dict) -> TagSet:
     _check_version(obj)
-    return TagSet(
-        tuple(
-            Tag(
-                id=t["surface"],
-                surface=t["surface"],
-                modality=Modality(t["modality"]),
-                language=t["lang"],
-            )
-            for t in obj["tags"]
-        )
-    )
+    return TagSet(_tags_from_json(obj["tags"], "tags"))
 
 
 def read_tag_set(path: str) -> TagSet:
@@ -437,10 +445,4 @@ def read_tag_set(path: str) -> TagSet:
 
 
 def write_tag_set(tags: TagSet, path: str) -> None:
-    fh, close = _open_write(path)
-    try:
-        fh.write(_dumps(tag_set_to_json(tags)))
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    _write_lines(path, [_dumps(tag_set_to_json(tags))])

@@ -78,13 +78,11 @@ class Tag:
     """A channel marker token.
 
     Attributes:
-        id: Opaque channel identifier, unique within a TagSet.
         surface: Literal token string, e.g. ``"#ASR#"`` or ``"#ES#"``.
         modality: Transcription or translation.
         language: BCP-47-style language code.
     """
 
-    id: str
     surface: str
     modality: Modality
     language: str
@@ -118,9 +116,6 @@ class TagSet:
         surfaces = [t.surface for t in tags]
         if len(set(surfaces)) != len(surfaces):
             raise ValueError(f"duplicate tag surfaces: {surfaces}")
-        ids = [t.id for t in tags]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate tag ids: {ids}")
         if UNKNOWN_CHANNEL in surfaces:
             raise ValueError(f"tag surface {UNKNOWN_CHANNEL!r} is reserved")
         object.__setattr__(self, "_by_surface", {t.surface: t for t in tags})

@@ -17,11 +17,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .formats import _expect_json
+from .formats import _expect_int_pair, _expect_json, _tags_from_json, _tags_to_json
 from .metrics import EmissionTrace, count_switches, laal
 from .model import (
     Channel,
-    Modality,
     SerializationMethod,
     SerializedSequence,
     Tag,
@@ -92,7 +91,7 @@ class SynthConfig:
             raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
         if not self.channels:
             raise ValueError("channel plan is empty")
-        # Reuse TagSet validation for surface/id uniqueness.
+        # Reuse TagSet validation for surface uniqueness.
         TagSet(self.channels)
 
     def tag_set(self) -> TagSet:
@@ -109,43 +108,23 @@ def synth_config_to_json(c: SynthConfig) -> dict:
         "translation_lag_ms": list(c.translation_lag_ms),
         "reorder_window_ms": c.reorder_window_ms,
         "vocab_size": c.vocab_size,
-        "channels": [
-            {"surface": t.surface, "modality": t.modality.value, "lang": t.language}
-            for t in c.channels
-        ],
+        "channels": _tags_to_json(c.channels),
     }
-
-
-def _json_range(obj: dict, name: str) -> tuple[int, int]:
-    pair = _expect_json(obj[name], name, list)
-    if len(pair) != 2:
-        raise ValueError(f"{name} must be a [low, high] pair, got {pair!r}")
-    return (_expect_json(pair[0], f"{name}[0]", int), _expect_json(pair[1], f"{name}[1]", int))
 
 
 def synth_config_from_json(obj: dict) -> SynthConfig:
     """Parse a generator config; a field of the wrong JSON type is a ValueError naming it."""
     if obj.get("v") != 1:
         raise ValueError(f"unsupported config version {obj.get('v')!r} (expected 1)")
-    channels = []
-    for i, t in enumerate(_expect_json(obj["channels"], "channels", list)):
-        t = _expect_json(t, f"channels[{i}]", dict)
-        channels.append(
-            Tag(
-                id=t["surface"],
-                surface=t["surface"],
-                modality=Modality(t["modality"]),
-                language=t["lang"],
-            )
-        )
+    channels = _tags_from_json(obj["channels"], "channels")
     return SynthConfig(
         seed=_expect_json(obj["seed"], "seed", int),
         num_utterances=_expect_json(obj["num_utterances"], "num_utterances", int),
-        words_per_channel=_json_range(obj, "words_per_channel"),
-        word_rate_ms=_json_range(obj, "word_rate_ms"),
-        translation_lag_ms=_json_range(obj, "translation_lag_ms"),
+        words_per_channel=_expect_int_pair(obj["words_per_channel"], "words_per_channel", "[low, high]"),
+        word_rate_ms=_expect_int_pair(obj["word_rate_ms"], "word_rate_ms", "[low, high]"),
+        translation_lag_ms=_expect_int_pair(obj["translation_lag_ms"], "translation_lag_ms", "[low, high]"),
         reorder_window_ms=_expect_json(obj["reorder_window_ms"], "reorder_window_ms", int),
-        channels=tuple(channels),
+        channels=channels,
         vocab_size=_expect_json(obj["vocab_size"], "vocab_size", int),
     )
 

@@ -7,10 +7,10 @@ from tokenweave.simulate import synth_corpus
 
 import acceptance_log
 
-ASR = Tag("#ASR#", "#ASR#", Modality.TRANSCRIPTION, "en")
-ES = Tag("#ES#", "#ES#", Modality.TRANSLATION, "es")
-DE = Tag("#DE#", "#DE#", Modality.TRANSLATION, "de")
-FR = Tag("#FR#", "#FR#", Modality.TRANSLATION, "fr")
+ASR = Tag("#ASR#", Modality.TRANSCRIPTION, "en")
+ES = Tag("#ES#", Modality.TRANSLATION, "es")
+DE = Tag("#DE#", Modality.TRANSLATION, "de")
+FR = Tag("#FR#", Modality.TRANSLATION, "fr")
 
 # Three-channel demo utterance used throughout: an English transcription with
 # Spanish and German translations, word emission times in ms.

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenweave import (
     GroupingConfig,
@@ -20,6 +26,7 @@ from tokenweave import (
 from tokenweave.cli import main
 from tokenweave.formats import (
     read_channels,
+    read_corpus,
     read_serialized,
     write_channels,
     write_corpus,
@@ -198,6 +205,32 @@ class TestDemuxAndEval:
         raw = json.loads(capsys.readouterr().out)
         assert raw["overall_wer"] > 0.0
 
+    @pytest.mark.parametrize(
+        "channel, message",
+        [
+            ({"tag": "#ASR#", "words": [None, 5]}, "word must be a JSON string, got NoneType"),
+            ({"tag": "#ASR#", "words": ["I", 5]}, "word must be a JSON string, got int"),
+            ({"tag": "#ASR#", "words": "abc"}, "words must be a JSON list, got str"),
+            ({"tag": 5, "words": ["I"]}, "tag must be a JSON string, got int"),
+        ],
+    )
+    def test_hypothesis_channel_of_the_wrong_type_is_a_bad_record(self, tmp_path, demo_files, capsys, channel, message):
+        corpus, tags = demo_files
+        built, hyps = tmp_path / "built.jsonl", tmp_path / "hyps.jsonl"
+        assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(built)]) == 0
+        assert main(["demux", "--tags", tags, "--input", str(built), "--output", str(hyps)]) == 0
+        assert main(["eval", "--refs", corpus, "--hyps", str(hyps)]) == 0
+        clean = capsys.readouterr().out
+        # The bad line for the utterance comes first; the clean line for it follows.
+        record = json.loads(hyps.read_text())
+        hyps.write_text(json.dumps({**record, "channels": [channel, *record["channels"][1:]]}) + "\n" + hyps.read_text())
+        rc = main(["eval", "--refs", corpus, "--hyps", str(hyps)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == clean
+        diags = [json.loads(line) for line in captured.err.splitlines()]
+        assert [(d["code"], d["index"], d["message"]) for d in diags] == [("bad-record", 1, f"{hyps}:1: {message}")]
+
     def test_eval_id_mismatch_is_fatal(self, tmp_path, demo_files, capsys):
         corpus, _ = demo_files
         hyps = str(tmp_path / "hyps.jsonl")
@@ -293,6 +326,30 @@ class TestStats:
         assert "Traceback" not in captured.err
 
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("a b", "word must not contain whitespace: 'a b'"),
+            (5, "word must be a non-empty string, got 5"),
+            ("", "word must be a non-empty string, got ''"),
+            ("<unknown>", "invalid serialized sequence 'demo-001': word '<unknown>' at index 0 precedes any tag"),
+        ],
+    )
+    def test_token_that_cannot_be_a_tag_is_a_bad_record(self, tmp_path, demo_files, capsys, token, message):
+        # The bad token sits where the record's first tag was, at a null origin time.
+        base, variant = self._builds(tmp_path, demo_files)
+        record = json.loads(base.read_text())
+        record["tokens"][0] = token
+        base.write_text(base.read_text() + json.dumps(record) + "\n")
+        capsys.readouterr()
+        rc = main(["stats", "--base", str(base), "--variant", str(variant)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert json.loads(captured.out)["reduction"] == 0.25
+        diags = [json.loads(line) for line in captured.err.splitlines()]
+        assert [(d["code"], d["index"], d["message"]) for d in diags] == [("bad-record", 2, f"{base}:2: {message}")]
+
+
 class TestLaal:
     def test_json_report_matches_library(self, tmp_path, demo_utterance, demo_tags, capsys):
         seq = inter_time(demo_utterance, tags=demo_tags)
@@ -334,6 +391,39 @@ class TestLaal:
         diags = [json.loads(line) for line in captured.err.splitlines()]
         assert [(d["code"], d["index"]) for d in diags] == [("bad-record", 2), ("bad-record", 3)]
         assert "empty trace for 'b'/" in diags[0]["message"]
+
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("tag", 5, "tag must be a JSON string, got int"),
+            ("tag", [1], "tag must be a JSON string, got list"),
+            ("utt_id", None, "utt_id must be a JSON string, got NoneType"),
+            ("ref_len", True, "ref_len must be a JSON integer, got bool"),
+            ("source_duration_ms", True, "source_duration_ms must be a JSON integer, got bool"),
+            ("source_duration_ms", 1200.0, "source_duration_ms must be a JSON integer, got float"),
+            ("entries", [[1.9, 10.7]], "entries[0][0] must be a JSON integer, got float"),
+            ("entries", [[1, "2"]], "entries[0][1] must be a JSON integer, got str"),
+            ("entries", [[1, 2, 3]], "entries[0] must be a [ordinal, delay] pair, got [1, 2, 3]"),
+            ("entries", [5], "entries[0] must be a JSON list, got int"),
+            ("entries", {"0": 1}, "entries must be a JSON list, got dict"),
+            ("v", True, "unsupported schema version True (expected 1)"),
+            ("v", 1.0, "unsupported schema version 1.0 (expected 1)"),
+        ],
+    )
+    def test_field_of_the_wrong_type_is_a_bad_record(self, tmp_path, demo_utterance, demo_tags, capsys, field, value, message):
+        seq = inter_time(demo_utterance, tags=demo_tags)
+        path = tmp_path / "traces.jsonl"
+        write_traces(replay(seq, ReplayPolicy(), source_duration_ms=1200).values(), str(path))
+        lines = path.read_text().splitlines()
+        bad = {**json.loads(lines[0]), "utt_id": "b", field: value}
+        path.write_text("\n".join([lines[0], json.dumps(bad), *lines[1:]]) + "\n")
+        rc = main(["laal", "--traces", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert json.loads(captured.out)["traces"] == 3
+        diags = [json.loads(line) for line in captured.err.splitlines()]
+        assert [(d["code"], d["index"], d["message"]) for d in diags] == [("bad-record", 2, f"{path}:2: {message}")]
 
 
 class TestSynth:
@@ -573,6 +663,81 @@ def test_utt_id_that_is_not_a_string_is_a_bad_record(tmp_path, demo_files, capsy
         assert [json.loads(line)["utt_id"] for line in open(out)] == ["demo-001"]
     else:
         assert json.loads(captured.out)
+
+
+# One input line made from a valid record by replacing one of its fields, at
+# any depth, with a random JSON value.  The run reports it; it never ends in a
+# traceback, and only a mismatch between two inputs (stats, eval) is fatal.
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+_ARGV = {
+    "build": lambda f: ["build", "--method", "inter-time", "--tags", f["tags"], "--input", f["corpus"], "--output", f["out"]],
+    "demux": lambda f: ["demux", "--tags", f["tags"], "--input", f["built"], "--output", f["out"]],
+    "stats": lambda f: ["stats", "--base", f["built"], "--variant", f["grouped"]],
+    "eval": lambda f: ["eval", "--refs", f["corpus"], "--hyps", f["hyps"]],
+    "laal": lambda f: ["laal", "--traces", f["traces"]],
+}
+
+
+def _field_paths(value, path=()):
+    """The key path of every field of every JSON object in `value`."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from _field_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _field_paths(item, path + (i,))
+
+
+@pytest.fixture(scope="module")
+def pipeline_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    corpus, tags = _synth_files(d, n=4)
+    files = {name: str(d / f"{name}.jsonl") for name in ("built", "grouped", "hyps", "traces")}
+    files.update(corpus=corpus, tags=tags)
+    assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", files["built"]]) == 0
+    assert main(["build", "--method", "inter-time", "--group-ms", "500", "--tags", tags, "--input", corpus, "--output", files["grouped"]]) == 0
+    assert main(["demux", "--tags", tags, "--input", files["built"], "--output", files["hyps"]]) == 0
+    utts, _ = read_corpus(corpus)
+    write_traces([tr for u in utts for tr in replay(inter_time(u, tags=TagSet((ASR, ES, DE))), ReplayPolicy(), u.duration_ms).values()], files["traces"])
+    return files
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [("build", "corpus"), ("demux", "built"), ("stats", "built"), ("stats", "grouped"), ("eval", "corpus"), ("eval", "hyps"), ("laal", "traces")],
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_corrupted_line_is_never_a_traceback(pipeline_inputs, command, target, data):
+    files = dict(pipeline_inputs)
+    lines = Path(files[target]).read_text(encoding="utf-8").splitlines()
+    record = json.loads(data.draw(st.sampled_from(lines)))
+    path = data.draw(st.sampled_from(sorted(_field_paths(record), key=repr)))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(_JSON_VALUES)
+    lines.insert(data.draw(st.integers(0, len(lines))), json.dumps(record))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        files[target] = os.path.join(d, "corrupted.jsonl")
+        files["out"] = os.path.join(d, "out.jsonl")
+        Path(files[target]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(_ARGV[command](files))
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    diags = [json.loads(line) for line in err.getvalue().splitlines() if not line.startswith("error:")]
+    assert all("code" in d for d in diags)
+    if command in ("build", "demux", "laal"):
+        assert rc in (0, 1)
+    assert (rc, len(errors)) in {(0, 0), (1, 0), (2, 1)}
 
 
 class TestEntryPoints:

@@ -181,7 +181,7 @@ def _run_tags(items, tags):
 
 
 # Same surface as ES, another language: a TagSet holding it still declares "#ES#".
-_ES_PT = Tag("#ES#", "#ES#", Modality.TRANSLATION, "pt")
+_ES_PT = Tag("#ES#", Modality.TRANSLATION, "pt")
 
 
 @st.composite

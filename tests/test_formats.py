@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -307,6 +308,68 @@ class TestStdStreams:
 
 
 # ---------------------------------------------------------------------------
+# One contract for the four JSONL record readers.
+
+
+def _contract_record(kind: str, utt_id: str) -> dict:
+    return {
+        "corpus": {"v": 1, "utt_id": utt_id, "duration_ms": 100, "channels": [{"tag": "#ASR#", "modality": "asr", "lang": "en", "words": [{"t": 1, "w": "a"}]}]},
+        "serialized": {"v": 1, "utt_id": utt_id, "method": {"name": "inter_time"}, "tokens": ["#ASR#", "a"], "origin_times": [None, 1]},
+        "channels": {"v": 1, "utt_id": utt_id, "channels": [{"tag": "#ASR#", "words": ["a"]}]},
+        "traces": {"v": 1, "utt_id": utt_id, "tag": "#ASR#", "source_duration_ms": 100, "ref_len": 1, "entries": [[0, 1]]},
+    }[kind]
+
+
+_CONTRACT_READERS = {
+    "corpus": (read_corpus, lambda records: [u.utt_id for u in records]),
+    "serialized": (lambda path: read_serialized(path, TagSet((ASR,))), lambda records: [s.utt_id for s in records]),
+    "channels": (read_channels, list),
+    "traces": (read_traces, lambda records: [t.utt_id for t in records]),
+}
+
+
+class TestReaderContract:
+    @pytest.mark.parametrize("kind", sorted(_CONTRACT_READERS))
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_lines_codes_prefixes_and_order(self, tmp_path, monkeypatch, kind, stdin):
+        reader, utt_ids = _CONTRACT_READERS[kind]
+        u1, u2 = (_dumps(_contract_record(kind, u)) for u in ("u1", "u2"))
+        text = "\n".join(["", u1, "{broken", "[1]", '{"v":2}', "   ", u2, u1]) + "\n"
+        if stdin:
+            path = "-"
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        else:
+            path = str(tmp_path / f"{kind}.jsonl")
+            (tmp_path / f"{kind}.jsonl").write_text(text)
+        records, diags = reader(path)
+        expected = [
+            ("bad-record", 3, f"{path}:3: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)", None),
+            ("bad-record", 4, f"{path}:4: record must be a JSON object, got list", None),
+            ("bad-record", 5, f"{path}:5: unsupported schema version 2 (expected 1)", None),
+        ]
+        if kind == "traces":  # a trace is not keyed: the repeated utt_id is read again
+            assert utt_ids(records) == ["u1", "u2", "u1"]
+        else:
+            expected.append(("duplicate-utt-id", 8, f"{path}:8: duplicate utt_id 'u1'; line skipped", "u1"))
+            assert utt_ids(records) == ["u1", "u2"]
+        assert [(d.code, d.index, d.message, d.utt_id) for d in diags] == expected
+
+    @pytest.mark.parametrize("kind", sorted(_CONTRACT_READERS))
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_text_that_is_not_utf8_is_fatal(self, tmp_path, monkeypatch, kind, stdin):
+        reader, _ = _CONTRACT_READERS[kind]
+        data = (_dumps(_contract_record(kind, "u1")) + "\n").encode() + b"\xff\n"
+        if stdin:
+            path = "-"
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        else:
+            path = str(tmp_path / "bad.jsonl")
+            (tmp_path / "bad.jsonl").write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: not valid UTF-8"):
+            reader(path)
+
+
+# ---------------------------------------------------------------------------
 # The object-based stream of the previous version, kept as the reference for
 # the columnar one: one TagToken or WordToken per position, checked by the
 # scan below, and read, written, counted, rendered and replayed from tokens.
@@ -563,7 +626,7 @@ def _oracle_utterance_from_json(obj):
     _check_version(obj)
     channels = []
     for ch in obj["channels"]:
-        tag = Tag(id=ch["tag"], surface=ch["tag"], modality=Modality(ch["modality"]), language=ch["lang"])
+        tag = Tag(ch["tag"], Modality(ch["modality"]), ch["lang"])
         words = tuple(TimedWord(w["t"], w["w"]) for w in ch["words"])
         channels.append(Channel(tag=tag, words=words))
     return Utterance(utt_id=obj["utt_id"], duration_ms=obj["duration_ms"], channels=tuple(channels))

@@ -63,7 +63,7 @@ def _accepts(make, value) -> bool:
 _TOKEN_TEXT_CHECKS = [
     lambda v: TimedWord(0, v),
     lambda v: WordToken(v),
-    lambda v: Tag("x", v, Modality.TRANSCRIPTION, "en"),
+    lambda v: Tag(v, Modality.TRANSCRIPTION, "en"),
 ]
 
 
@@ -94,15 +94,15 @@ class TestTag:
 
     def test_rejects_whitespace_surface(self):
         with pytest.raises(ValueError):
-            Tag("x", "a b", Modality.TRANSCRIPTION, "en")
+            Tag("a b", Modality.TRANSCRIPTION, "en")
 
     def test_rejects_empty_language(self):
         with pytest.raises(ValueError):
-            Tag("x", "#X#", Modality.TRANSCRIPTION, "")
+            Tag("#X#", Modality.TRANSCRIPTION, "")
 
     def test_rejects_non_modality(self):
         with pytest.raises(ValueError):
-            Tag("x", "#X#", "asr", "en")
+            Tag("#X#", "asr", "en")
 
 
 class TestTagSet:
@@ -136,17 +136,12 @@ class TestTagSet:
         assert copy.get("#ES#") == ES and copy.priority("#ES#") == 1
 
     def test_rejects_duplicate_surface(self):
-        dup = Tag("other", "#ASR#", Modality.TRANSLATION, "de")
+        dup = Tag("#ASR#", Modality.TRANSLATION, "de")
         with pytest.raises(ValueError, match="duplicate tag surfaces"):
             TagSet((ASR, dup))
 
-    def test_rejects_duplicate_id(self):
-        dup = Tag("#ASR#", "#ASR2#", Modality.TRANSLATION, "de")
-        with pytest.raises(ValueError, match="duplicate tag ids"):
-            TagSet((ASR, dup))
-
     def test_rejects_reserved_surface(self):
-        bad = Tag("u", UNKNOWN_CHANNEL, Modality.TRANSCRIPTION, "en")
+        bad = Tag(UNKNOWN_CHANNEL, Modality.TRANSCRIPTION, "en")
         with pytest.raises(ValueError, match="reserved"):
             TagSet((bad,))
 
@@ -192,7 +187,7 @@ class TestValidateUtterance:
         assert "duplicate-channel-tag" in [d.code for d in diags]
 
     def test_unknown_channel_tag(self, demo_tags):
-        other = Tag("#XX#", "#XX#", Modality.TRANSLATION, "xx")
+        other = Tag("#XX#", Modality.TRANSLATION, "xx")
         u = Utterance("u", 10, (Channel(other, (TimedWord(1, "a"),)),))
         diags = validate_utterance(u, demo_tags)
         assert [d.code for d in diags] == ["unknown-channel-tag"]
