@@ -148,6 +148,10 @@ def _decode_lines(path: str) -> Iterator[tuple[int, object]]:
             continue
         try:
             obj = json.loads(line)
+            if "\\u" in line:
+                _dumps(obj).encode("utf-8")  # an escaped lone surrogate could not be written back
+        except UnicodeEncodeError:
+            obj = ValueError("escaped lone surrogate: the text has no UTF-8 form")
         except ValueError as exc:
             obj = exc
         yield lineno, obj
@@ -397,6 +401,9 @@ def _trace_record(obj) -> EmissionTrace:
         raise ValueError(f"empty trace for {tr.utt_id!r}/{tr.tag!r}")
     if tr.source_duration_ms < 1:
         raise ValueError(f"source_duration_ms must be >= 1, got {tr.source_duration_ms}")
+    # Delays are non-decreasing, so the first and last bound them all.
+    if max(tr.source_duration_ms, -tr.entries[0][1], tr.entries[-1][1]) > sys.float_info.max:
+        raise ValueError(f"times beyond {sys.float_info.max:g} ms cannot be scored")
     return tr
 
 

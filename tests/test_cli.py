@@ -409,6 +409,9 @@ class TestLaal:
             ("entries", {"0": 1}, "entries must be a JSON list, got dict"),
             ("v", True, "unsupported schema version True (expected 1)"),
             ("v", 1.0, "unsupported schema version 1.0 (expected 1)"),
+            ("entries", [[0, 10**400]], f"times beyond {sys.float_info.max:g} ms cannot be scored"),
+            ("entries", [[0, -(10**400)], [1, 5]], f"times beyond {sys.float_info.max:g} ms cannot be scored"),
+            ("source_duration_ms", 10**400, f"times beyond {sys.float_info.max:g} ms cannot be scored"),
         ],
     )
     def test_field_of_the_wrong_type_is_a_bad_record(self, tmp_path, demo_utterance, demo_tags, capsys, field, value, message):
@@ -669,9 +672,10 @@ def test_utt_id_that_is_not_a_string_is_a_bad_record(tmp_path, demo_files, capsy
 # any depth, with a random JSON value.  The run reports it; it never ends in a
 # traceback, and only a mismatch between two inputs (stats, eval) is fatal.
 
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=4)  # lone surrogates included
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
     max_leaves=6,
 )
 
@@ -738,6 +742,18 @@ def test_one_corrupted_line_is_never_a_traceback(pipeline_inputs, command, targe
     if command in ("build", "demux", "laal"):
         assert rc in (0, 1)
     assert (rc, len(errors)) in {(0, 0), (1, 0), (2, 1)}
+
+
+def test_escaped_lone_surrogate_is_a_bad_record(tmp_path, demo_files, capsys):
+    # Written back as UTF-8, the utt_id would end the run with exit 2.
+    corpus, tags = demo_files
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**json.loads(open(corpus).readline()), "utt_id": "\ud800"}) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(out)]) == 1
+    diags = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [(d["code"], d["index"]) for d in diags] == [("bad-record", 2)]
+    assert [json.loads(line)["utt_id"] for line in out.read_text().splitlines()] == ["demo-001"]
 
 
 class TestEntryPoints:

@@ -355,6 +355,18 @@ class TestReaderContract:
         assert [(d.code, d.index, d.message, d.utt_id) for d in diags] == expected
 
     @pytest.mark.parametrize("kind", sorted(_CONTRACT_READERS))
+    def test_escaped_lone_surrogate_is_a_bad_record(self, tmp_path, kind):
+        # json.dumps escapes both; only the pair has a UTF-8 form to write back.
+        reader, utt_ids = _CONTRACT_READERS[kind]
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text("".join(json.dumps(_contract_record(kind, u)) + "\n" for u in ("\ud800", "\U0001f600")))
+        records, diags = reader(str(path))
+        assert utt_ids(records) == ["\U0001f600"]
+        assert [(d.code, d.index, d.message) for d in diags] == [
+            ("bad-record", 1, f"{path}:1: escaped lone surrogate: the text has no UTF-8 form")
+        ]
+
+    @pytest.mark.parametrize("kind", sorted(_CONTRACT_READERS))
     @pytest.mark.parametrize("stdin", [False, True])
     def test_text_that_is_not_utf8_is_fatal(self, tmp_path, monkeypatch, kind, stdin):
         reader, _ = _CONTRACT_READERS[kind]
