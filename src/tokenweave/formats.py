@@ -185,7 +185,7 @@ def _read_jsonl(path: str, parse, key=None, lines=None) -> tuple[list, list[Diag
         where = f"{path}:{lineno}: "
         try:
             if isinstance(obj, ValueError):
-                raise obj  # the line is not JSON
+                raise obj  # the line did not decode
             record = parse(obj)
         except _Invalid as exc:
             diags.extend(
