@@ -140,20 +140,26 @@ def _read_build_output(path: str) -> tuple[list[SerializedSequence], list[Diagno
     stays a word, so its line fails the word check instead of the run.
     """
     records = list(formats._decode_lines(path))
-    surfaces: dict[str, None] = {}
+    surfaces: dict[object, None] = {}
     for _, obj in records:
         if not isinstance(obj, dict):
             continue  # the parser diagnoses this line
         try:
             origins = obj.get("origin_times") or [None] * len(obj["tokens"])
             for text, origin in zip(obj["tokens"], origins):
-                if origin is None and isinstance(text, str) and text.split() == [text] and text != UNKNOWN_CHANNEL:
+                if origin is None:
                     surfaces.setdefault(text)
         except (KeyError, TypeError):
             continue
     # Modality and language are not recoverable from the stream and do not
     # matter for switch counting; "und" is the undetermined language code.
-    tags = TagSet(tuple(Tag(s, Modality.TRANSCRIPTION, "und") for s in surfaces))
+    tags = TagSet(
+        tuple(
+            Tag(s, Modality.TRANSCRIPTION, "und")
+            for s in surfaces
+            if isinstance(s, str) and s.split() == [s] and s != UNKNOWN_CHANNEL
+        )
+    )
     return formats._read_jsonl(path, lambda obj: formats.serialized_from_json(obj, tags), formats._utt_id, records)
 
 

@@ -182,24 +182,29 @@ def _read_jsonl(path: str, parse, key=None, lines=None) -> tuple[list, list[Diag
     diags: list[Diagnostic] = []
     seen: set[str] = set()
     for lineno, obj in _decode_lines(path) if lines is None else lines:
-        where = f"{path}:{lineno}: "
         try:
             if isinstance(obj, ValueError):
                 raise obj  # the line did not decode
             record = parse(obj)
         except _Invalid as exc:
             diags.extend(
-                Diagnostic(p.code, where + p.message, utt_id=p.utt_id, tag=p.tag, index=lineno) for p in exc.problems
+                Diagnostic(p.code, f"{path}:{lineno}: {p.message}", utt_id=p.utt_id, tag=p.tag, index=lineno)
+                for p in exc.problems
             )
             continue
         except (ValueError, KeyError, TypeError) as exc:
-            diags.append(Diagnostic("bad-record", f"{where}{exc}", index=lineno))
+            diags.append(Diagnostic("bad-record", f"{path}:{lineno}: {exc}", index=lineno))
             continue
         if key is not None:
             utt_id = key(record)
             if utt_id in seen:
                 diags.append(
-                    Diagnostic("duplicate-utt-id", f"{where}duplicate utt_id {utt_id!r}; line skipped", utt_id=utt_id, index=lineno)
+                    Diagnostic(
+                        "duplicate-utt-id",
+                        f"{path}:{lineno}: duplicate utt_id {utt_id!r}; line skipped",
+                        utt_id=utt_id,
+                        index=lineno,
+                    )
                 )
                 continue
             seen.add(utt_id)

@@ -295,6 +295,21 @@ class TestTagSetSidecar:
         with pytest.raises(ValueError, match="tags.json"):
             read_tag_set(str(path))
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ('{"v":1,"tags":5}', "tags must be a JSON list, got int"),
+            ('{"v":1,"tags":[5]}', "tags[0] must be a JSON object, got int"),
+            ('{"v":true,"tags":[]}', "unsupported schema version True (expected 1)"),
+        ],
+    )
+    def test_field_of_the_wrong_type_names_it(self, tmp_path, document, message):
+        path = tmp_path / "tags.json"
+        path.write_text(document)
+        with pytest.raises(ValueError) as info:
+            read_tag_set(str(path))
+        assert str(info.value) == f"{path}: invalid tag set: {message}"
+
 
 class TestStdStreams:
     def test_dash_reads_stdin(self, monkeypatch):
