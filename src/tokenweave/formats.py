@@ -172,8 +172,9 @@ def _read_jsonl(path: str, parse, key=None, lines=None) -> tuple[list, list[Diag
     """The record loop of every JSONL reader: records in line order, and diagnostics.
 
     Each non-blank line of `path` (or each pre-decoded line of `lines`) goes
-    through `parse`.  A line that is not JSON, or whose `parse` raises a
-    ValueError, KeyError or TypeError, is a ``bad-record`` diagnostic; an
+    through `parse`.  A line that does not decode (not JSON, or an escaped
+    lone surrogate), or whose `parse` raises a ValueError, KeyError or
+    TypeError, is a ``bad-record`` diagnostic; an
     :class:`_Invalid` carries its own diagnostics instead.  With `key`, a
     record whose key was already read is a ``duplicate-utt-id`` diagnostic:
     the first one wins.
