@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import compress, repeat
+from operator import is_, itemgetter
 
 from . import formats
 from .demux import demux_full
@@ -20,7 +22,6 @@ from .model import (
     GroupingConfig,
     Modality,
     SerializationMethod,
-    SerializedSequence,
     Tag,
     TagSet,
     UNKNOWN_CHANNEL,
@@ -129,54 +130,50 @@ def cmd_demux(args: argparse.Namespace) -> int:
 # stats
 
 
-def _read_build_output(path: str) -> tuple[list[SerializedSequence], list[Diagnostic]]:
-    """Read a build-written file, recovering its tag vocabulary from the records.
+def _own_tags(obj, known: dict[str, Tag]) -> TagSet | None:
+    """A build-written record's tags: its own tokens at null origin times that can be tag surfaces.
 
-    Each line is read and decoded once.  Tag tokens are exactly the
-    positions whose origin_times entry is null, because the serializer
-    stamps an origin time on every word.  Only files produced by `build` are
-    guaranteed to satisfy this.  A token that cannot be a tag surface (not a
-    non-empty string without whitespace, or the reserved unknown bucket)
-    stays a word, so its line fails the word check instead of the run.
+    The serializer stamps an origin time on every word; a record without
+    `origin_times` has a null one at every token.  A token that cannot be a
+    tag surface (not a non-empty string without whitespace, or the reserved
+    unknown bucket) stays a word, so its line fails the word check.  None if
+    there is no such token or the record is malformed (the parser reports
+    it).  `known` keeps one Tag per surface across records.
     """
-    records = list(formats._decode_lines(path))
-    surfaces: dict[object, None] = {}
-    for _, obj in records:
-        if not isinstance(obj, dict):
-            continue  # the parser diagnoses this line
-        try:
-            origins = obj.get("origin_times") or [None] * len(obj["tokens"])
-            for text, origin in zip(obj["tokens"], origins):
-                if origin is None:
-                    surfaces.setdefault(text)
-        except (KeyError, TypeError):
-            continue
-    # Modality and language are not recoverable from the stream and do not
-    # matter for switch counting; "und" is the undetermined language code.
-    tags = TagSet(
-        tuple(
-            Tag(s, Modality.TRANSCRIPTION, "und")
-            for s in surfaces
-            if isinstance(s, str) and s.split() == [s] and s != UNKNOWN_CHANNEL
-        )
-    )
-    return formats._read_jsonl(path, lambda obj: formats.serialized_from_json(obj, tags), formats._utt_id, records)
+    tokens, origins = (obj.get("tokens"), obj.get("origin_times")) if isinstance(obj, dict) else (None, None)
+    if not isinstance(tokens, list) or not isinstance(origins, (list, type(None))):
+        return None
+    try:
+        surfaces = dict.fromkeys(tokens if origins is None else compress(tokens, map(is_, origins, repeat(None))))
+    except TypeError:  # an unhashable token, which the word check rejects
+        return None
+    for s in surfaces:
+        if s not in known and isinstance(s, str) and s.split() == [s] and s != UNKNOWN_CHANNEL:
+            # Modality and language are not in the stream and do not matter
+            # for switch counting; "und" is the undetermined language code.
+            known[s] = Tag(s, Modality.TRANSCRIPTION, "und")
+    tags = tuple(known[s] for s in surfaces if s in known)
+    return TagSet(tags) if tags else None
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    base, diags_b = _read_build_output(args.base)
-    variant, diags_v = _read_build_output(args.variant)
-    diags = diags_b + diags_v
+    known: dict[str, Tag] = {}
 
-    base_counts = [(s.utt_id, count_switches(s)) for s in base]
-    variant_counts = [(s.utt_id, count_switches(s)) for s in variant]
+    def parse(obj) -> tuple[str, int]:
+        # Only the record's (utt_id, switches) pair is kept.
+        seq = formats.serialized_from_json(obj, _own_tags(obj, known))
+        return seq.utt_id, count_switches(seq)
+
+    base_counts, diags_b = formats._read_jsonl(args.base, parse, itemgetter(0))
+    variant_counts, diags_v = formats._read_jsonl(args.variant, parse, itemgetter(0))
+    diags = diags_b + diags_v
     try:
         reduction = _switch_reduction(base_counts, variant_counts)
     except ValueError:
         _emit_diags(diags)  # the skipped lines are usually why the reduction is undefined
         raise
     result = {
-        "utterances": len(base),
+        "utterances": len(base_counts),
         "base_switches": sum(n for _, n in base_counts),
         "variant_switches": sum(n for _, n in variant_counts),
         "reduction": reduction,

@@ -141,22 +141,6 @@ def _check_version(obj: dict) -> None:
         raise ValueError(f"unsupported schema version {v!r} (expected {SCHEMA_VERSION})")
 
 
-def _decode_lines(path: str) -> Iterator[tuple[int, object]]:
-    """Yield (line number, decoded JSON value or its decode error) per non-blank line."""
-    for lineno, line in _read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            if "\\u" in line:
-                _dumps(obj).encode("utf-8")  # an escaped lone surrogate could not be written back
-        except UnicodeEncodeError:
-            obj = ValueError("escaped lone surrogate: the text has no UTF-8 form")
-        except ValueError as exc:
-            obj = exc
-        yield lineno, obj
-
-
 _utt_id = attrgetter("utt_id")
 
 
@@ -168,24 +152,26 @@ class _Invalid(ValueError):
         self.problems = problems
 
 
-def _read_jsonl(path: str, parse, key=None, lines=None) -> tuple[list, list[Diagnostic]]:
+def _read_jsonl(path: str, parse, key=None) -> tuple[list, list[Diagnostic]]:
     """The record loop of every JSONL reader: records in line order, and diagnostics.
 
-    Each non-blank line of `path` (or each pre-decoded line of `lines`) goes
-    through `parse`.  A line that does not decode (not JSON, or an escaped
-    lone surrogate), or whose `parse` raises a ValueError, KeyError or
-    TypeError, is a ``bad-record`` diagnostic; an
-    :class:`_Invalid` carries its own diagnostics instead.  With `key`, a
-    record whose key was already read is a ``duplicate-utt-id`` diagnostic:
-    the first one wins.
+    Each non-blank line of `path` is decoded and goes through `parse`.  A
+    line that does not decode (not JSON, or an escaped lone surrogate), or
+    whose `parse` raises a ValueError, KeyError or TypeError, is a
+    ``bad-record`` diagnostic; an :class:`_Invalid` carries its own
+    diagnostics instead.  With `key`, a record whose key was already read is
+    a ``duplicate-utt-id`` diagnostic: the first one wins.
     """
     out: list = []
     diags: list[Diagnostic] = []
     seen: set[str] = set()
-    for lineno, obj in _decode_lines(path) if lines is None else lines:
+    for lineno, line in _read_lines(path):
+        if not line.strip():
+            continue
         try:
-            if isinstance(obj, ValueError):
-                raise obj  # the line did not decode
+            obj = json.loads(line)
+            if "\\u" in line:
+                _dumps(obj).encode("utf-8")  # an escaped lone surrogate could not be written back
             record = parse(obj)
         except _Invalid as exc:
             diags.extend(
@@ -194,6 +180,8 @@ def _read_jsonl(path: str, parse, key=None, lines=None) -> tuple[list, list[Diag
             )
             continue
         except (ValueError, KeyError, TypeError) as exc:
+            if isinstance(exc, UnicodeEncodeError):
+                exc = "escaped lone surrogate: the text has no UTF-8 form"
             diags.append(Diagnostic("bad-record", f"{path}:{lineno}: {exc}", index=lineno))
             continue
         if key is not None:
@@ -290,28 +278,33 @@ def serialized_to_json(s: SerializedSequence) -> dict:
     }
 
 
-def serialized_from_json(obj: dict, tags: TagSet) -> SerializedSequence:
+def serialized_from_json(obj: dict, tags: TagSet | None) -> SerializedSequence:
+    """A serialized record; with `tags` None, no token is a tag."""
     _check_version(obj)
-    raw_tokens = obj["tokens"]
+    raw_tokens = _expect_json(obj["tokens"], "tokens", list)
     origin_times = obj.get("origin_times")
     if origin_times is None:
         origin_times = [None] * len(raw_tokens)
-    if len(origin_times) != len(raw_tokens):
-        raise ValueError(
-            f"origin_times length {len(origin_times)} != tokens length {len(raw_tokens)}"
-        )
+    if len(_expect_json(origin_times, "origin_times", list)) != len(raw_tokens):
+        raise ValueError(f"origin_times length {len(origin_times)} != tokens length {len(raw_tokens)}")
+    # In bulk, as Channel checks its times; on failure, entry by entry for the message.
+    if not set(map(type, origin_times)) <= {int, type(None)} or min(filter(None, origin_times), default=0) < 0:
+        for i, t in enumerate(origin_times):
+            if t is not None and _expect_json(t, f"origin_times[{i}]", int) < 0:
+                raise ValueError(f"origin_times[{i}] must be non-negative, got {t}")
+    utt_id = _expect_json(obj["utt_id"], "utt_id", str)
+    method = _expect_json(obj["method"], "method", dict)
+    _expect_json(method["name"], "method name", str)
     # One lookup per token: a declared surface becomes its Tag, anything else
     # stays as it is and must pass the word check.
-    by_surface = tags._by_surface
+    by_surface = {} if tags is None else tags._by_surface
     try:
         items = tuple([by_surface.get(text, text) for text in raw_tokens])
     except TypeError:  # an unhashable token, which the word check rejects
         items = tuple([by_surface.get(text, text) if isinstance(text, str) else text for text in raw_tokens])
     # An origin time at a tag position is dropped.
     origins = tuple([None if isinstance(x, Tag) else t for x, t in zip(items, origin_times)])
-    return SerializedSequence._from_columns(
-        _expect_json(obj["utt_id"], "utt_id", str), items, origins, SerializationMethod.from_json(obj["method"])
-    )
+    return SerializedSequence._from_columns(utt_id, items, origins, SerializationMethod.from_json(method))
 
 
 def read_serialized(path: str, tags: TagSet) -> tuple[list[SerializedSequence], list[Diagnostic]]:

@@ -91,8 +91,8 @@ class Tag:
         _check_token_text(self.surface, "tag surface")
         if not isinstance(self.modality, Modality):
             raise ValueError(f"modality must be a Modality, got {self.modality!r}")
-        if not self.language:
-            raise ValueError("language must be non-empty")
+        if not isinstance(self.language, str) or not self.language:
+            raise ValueError(f"language must be a non-empty string, got {self.language!r}")
 
 
 @dataclass(frozen=True, slots=True)

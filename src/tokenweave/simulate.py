@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .formats import _expect_int_pair, _expect_json, _tags_from_json, _tags_to_json
+from .formats import _check_version, _expect_int_pair, _expect_json, _tags_from_json, _tags_to_json
 from .metrics import EmissionTrace, count_switches, laal
 from .model import (
     Channel,
@@ -114,8 +114,7 @@ def synth_config_to_json(c: SynthConfig) -> dict:
 
 def synth_config_from_json(obj: dict) -> SynthConfig:
     """Parse a generator config; a field of the wrong JSON type is a ValueError naming it."""
-    if obj.get("v") != 1:
-        raise ValueError(f"unsupported config version {obj.get('v')!r} (expected 1)")
+    _check_version(obj)
     channels = _tags_from_json(obj["channels"], "channels")
     return SynthConfig(
         seed=_expect_json(obj["seed"], "seed", int),

@@ -88,6 +88,13 @@ def two_channel_corpus() -> list[Utterance]:
     return synth_corpus(cfg)
 
 
+def pytest_configure(config) -> None:
+    # A file left open fails its test.  Not in pyproject.toml, which would
+    # also apply it to the benchmark's tests.
+    config.addinivalue_line("filterwarnings", "error::ResourceWarning")
+    config.addinivalue_line("filterwarnings", "error::pytest.PytestUnraisableExceptionWarning")
+
+
 def pytest_terminal_summary(terminalreporter) -> None:
     if acceptance_log.LINES:
         terminalreporter.section("acceptance criteria")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -104,7 +105,26 @@ class TestBuild:
         err_lines = capsys.readouterr().err.strip().splitlines()
         diag = json.loads(err_lines[0])
         assert diag["code"] == "bad-record"
-        assert json.loads(open(out).readline())["utt_id"] == "demo-001"
+        assert json.loads(Path(out).read_text().splitlines()[0])["utt_id"] == "demo-001"
+
+    @pytest.mark.parametrize("lang", [{"x": 1}, 5, [1]])
+    def test_channel_language_that_is_not_a_string_is_rejected(self, tmp_path, demo_files, capsys, lang):
+        # In a corpus record it is a bad line; in the tag set it is fatal.
+        corpus, tags = demo_files
+        record = json.loads(Path(corpus).read_text())
+        record["channels"][0]["lang"] = lang
+        Path(corpus).write_text(json.dumps({**record, "utt_id": "bad"}) + "\n" + Path(corpus).read_text())
+        out = tmp_path / "b.jsonl"
+        assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(out)]) == 1
+        diags = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        message = f"language must be a non-empty string, got {lang!r}"
+        assert [(d["code"], d["index"], d["message"]) for d in diags] == [("bad-record", 1, f"{corpus}:1: {message}")]
+        assert [json.loads(line)["utt_id"] for line in out.read_text().splitlines()] == ["demo-001"]
+        tag_set = json.loads(Path(tags).read_text())
+        tag_set["tags"][0]["lang"] = lang
+        Path(tags).write_text(json.dumps(tag_set))
+        assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {tags}: invalid tag set: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -130,7 +150,7 @@ class TestBuild:
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[0])
         assert diag["code"] == "serialize-error"
         assert diag["utt_id"] == "demo-001"
-        assert open(out).read() == ""
+        assert Path(out).read_text() == ""
 
 
 class TestDemuxAndEval:
@@ -230,6 +250,34 @@ class TestDemuxAndEval:
         assert captured.out == clean
         diags = [json.loads(line) for line in captured.err.splitlines()]
         assert [(d["code"], d["index"], d["message"]) for d in diags] == [("bad-record", 1, f"{hyps}:1: {message}")]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"tokens": {"#ASR#": 0, "I": 1}}, "tokens must be a JSON list, got dict"),
+            ({"origin_times": {"x": 1, "y": 2}}, "origin_times must be a JSON list, got dict"),
+            ({"origin_times": [None, "x"]}, "origin_times[1] must be a JSON integer, got str"),
+            ({"origin_times": [None, 1.5]}, "origin_times[1] must be a JSON integer, got float"),
+            ({"origin_times": [None, True]}, "origin_times[1] must be a JSON integer, got bool"),
+            ({"origin_times": [None, -1]}, "origin_times[1] must be non-negative, got -1"),
+            ({"method": {"name": [1]}}, "method name must be a JSON string, got list"),
+            ({"method": 5}, "method must be a JSON object, got int"),
+        ],
+    )
+    def test_serialized_field_of_the_wrong_type_is_a_bad_record(self, tmp_path, demo_files, capsys, fields, message):
+        corpus, tags = demo_files
+        built, hyps = tmp_path / "built.jsonl", tmp_path / "hyps.jsonl"
+        assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(built)]) == 0
+        assert main(["demux", "--tags", tags, "--input", str(built), "--output", str(hyps)]) == 0
+        clean = hyps.read_text()
+        # The bad line for the utterance comes first; the clean line for it follows.
+        bad = {**json.loads(built.read_text()), "tokens": ["#ASR#", "I"], "origin_times": [None, 200], **fields}
+        built.write_text(json.dumps(bad) + "\n" + built.read_text())
+        capsys.readouterr()
+        assert main(["demux", "--tags", tags, "--input", str(built), "--output", str(hyps)]) == 1
+        assert hyps.read_text() == clean
+        diags = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(d["code"], d["index"], d["message"]) for d in diags] == [("bad-record", 1, f"{built}:1: {message}")]
 
     def test_eval_id_mismatch_is_fatal(self, tmp_path, demo_files, capsys):
         corpus, _ = demo_files
@@ -350,6 +398,59 @@ class TestStats:
         assert [(d["code"], d["index"], d["message"]) for d in diags] == [("bad-record", 2, f"{base}:2: {message}")]
 
 
+    def test_bad_line_leaves_the_other_lines_alone(self, tmp_path, capsys):
+        # Its string of tokens once made `a` and `b` tags in every line of the file.
+        path = tmp_path / "built.jsonl"
+        path.write_text(
+            '{"v":1,"utt_id":"u1","method":{"name":"inter_time"},'
+            '"tokens":["#ASR#","a","#ES#","c","#ASR#","b"],"origin_times":[null,1,null,2,null,3]}\n'
+            '{"v":1,"utt_id":"u2","method":{"name":"inter_time"},"tokens":"ab"}\n'
+        )
+        rc = main(["stats", "--base", str(path), "--variant", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert json.loads(captured.out) == {"utterances": 1, "base_switches": 3, "variant_switches": 3, "reduction": 0.0}
+        diags = [json.loads(line) for line in captured.err.splitlines()]
+        assert [(d["code"], d["index"]) for d in diags] == [("bad-record", 2), ("bad-record", 2)]
+
+    @pytest.mark.parametrize("text", ["", '{"v":1,"utt_id":"u1","method":{"name":"inter_time"},"tokens":[],"origin_times":[]}\n'])
+    def test_inputs_without_tags_leave_the_reduction_undefined(self, tmp_path, capsys, text):
+        path = tmp_path / "built.jsonl"
+        path.write_text(text)
+        assert main(["stats", "--base", str(path), "--variant", str(path)]) == 2
+        assert capsys.readouterr().err == "error: base corpus has zero tag tokens; reduction is undefined\n"
+
+    def test_memory_is_bounded_by_one_record(self, tmp_path, capsys):
+        # Reading a whole build into SerializedSequences, as stats once did
+        # for both of its inputs, takes at least 5 times stats' peak.
+        cfg = SynthConfig(
+            seed=3,
+            num_utterances=3000,
+            words_per_channel=(0, 45),
+            word_rate_ms=(150, 450),
+            translation_lag_ms=(200, 1500),
+            reorder_window_ms=300,
+            channels=(ASR, ES, DE),
+            vocab_size=5000,
+        )
+        tags = TagSet((ASR, ES, DE))
+        path = str(tmp_path / "built.jsonl")
+        write_serialized([inter_time(u, tags=tags) for u in synth_corpus(cfg)], path)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        stats_peak = peak(lambda: main(["stats", "--base", path, "--variant", path]))
+        assert json.loads(capsys.readouterr().out)["utterances"] == 3000
+        whole_file_peak = peak(lambda: read_serialized(path, tags))
+        assert stats_peak * 5 <= whole_file_peak
+
+
 class TestLaal:
     def test_json_report_matches_library(self, tmp_path, demo_utterance, demo_tags, capsys):
         seq = inter_time(demo_utterance, tags=demo_tags)
@@ -468,6 +569,13 @@ class TestSynth:
         assert main(["synth", "--config", seeded, "--output", str(c)]) == 0
         assert b.read_bytes() == c.read_bytes()
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_other_than_the_integer_1_is_fatal(self, tmp_path, capsys, version):
+        config = Path(self._config_path(tmp_path, seed=3))
+        config.write_text(json.dumps({**json.loads(config.read_text()), "v": version}))
+        assert main(["synth", "--config", str(config), "--output", str(tmp_path / "x.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: unsupported schema version {version!r} (expected 1)\n"
+
     def test_missing_seed_is_fatal(self, tmp_path, capsys):
         config = self._config_path(tmp_path, seed=None)
         rc = main(["synth", "--config", config, "--output", str(tmp_path / "x.jsonl")])
@@ -527,9 +635,9 @@ class TestStudy:
     def test_config_errors(self, tmp_path, capsys, overrides, message):
         if overrides.get("synth", "keep") is None:
             config = self._study_config(tmp_path)
-            blob = json.loads(open(config).read())
+            blob = json.loads(Path(config).read_text())
             blob["corpus"] = "whatever.jsonl"
-            open(config, "w").write(json.dumps(blob))
+            Path(config).write_text(json.dumps(blob))
         else:
             config = self._study_config(tmp_path, **overrides)
         rc = main(["study", "--config", config, "--output", "-"])
@@ -568,9 +676,9 @@ class TestStudy:
         # An integer must not reach open(), which would take it as a file descriptor.
         config = self._study_config(tmp_path, **overrides)
         if overrides.get("synth", "keep") is None:
-            blob = json.loads(open(config).read())
+            blob = json.loads(Path(config).read_text())
             del blob["synth"]
-            open(config, "w").write(json.dumps(blob))
+            Path(config).write_text(json.dumps(blob))
         rc = main(["study", "--config", config, "--output", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
@@ -592,7 +700,7 @@ class TestStudy:
         ],
     )
     def test_synth_field_of_the_wrong_type_is_fatal(self, tmp_path, capsys, command, overrides, message):
-        synth = json.loads(open(self._study_config(tmp_path)).read())["synth"]
+        synth = json.loads(Path(self._study_config(tmp_path)).read_text())["synth"]
         synth.update(overrides)
         if command == "synth":
             config = tmp_path / "synth.json"
@@ -648,7 +756,7 @@ def test_utt_id_that_is_not_a_string_is_a_bad_record(tmp_path, demo_files, capsy
     # A copy of the input's last record, with a list for its utt_id.
     bad = {"build": corpus, "eval": corpus}.get(command, str(built))
     with open(bad, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({**json.loads(open(bad).read().splitlines()[-1]), "utt_id": [1]}) + "\n")
+        fh.write(json.dumps({**json.loads(Path(bad).read_text().splitlines()[-1]), "utt_id": [1]}) + "\n")
     out = str(tmp_path / "out.jsonl")
     argv = {
         "build": ["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", out],
@@ -663,7 +771,7 @@ def test_utt_id_that_is_not_a_string_is_a_bad_record(tmp_path, demo_files, capsy
         ("bad-record", 2, "utt_id must be a JSON string, got list")
     }
     if command in ("build", "demux"):
-        assert [json.loads(line)["utt_id"] for line in open(out)] == ["demo-001"]
+        assert [json.loads(line)["utt_id"] for line in Path(out).read_text().splitlines()] == ["demo-001"]
     else:
         assert json.loads(captured.out)
 
@@ -744,11 +852,48 @@ def test_one_corrupted_line_is_never_a_traceback(pipeline_inputs, command, targe
     assert (rc, len(errors)) in {(0, 0), (1, 0), (2, 1)}
 
 
+def _stats(base: str) -> tuple[int, dict | None, list[dict]]:
+    """Exit code, report and diagnostics of `stats` with `base` on both sides."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["stats", "--base", base, "--variant", base])
+    diags = [json.loads(line) for line in err.getvalue().splitlines() if not line.startswith("error:")]
+    return rc, json.loads(out.getvalue()) if out.getvalue() else None, diags
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_corrupted_record_never_changes_how_another_is_read(pipeline_inputs, data):
+    # stats on the file counts the clean records as it does without the
+    # corrupted one, plus the corrupted one as it counts it alone.
+    lines = Path(pipeline_inputs["built"]).read_text(encoding="utf-8").splitlines()
+    record = {**json.loads(data.draw(st.sampled_from(lines))), "utt_id": "corrupted"}
+    path = data.draw(st.sampled_from(sorted(_field_paths(record), key=repr)))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(st.none() | _JSON_VALUES)
+    at = data.draw(st.integers(0, len(lines)))
+    with tempfile.TemporaryDirectory() as d:
+        alone, corrupted = os.path.join(d, "alone.jsonl"), os.path.join(d, "corrupted.jsonl")
+        Path(alone).write_text(json.dumps(record) + "\n", encoding="utf-8")
+        Path(corrupted).write_text("\n".join([*lines[:at], json.dumps(record), *lines[at:]]) + "\n", encoding="utf-8")
+        _, clean, _ = _stats(pipeline_inputs["built"])
+        rc_alone, report_alone, diags_alone = _stats(alone)
+        rc, report, diags = _stats(corrupted)
+    read = not diags_alone
+    switches = (report_alone["base_switches"] if rc_alone != 2 else 0) if read else 0
+    assert rc == (1 if diags_alone else 0)
+    assert {d["index"] for d in diags} == ({at + 1} if diags_alone else set())
+    assert report["utterances"] == clean["utterances"] + read
+    assert report["base_switches"] == clean["base_switches"] + switches
+
+
 def test_escaped_lone_surrogate_is_a_bad_record(tmp_path, demo_files, capsys):
     # Written back as UTF-8, the utt_id would end the run with exit 2.
     corpus, tags = demo_files
     with open(corpus, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({**json.loads(open(corpus).readline()), "utt_id": "\ud800"}) + "\n")
+        fh.write(json.dumps({**json.loads(Path(corpus).read_text().splitlines()[0]), "utt_id": "\ud800"}) + "\n")
     out = tmp_path / "out.jsonl"
     assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(out)]) == 1
     diags = [json.loads(line) for line in capsys.readouterr().err.splitlines()]

@@ -301,6 +301,10 @@ class TestTagSetSidecar:
             ('{"v":1,"tags":5}', "tags must be a JSON list, got int"),
             ('{"v":1,"tags":[5]}', "tags[0] must be a JSON object, got int"),
             ('{"v":true,"tags":[]}', "unsupported schema version True (expected 1)"),
+            (
+                '{"v":1,"tags":[{"surface":"#A#","modality":"asr","lang":5}]}',
+                "language must be a non-empty string, got 5",
+            ),
         ],
     )
     def test_field_of_the_wrong_type_names_it(self, tmp_path, document, message):
