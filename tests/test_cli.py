@@ -397,9 +397,8 @@ class TestStats:
         diags = [json.loads(line) for line in captured.err.splitlines()]
         assert [(d["code"], d["index"], d["message"]) for d in diags] == [("bad-record", 2, f"{base}:2: {message}")]
 
-
     def test_bad_line_leaves_the_other_lines_alone(self, tmp_path, capsys):
-        # Its string of tokens once made `a` and `b` tags in every line of the file.
+        # The bad line's tokens `a` and `b` must not read as tags in the good line.
         path = tmp_path / "built.jsonl"
         path.write_text(
             '{"v":1,"utt_id":"u1","method":{"name":"inter_time"},'
@@ -421,8 +420,8 @@ class TestStats:
         assert capsys.readouterr().err == "error: base corpus has zero tag tokens; reduction is undefined\n"
 
     def test_memory_is_bounded_by_one_record(self, tmp_path, capsys):
-        # Reading a whole build into SerializedSequences, as stats once did
-        # for both of its inputs, takes at least 5 times stats' peak.
+        # stats holds one record at a time; reading the whole build into
+        # SerializedSequences takes at least 5 times its peak.
         cfg = SynthConfig(
             seed=3,
             num_utterances=3000,
