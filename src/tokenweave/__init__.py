@@ -40,7 +40,6 @@ from .model import (
     validate_utterance,
 )
 from .serialize import (
-    GammaConfig,
     assign_group,
     inter_gamma,
     inter_time,
@@ -69,7 +68,6 @@ __all__ = [
     "Diagnostic",
     "check_sequence",
     "validate_utterance",
-    "GammaConfig",
     "assign_group",
     "inter_time",
     "inter_gamma",

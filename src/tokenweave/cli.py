@@ -19,7 +19,6 @@ from .demux import demux_full
 from .metrics import _switch_reduction, count_switches, evaluate_corpus, format_table, laal
 from .model import (
     Diagnostic,
-    GroupingConfig,
     Modality,
     SerializationMethod,
     Tag,
@@ -28,7 +27,7 @@ from .model import (
     Utterance,
     validate_utterance,
 )
-from .serialize import GammaConfig, serialize_utterance
+from .serialize import serialize_utterance
 from .simulate import (
     latency_study,
     method_label,
@@ -55,25 +54,9 @@ def _print(text: str) -> None:
 # build
 
 
-def _method_from_args(args: argparse.Namespace) -> SerializationMethod:
-    if args.method == "inter-time":
-        if args.gamma is not None:
-            raise ValueError("--gamma only applies to --method inter-gamma")
-        if args.group_ms is not None:
-            GroupingConfig(args.group_ms)
-        return SerializationMethod("inter_time", group_ms=args.group_ms)
-    # inter-gamma
-    if args.group_ms is not None:
-        raise ValueError("--group-ms only applies to --method inter-time")
-    if args.gamma is None:
-        raise ValueError("--method inter-gamma requires --gamma")
-    GammaConfig(args.gamma)
-    return SerializationMethod("inter_gamma", gamma=args.gamma)
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     tags = formats.read_tag_set(args.tags)
-    method = _method_from_args(args)
+    method = SerializationMethod(args.method.replace("-", "_"), gamma=args.gamma, group_ms=args.group_ms)
     corpus, diags = formats.read_corpus(args.input)
 
     work: list[Utterance] = []
@@ -270,8 +253,11 @@ def cmd_study(args: argparse.Namespace) -> int:
     methods = []
     for i, m in enumerate(_section(args.config, "methods", obj.get("methods", []), list)):
         m = _section(args.config, f"methods[{i}]", m, dict)
-        m = {**m, "name": str(m.get("name", "")).replace("-", "_")}
-        methods.append(SerializationMethod.from_json(m))
+        name = _section(args.config, f"methods[{i}].name", m.get("name"), str)
+        try:
+            methods.append(SerializationMethod.from_json({**m, "name": name.replace("-", "_")}))
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: methods[{i}]: {exc}") from exc
     if not methods:
         raise ValueError("study config lists no methods")
 

@@ -243,7 +243,7 @@ def utterance_from_json(obj: dict) -> Utterance:
 
 def _corpus_record(obj) -> Utterance:
     u = utterance_from_json(obj)
-    problems = validate_utterance(u, TagSet(tuple(ch.tag for ch in u.channels)))
+    problems = validate_utterance(u, [ch.tag for ch in u.channels])
     if problems:
         raise _Invalid(problems)
     return u
@@ -295,6 +295,7 @@ def serialized_from_json(obj: dict, tags: TagSet | None) -> SerializedSequence:
     utt_id = _expect_json(obj["utt_id"], "utt_id", str)
     method = _expect_json(obj["method"], "method", dict)
     _expect_json(method["name"], "method name", str)
+    method = SerializationMethod.from_json(method)
     # One lookup per token: a declared surface becomes its Tag, anything else
     # stays as it is and must pass the word check.
     by_surface = {} if tags is None else tags._by_surface
@@ -304,7 +305,7 @@ def serialized_from_json(obj: dict, tags: TagSet | None) -> SerializedSequence:
         items = tuple([by_surface.get(text, text) if isinstance(text, str) else text for text in raw_tokens])
     # An origin time at a tag position is dropped.
     origins = tuple([None if isinstance(x, Tag) else t for x, t in zip(items, origin_times)])
-    return SerializedSequence._from_columns(utt_id, items, origins, SerializationMethod.from_json(method))
+    return SerializedSequence._from_columns(utt_id, items, origins, method)
 
 
 def read_serialized(path: str, tags: TagSet) -> tuple[list[SerializedSequence], list[Diagnostic]]:
@@ -394,21 +395,9 @@ def trace_from_json(obj: dict) -> EmissionTrace:
     )
 
 
-def _trace_record(obj) -> EmissionTrace:
-    tr = trace_from_json(obj)
-    if not tr.entries:
-        raise ValueError(f"empty trace for {tr.utt_id!r}/{tr.tag!r}")
-    if tr.source_duration_ms < 1:
-        raise ValueError(f"source_duration_ms must be >= 1, got {tr.source_duration_ms}")
-    # Delays are non-decreasing, so the first and last bound them all.
-    if max(tr.source_duration_ms, -tr.entries[0][1], tr.entries[-1][1]) > sys.float_info.max:
-        raise ValueError(f"times beyond {sys.float_info.max:g} ms cannot be scored")
-    return tr
-
-
 def read_traces(path: str) -> tuple[list[EmissionTrace], list[Diagnostic]]:
     """Parse JSONL traces.  A trace LAAL cannot score is a bad line, not a fatal error."""
-    return _read_jsonl(path, _trace_record)
+    return _read_jsonl(path, trace_from_json)
 
 
 def write_traces(traces: Iterable[EmissionTrace], path: str) -> None:

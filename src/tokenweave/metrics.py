@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import string
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -51,10 +52,14 @@ class EmissionTrace:
     Attributes:
         utt_id: Utterance identifier.
         tag: Channel tag surface the delays belong to.
-        entries: Ordered ``(token_ordinal, delay_ms)`` pairs; delays are
-            measured from utterance start and must be non-decreasing.
-        source_duration_ms: Length of the source audio.
-        ref_len: Reference length of the channel (word count).
+        entries: Ordered ``(token_ordinal, delay_ms)`` pairs, at least one;
+            delays are measured from utterance start and must be
+            non-decreasing.
+        source_duration_ms: Length of the source audio, at least 1 ms.
+        ref_len: Reference length of the channel (word count), non-negative.
+
+    Every trace can be scored by :func:`laal`: construction also rejects
+    times beyond the float range.
     """
 
     utt_id: str
@@ -73,6 +78,13 @@ class EmissionTrace:
             if prev is not None and d < prev:
                 raise ValueError(f"delays must be non-decreasing, got {d} after {prev}")
             prev = d
+        if not entries:
+            raise ValueError(f"empty trace for {self.utt_id!r}/{self.tag!r}")
+        if self.source_duration_ms < 1:
+            raise ValueError(f"source_duration_ms must be >= 1, got {self.source_duration_ms}")
+        # Delays are non-decreasing, so the first and last bound them all.
+        if max(self.source_duration_ms, -entries[0][1], entries[-1][1]) > sys.float_info.max:
+            raise ValueError(f"times beyond {sys.float_info.max:g} ms cannot be scored")
 
     @property
     def hyp_len(self) -> int:
@@ -179,12 +191,7 @@ def laal(trace: EmissionTrace) -> float:
     the last token if none does).
     """
     h = trace.hyp_len
-    if h < 1:
-        raise ValueError(f"empty trace for {trace.utt_id!r}/{trace.tag!r}")
     t_src = trace.source_duration_ms
-    if t_src < 1:
-        raise ValueError(f"source_duration_ms must be >= 1, got {t_src}")
-
     d_star = t_src / max(trace.ref_len, h)
     delays = trace.delays
     tau = h

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterable
 
 __all__ = [
     "Modality",
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 # Bucket for words the demultiplexer cannot route to a declared tag.
-# Reserved: TagSet construction rejects this surface.
+# Reserved: Tag construction rejects this surface.
 UNKNOWN_CHANNEL = "<unknown>"
 
 
@@ -53,6 +54,11 @@ def _check_token_text(value: str, what: str) -> None:
         raise ValueError(f"{what} must be a non-empty string, got {value!r}")
     if value.split() != [value]:
         raise ValueError(f"{what} must not contain whitespace: {value!r}")
+
+
+def _check_positive_int(value, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +84,8 @@ class Tag:
     """A channel marker token.
 
     Attributes:
-        surface: Literal token string, e.g. ``"#ASR#"`` or ``"#ES#"``.
+        surface: Literal token string, e.g. ``"#ASR#"`` or ``"#ES#"``;
+            never the reserved :data:`UNKNOWN_CHANNEL`.
         modality: Transcription or translation.
         language: BCP-47-style language code.
     """
@@ -89,6 +96,8 @@ class Tag:
 
     def __post_init__(self) -> None:
         _check_token_text(self.surface, "tag surface")
+        if self.surface == UNKNOWN_CHANNEL:
+            raise ValueError(f"tag surface {UNKNOWN_CHANNEL!r} is reserved")
         if not isinstance(self.modality, Modality):
             raise ValueError(f"modality must be a Modality, got {self.modality!r}")
         if not isinstance(self.language, str) or not self.language:
@@ -116,8 +125,6 @@ class TagSet:
         surfaces = [t.surface for t in tags]
         if len(set(surfaces)) != len(surfaces):
             raise ValueError(f"duplicate tag surfaces: {surfaces}")
-        if UNKNOWN_CHANNEL in surfaces:
-            raise ValueError(f"tag surface {UNKNOWN_CHANNEL!r} is reserved")
         object.__setattr__(self, "_by_surface", {t.surface: t for t in tags})
 
     def __iter__(self):
@@ -208,8 +215,7 @@ class Utterance:
     channels: tuple[Channel, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.duration_ms, int) or isinstance(self.duration_ms, bool) or self.duration_ms < 1:
-            raise ValueError(f"duration_ms must be a positive integer, got {self.duration_ms!r}")
+        _check_positive_int(self.duration_ms, "duration_ms")
         object.__setattr__(self, "channels", tuple(self.channels))
 
     def channel(self, surface: str) -> Channel | None:
@@ -247,11 +253,41 @@ SerializedToken = TagToken | WordToken
 
 @dataclass(frozen=True, slots=True)
 class SerializationMethod:
-    """Provenance of a serialized sequence: which policy built it."""
+    """Provenance of a serialized sequence: which policy built it.
+
+    Attributes:
+        name: ``"inter_time"`` (timestamp order) or ``"inter_gamma"``
+            (count ratio).
+        gamma: For ``inter_gamma`` only, and required there: a number in
+            [0, 1].  0 emits the whole transcription first, 1 the whole
+            translation first, 0.5 alternates one word at a time; in general
+            the two streams mix at an asymptotic ratio of (1 - gamma) : gamma.
+        group_ms: For ``inter_time`` only: the grouping window, a positive
+            integer, or None for no grouping.
+
+    Values are stored as given, so a record writes back what it read.
+    """
 
     name: str
     gamma: float | None = None
     group_ms: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.name == "inter_time":
+            if self.gamma is not None:
+                raise ValueError(f"inter_time takes no gamma, got {self.gamma!r}")
+            if self.group_ms is not None:
+                _check_positive_int(self.group_ms, "group_ms")
+        elif self.name == "inter_gamma":
+            if self.group_ms is not None:
+                raise ValueError(f"inter_gamma takes no group_ms, got {self.group_ms!r}")
+            if self.gamma is None:
+                raise ValueError("inter_gamma requires a gamma value")
+            gamma = self.gamma
+            if not isinstance(gamma, (int, float)) or isinstance(gamma, bool) or not 0 <= gamma <= 1:
+                raise ValueError(f"gamma must be a number within [0, 1], got {gamma!r}")
+        else:
+            raise ValueError(f"unknown serialization method {self.name!r}")
 
     def to_json(self) -> dict:
         out: dict = {"name": self.name}
@@ -402,8 +438,7 @@ class GroupingConfig:
 
     def __post_init__(self) -> None:
         if self.step_ms is not None:
-            if not isinstance(self.step_ms, int) or isinstance(self.step_ms, bool) or self.step_ms < 1:
-                raise ValueError(f"step_ms must be a positive integer, got {self.step_ms!r}")
+            _check_positive_int(self.step_ms, "step_ms")
 
 
 @dataclass(frozen=True, slots=True)
@@ -435,20 +470,21 @@ class Diagnostic:
         return out
 
 
-def validate_utterance(u: Utterance, tags: TagSet) -> list[Diagnostic]:
-    """Check the structural invariants of an utterance against a tag set.
+def validate_utterance(u: Utterance, tags: Iterable[Tag]) -> list[Diagnostic]:
+    """Check the structural invariants of an utterance against some tags.
 
-    Returns an empty list iff the utterance is fully valid: at least one
-    channel, pairwise-distinct channel tags all belonging to `tags`,
-    non-decreasing word times per channel, and no word colliding with a
-    reserved tag surface.
+    `tags` is a :class:`TagSet` or any other iterable of tags, such as the
+    utterance's own channel tags.  Returns an empty list iff the utterance
+    is fully valid: at least one channel, pairwise-distinct channel tags all
+    among `tags`, non-decreasing word times per channel, and no word
+    colliding with a tag surface.
     """
     diags: list[Diagnostic] = []
     if not u.channels:
         diags.append(Diagnostic("no-channels", "utterance has no channels", utt_id=u.utt_id))
 
     seen: dict[str, int] = {}
-    surfaces = set(tags.surfaces)
+    surfaces = {t.surface for t in tags}
     for ci, ch in enumerate(u.channels):
         s = ch.tag.surface
         if s in seen:

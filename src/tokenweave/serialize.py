@@ -17,7 +17,6 @@ input word exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 from .model import (
@@ -31,29 +30,12 @@ from .model import (
 )
 
 __all__ = [
-    "GammaConfig",
     "assign_group",
     "inter_time",
     "inter_gamma",
     "render_text",
     "serialize_utterance",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class GammaConfig:
-    """Ratio parameter for count-based interleaving, in [0, 1].
-
-    0 emits the whole transcription first, 1 the whole translation first,
-    0.5 alternates one word at a time; in general the two streams mix at an
-    asymptotic ratio of (1 - gamma) : gamma.
-    """
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= float(self.gamma) <= 1.0:
-            raise ValueError(f"gamma must be within [0, 1], got {self.gamma!r}")
 
 
 def assign_group(time: int, step_ms: int) -> int:
@@ -146,10 +128,10 @@ def inter_time(
 def inter_gamma(
     asr: Channel,
     st: Channel,
-    gamma: float | GammaConfig,
+    gamma: float,
     utt_id: str = "",
 ) -> SerializedSequence:
-    """Two-channel count-ratio interleaving.
+    """Two-channel count-ratio interleaving; `gamma` is a number in [0, 1].
 
     Maintains counts of words emitted so far on each stream; while both
     streams have words left, the next transcription word is emitted iff
@@ -161,14 +143,13 @@ def inter_gamma(
     remainder of the other follows.  Tags are inserted on channel switches
     exactly as in the timestamp policy.
     """
-    g = float(gamma.gamma if isinstance(gamma, GammaConfig) else GammaConfig(float(gamma)).gamma)
-
+    method = SerializationMethod("inter_gamma", gamma=gamma)
     keyed: list[tuple[int, int, int, int, str]] = []
     n, m = len(asr), len(st)
     i = j = 0
     while i < n or j < m:
         if i < n and j < m:
-            take_asr = (1.0 - g) * (1 + j) >= g * (1 + i)
+            take_asr = (1.0 - gamma) * (1 + j) >= gamma * (1 + i)
         else:
             take_asr = i < n
         if take_asr:
@@ -178,7 +159,7 @@ def inter_gamma(
             keyed.append((st.times[j], 0, j, 1, st.texts[j]))
             j += 1
 
-    return _emit(keyed, [asr.tag, st.tag], utt_id, SerializationMethod("inter_gamma", gamma=g))
+    return _emit(keyed, [asr.tag, st.tag], utt_id, method)
 
 
 def render_text(s: SerializedSequence) -> str:
@@ -193,23 +174,18 @@ def serialize_utterance(
 ) -> SerializedSequence:
     """Dispatch an utterance to the policy named by a method record.
 
-    For the count-ratio policy the utterance must have exactly two channels;
+    The record checked its own name and parameters when it was built.  For
+    the count-ratio policy the utterance must have exactly two channels;
     when their modalities differ, the transcription channel takes the
     transcription role regardless of declaration order.
     """
     if method.name == "inter_time":
-        grouping = GroupingConfig(step_ms=method.group_ms)
-        return inter_time(u, grouping=grouping, tags=tags)
-    if method.name == "inter_gamma":
-        if method.gamma is None:
-            raise ValueError("inter_gamma requires a gamma value")
-        if len(u.channels) != 2:
-            raise ValueError(
-                f"inter_gamma needs exactly two channels, utterance {u.utt_id!r} has {len(u.channels)}"
-            )
-        first, second = u.channels
-        if first.tag.modality != second.tag.modality and second.tag.modality.value == "asr":
-            first, second = second, first
-        seq = inter_gamma(first, second, method.gamma, utt_id=u.utt_id)
-        return seq
-    raise ValueError(f"unknown serialization method {method.name!r}")
+        return inter_time(u, grouping=GroupingConfig(step_ms=method.group_ms), tags=tags)
+    if len(u.channels) != 2:
+        raise ValueError(
+            f"inter_gamma needs exactly two channels, utterance {u.utt_id!r} has {len(u.channels)}"
+        )
+    first, second = u.channels
+    if first.tag.modality != second.tag.modality and second.tag.modality.value == "asr":
+        first, second = second, first
+    return inter_gamma(first, second, method.gamma, utt_id=u.utt_id)

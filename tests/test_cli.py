@@ -127,6 +127,25 @@ class TestBuild:
         assert capsys.readouterr().err == f"error: {tags}: invalid tag set: {message}\n"
 
     @pytest.mark.parametrize(
+        "channels, code, message",
+        [
+            pytest.param(lambda chs: chs + chs[:1], "duplicate-channel-tag", "tag '#ASR#' used by channels 0 and 3", id="duplicate"),
+            pytest.param(lambda chs: [], "no-channels", "utterance has no channels", id="none"),
+            pytest.param(lambda chs: [{**chs[0], "tag": "<unknown>"}, *chs[1:]], "bad-record", "tag surface '<unknown>' is reserved", id="reserved"),
+        ],
+    )
+    def test_corpus_channels_get_the_validator_codes(self, tmp_path, demo_files, capsys, channels, code, message):
+        corpus, tags = demo_files
+        record = json.loads(Path(corpus).read_text())
+        bad = {**record, "utt_id": "bad", "channels": channels(record["channels"])}
+        Path(corpus).write_text(json.dumps(bad) + "\n" + Path(corpus).read_text())
+        out = tmp_path / "b.jsonl"
+        assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(out)]) == 1
+        diags = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(d["code"], d["index"], d["message"]) for d in diags] == [(code, 1, f"{corpus}:1: {message}")]
+        assert [json.loads(line)["utt_id"] for line in out.read_text().splitlines()] == ["demo-001"]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["--method", "inter-time", "--gamma", "0.5"],
@@ -262,6 +281,10 @@ class TestDemuxAndEval:
             ({"origin_times": [None, -1]}, "origin_times[1] must be non-negative, got -1"),
             ({"method": {"name": [1]}}, "method name must be a JSON string, got list"),
             ({"method": 5}, "method must be a JSON object, got int"),
+            ({"method": {"name": "inter_time", "gamma": "x", "group_ms": [1]}}, "inter_time takes no gamma, got 'x'"),
+            ({"method": {"name": "inter_time", "group_ms": [1]}}, "group_ms must be a positive integer, got [1]"),
+            ({"method": {"name": "zigzag"}}, "unknown serialization method 'zigzag'"),
+            ({"method": {"name": "inter_gamma", "gamma": 0.5, "group_ms": 500}}, "inter_gamma takes no group_ms, got 500"),
         ],
     )
     def test_serialized_field_of_the_wrong_type_is_a_bad_record(self, tmp_path, demo_files, capsys, fields, message):
@@ -650,6 +673,7 @@ class TestStudy:
             ({"methods": [5]}, "methods[0] must be a JSON object, got int"),
             ({"methods": {"name": "inter_time"}}, "methods must be a JSON list, got dict"),
             ({"methods": 3}, "methods must be a JSON list, got int"),
+            ({"methods": [{"name": 5}]}, "methods[0].name must be a JSON string, got int"),
             ({"replay": []}, "replay must be a JSON object, got list"),
             ({"replay": 7}, "replay must be a JSON object, got int"),
         ],
@@ -710,6 +734,27 @@ class TestStudy:
         err = capsys.readouterr().err
         assert rc == 2
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            ({"name": "inter_gamma", "gamma": "0.5"}, "gamma must be a number within [0, 1], got '0.5'"),
+            ({"name": "inter_gamma", "gamma": True}, "gamma must be a number within [0, 1], got True"),
+            ({"name": "inter_time", "gamma": 0.5}, "inter_time takes no gamma, got 0.5"),
+            ({"name": "inter_gamma", "gamma": 0.5, "group_ms": 500}, "inter_gamma takes no group_ms, got 500"),
+            ({"name": "inter_time", "group_ms": True}, "group_ms must be a positive integer, got True"),
+        ],
+    )
+    def test_method_is_checked_before_any_work(self, tmp_path, capsys, method, message):
+        config = self._study_config(tmp_path)
+        blob = json.loads(Path(config).read_text())
+        blob["methods"].append(method)
+        Path(config).write_text(json.dumps(blob))
+        out = tmp_path / "report.json"
+        rc = main(["study", "--config", config, "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {config}: methods[3]: {message}\n")
+        assert not out.exists()
 
     def test_replay_overhead_of_the_wrong_type_is_fatal(self, tmp_path, capsys):
         config = self._study_config(tmp_path, replay={"mode": "auto", "overhead_ms": "5"})

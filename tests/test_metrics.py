@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -335,6 +336,22 @@ class TestLaal:
     def test_empty_trace_is_an_error(self):
         with pytest.raises(ValueError):
             laal(_trace([], 1000, 1))
+
+    @pytest.mark.parametrize(
+        "entries, duration, ref_len, message",
+        [
+            (((0, 5), (1, 4)), 0, -1, "ref_len must be >= 0, got -1"),
+            (((0, 5), (1, 4)), 0, 1, "delays must be non-decreasing, got 4 after 5"),
+            ((), 0, 1, "empty trace for 't'/'#ES#'"),
+            (((0, 1),), 0, 1, "source_duration_ms must be >= 1, got 0"),
+            (((0, 10**400),), 1, 1, f"times beyond {sys.float_info.max:g} ms cannot be scored"),
+        ],
+    )
+    def test_trace_is_checked_at_construction_in_order(self, entries, duration, ref_len, message):
+        # The first rule a trace breaks names the error; laal never sees it.
+        with pytest.raises(ValueError) as exc:
+            EmissionTrace("t", "#ES#", entries, source_duration_ms=duration, ref_len=ref_len)
+        assert str(exc.value) == message
 
     def test_trace_invariants(self):
         with pytest.raises(ValueError):

@@ -141,9 +141,8 @@ class TestTagSet:
             TagSet((ASR, dup))
 
     def test_rejects_reserved_surface(self):
-        bad = Tag(UNKNOWN_CHANNEL, Modality.TRANSCRIPTION, "en")
         with pytest.raises(ValueError, match="reserved"):
-            TagSet((bad,))
+            TagSet((Tag(UNKNOWN_CHANNEL, Modality.TRANSCRIPTION, "en"),))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -185,6 +184,13 @@ class TestValidateUtterance:
         ch = Channel(ASR, (TimedWord(1, "a"),))
         diags = validate_utterance(Utterance("u", 10, (ch, ch)), demo_tags)
         assert "duplicate-channel-tag" in [d.code for d in diags]
+
+    def test_tags_may_be_any_iterable_of_tags(self):
+        # The corpus reader checks a record against its own channel tags.
+        ch = Channel(ASR, (TimedWord(1, "a"), TimedWord(2, "#ES#")))
+        u = Utterance("u", 10, (ch, ch))
+        assert [d.code for d in validate_utterance(u, [ASR, ES])] == ["word-is-tag", "duplicate-channel-tag", "word-is-tag"]
+        assert [d.code for d in validate_utterance(u, (ch.tag for ch in u.channels))] == ["duplicate-channel-tag"]
 
     def test_unknown_channel_tag(self, demo_tags):
         other = Tag("#XX#", Modality.TRANSLATION, "xx")
@@ -270,10 +276,37 @@ class TestSerializationMethod:
             SerializationMethod("inter_time"),
             SerializationMethod("inter_time", group_ms=500),
             SerializationMethod("inter_gamma", gamma=0.25),
+            SerializationMethod("inter_gamma", gamma=1),
         ],
     )
     def test_json_round_trip(self, method):
         assert SerializationMethod.from_json(method.to_json()) == method
+
+    def test_values_are_stored_as_given(self):
+        assert SerializationMethod("inter_gamma", gamma=1).to_json() == {"name": "inter_gamma", "gamma": 1}
+        assert type(SerializationMethod("inter_gamma", gamma=1).gamma) is int
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"name": "zigzag"}, "unknown serialization method 'zigzag'"),
+            ({"name": "inter-time"}, "unknown serialization method 'inter-time'"),
+            ({"name": "inter_time", "gamma": 0.5}, "inter_time takes no gamma, got 0.5"),
+            ({"name": "inter_time", "group_ms": 0}, "group_ms must be a positive integer, got 0"),
+            ({"name": "inter_time", "group_ms": True}, "group_ms must be a positive integer, got True"),
+            ({"name": "inter_time", "group_ms": 1.5}, "group_ms must be a positive integer, got 1.5"),
+            ({"name": "inter_gamma"}, "inter_gamma requires a gamma value"),
+            ({"name": "inter_gamma", "gamma": 0.5, "group_ms": 500}, "inter_gamma takes no group_ms, got 500"),
+            ({"name": "inter_gamma", "gamma": "0.5"}, "gamma must be a number within [0, 1], got '0.5'"),
+            ({"name": "inter_gamma", "gamma": True}, "gamma must be a number within [0, 1], got True"),
+            ({"name": "inter_gamma", "gamma": -0.1}, "gamma must be a number within [0, 1], got -0.1"),
+            ({"name": "inter_gamma", "gamma": 2}, "gamma must be a number within [0, 1], got 2"),
+        ],
+    )
+    def test_rejects_bad_parameters(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            SerializationMethod(**kwargs)
+        assert str(exc.value) == message
 
     def test_grouping_config_validation(self):
         assert GroupingConfig(None).step_ms is None

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tokenweave import (
     Channel,
-    GammaConfig,
     GroupingConfig,
     ReplayPolicy,
     SerializationMethod,
@@ -423,11 +422,11 @@ class TestInterGamma:
 
     def test_gamma_domain(self):
         a, b = _two_channels(["a1"], ["s1"])
-        for bad in (-0.1, 1.0001, 2):
+        for bad in (-0.1, 1.0001, 2, "0.5", True, None, float("nan")):
             with pytest.raises(ValueError):
                 inter_gamma(a, b, bad, "u")
         with pytest.raises(ValueError):
-            GammaConfig(1.5)
+            SerializationMethod("inter_gamma", gamma=1.5)
 
     def test_method_provenance(self):
         a, b = _two_channels(["a1"], ["s1"])
