@@ -10,7 +10,9 @@ JSON object per line; primary results go to the requested output path, with
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import closing
 from itertools import compress, repeat
 from operator import is_, itemgetter
 
@@ -24,11 +26,11 @@ from .model import (
     Tag,
     TagSet,
     UNKNOWN_CHANNEL,
-    Utterance,
     validate_utterance,
 )
 from .serialize import serialize_utterance
 from .simulate import (
+    _synth_utterances,
     latency_study,
     method_label,
     replay_policy_from_json,
@@ -54,29 +56,39 @@ def _print(text: str) -> None:
 # build
 
 
+def _refuse_input_as_output(output: str, *inputs: str) -> None:
+    """A ValueError if `output` is the same file as an input: it would be truncated before it is read."""
+    if output == "-" or not os.path.exists(output):
+        return
+    for path in inputs:
+        if path != "-" and os.path.exists(path) and os.path.samefile(path, output):
+            raise ValueError(f"{output}: is also the input {path}; write to another file")
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     tags = formats.read_tag_set(args.tags)
     method = SerializationMethod(args.method.replace("-", "_"), gamma=args.gamma, group_ms=args.group_ms)
-    corpus, diags = formats.read_corpus(args.input)
+    _refuse_input_as_output(args.output, args.input)
+    # Reader, validation and serialize diagnostics are reported in that order.
+    read_diags: list[Diagnostic] = []
+    invalid: list[Diagnostic] = []
+    unserializable: list[Diagnostic] = []
 
-    work: list[Utterance] = []
-    for u in corpus:
-        problems = validate_utterance(u, tags)
-        if problems:
-            diags.extend(problems)
-        else:
-            work.append(u)
+    def lines():
+        for u in formats._read_jsonl(args.input, formats._corpus_record, read_diags, formats._utt_id):
+            problems = validate_utterance(u, tags)
+            if problems:
+                invalid.extend(problems)
+                continue
+            try:
+                seq = serialize_utterance(u, method, tags)
+            except ValueError as exc:
+                unserializable.append(Diagnostic("serialize-error", str(exc), utt_id=u.utt_id))
+                continue
+            yield formats._dumps(formats.serialized_to_json(seq))
 
-    # Every validation diagnostic is reported before any serialize error.
-    lines = []
-    for u in work:
-        try:
-            seq = serialize_utterance(u, method, tags)
-        except ValueError as exc:
-            diags.append(Diagnostic("serialize-error", str(exc), utt_id=u.utt_id))
-            continue
-        lines.append(formats._dumps(formats.serialized_to_json(seq)))
-    formats._write_lines(args.output, lines)
+    formats._write_lines(args.output, lines())
+    diags = read_diags + invalid + unserializable
     _emit_diags(diags)
     return 1 if diags else 0
 
@@ -87,24 +99,26 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_demux(args: argparse.Namespace) -> int:
     tags = formats.read_tag_set(args.tags)
-    diags: list[Diagnostic] = []
-    records: list[tuple[str, dict]] = []
+    _refuse_input_as_output(args.output, args.input)
+    # Reader diagnostics are reported before demux diagnostics.
+    read_diags: list[Diagnostic] = []
+    demux_diags: list[Diagnostic] = []
 
     if args.text:
-        for lineno, line in formats.read_text_lines(args.input):
-            if not line.strip():
-                continue
-            result = demux_full(line, tags, utt_id=f"line{lineno:06d}")
-            diags.extend(result.diagnostics)
-            records.append((f"line{lineno:06d}", result.words))
+        lines = formats._read_lines(args.input)
+        streams = ((f"line{n:06d}", line.rstrip("\n")) for n, line in lines if line.strip())
     else:
-        seqs, diags = formats.read_serialized(args.input, tags)
-        for s in seqs:
-            result = demux_full(s, tags)
-            diags.extend(result.diagnostics)
-            records.append((s.utt_id, result.words))
+        seqs = formats._read_jsonl(args.input, lambda obj: formats.serialized_from_json(obj, tags), read_diags, formats._utt_id)
+        streams = ((s.utt_id, s) for s in seqs)
 
-    formats.write_channels(records, args.output)
+    def records():
+        for utt_id, stream in streams:
+            result = demux_full(stream, tags, utt_id=utt_id)
+            demux_diags.extend(result.diagnostics)
+            yield utt_id, result.words
+
+    formats.write_channels(records(), args.output)
+    diags = read_diags + demux_diags
     _emit_diags(diags)
     return 1 if diags else 0
 
@@ -147,9 +161,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         seq = formats.serialized_from_json(obj, _own_tags(obj, known))
         return seq.utt_id, count_switches(seq)
 
-    base_counts, diags_b = formats._read_jsonl(args.base, parse, itemgetter(0))
-    variant_counts, diags_v = formats._read_jsonl(args.variant, parse, itemgetter(0))
-    diags = diags_b + diags_v
+    diags: list[Diagnostic] = []
+    base_counts = list(formats._read_jsonl(args.base, parse, diags, itemgetter(0)))
+    variant_counts = list(formats._read_jsonl(args.variant, parse, diags, itemgetter(0)))
     try:
         reduction = _switch_reduction(base_counts, variant_counts)
     except ValueError:
@@ -179,27 +193,32 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    refs, diags_r = formats.read_corpus(args.refs)
-    hyps, diags_h = formats.read_channels(args.hyps)
-    diags = diags_r + diags_h
-    report = evaluate_corpus(refs, hyps, normalize=args.normalize)
+    # The hypotheses are held; the references stream through one scoring pass.
+    diags_r: list[Diagnostic] = []
+    diags_h: list[Diagnostic] = []
+    hyps = dict(formats._read_jsonl(args.hyps, formats.channels_from_json, diags_h, itemgetter(0)))
+    with closing(formats._read_jsonl(args.refs, formats._corpus_record, diags_r, formats._utt_id)) as refs:
+        report = evaluate_corpus(refs, hyps, normalize=args.normalize)
     _print(report.to_table() if args.table else formats._dumps(report.to_json()))
+    diags = diags_r + diags_h
     _emit_diags(diags)
     return 1 if diags else 0
 
 
 def cmd_laal(args: argparse.Namespace) -> int:
-    traces, diags = formats.read_traces(args.traces)
+    diags: list[Diagnostic] = []
     by_tag: dict[str, list[float]] = {}
-    for tr in traces:
+    traces = 0
+    for tr in formats._read_jsonl(args.traces, formats.trace_from_json, diags):
         by_tag.setdefault(tr.tag, []).append(laal(tr))
+        traces += 1
     channels = [
         {"tag": tag, "mean_laal_ms": sum(vals) / len(vals), "traces": len(vals)}
         for tag, vals in sorted(by_tag.items())
     ]
     all_vals = [v for vals in by_tag.values() for v in vals]
     result = {
-        "traces": len(traces),
+        "traces": traces,
         "channels": channels,
         "overall_mean_laal_ms": sum(all_vals) / len(all_vals) if all_vals else 0.0,
     }
@@ -232,7 +251,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if "seed" not in obj:
         raise ValueError("no seed: provide --seed or a \"seed\" field in the config")
     config = synth_config_from_json(obj)
-    formats.write_corpus(synth_corpus(config), args.output)
+    formats.write_corpus(_synth_utterances(config), args.output)
     return 0
 
 

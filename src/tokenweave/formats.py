@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Iterator
 
@@ -88,8 +89,18 @@ def _read_lines(path: str) -> Iterator[tuple[int, str]]:
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line and a newline to `path`.
+
+    `lines` may be drawn from an input as they are written.  The first one
+    is drawn before `path` is opened, so an input that cannot be opened
+    leaves `path` untouched; a later fault leaves the lines written before it.
+    """
+    lines = iter(lines)
+    first = next(lines, None)
     fh, close = _open_write(path)
     try:
+        if first is not None:
+            lines = chain((first,), lines)
         for line in lines:
             fh.write(line)
             fh.write("\n")
@@ -152,18 +163,17 @@ class _Invalid(ValueError):
         self.problems = problems
 
 
-def _read_jsonl(path: str, parse, key=None) -> tuple[list, list[Diagnostic]]:
-    """The record loop of every JSONL reader: records in line order, and diagnostics.
+def _read_jsonl(path: str, parse, diags: list[Diagnostic], key=None) -> Iterator:
+    """The record loop of every JSONL reader: yield records in line order, append diagnostics to `diags`.
 
     Each non-blank line of `path` is decoded and goes through `parse`.  A
     line that does not decode (not JSON, or an escaped lone surrogate), or
     whose `parse` raises a ValueError, KeyError or TypeError, is a
     ``bad-record`` diagnostic; an :class:`_Invalid` carries its own
     diagnostics instead.  With `key`, a record whose key was already read is
-    a ``duplicate-utt-id`` diagnostic: the first one wins.
+    a ``duplicate-utt-id`` diagnostic: the first one wins.  Only the current
+    record and the set of keys seen are held.
     """
-    out: list = []
-    diags: list[Diagnostic] = []
     seen: set[str] = set()
     for lineno, line in _read_lines(path):
         if not line.strip():
@@ -197,8 +207,13 @@ def _read_jsonl(path: str, parse, key=None) -> tuple[list, list[Diagnostic]]:
                 )
                 continue
             seen.add(utt_id)
-        out.append(record)
-    return out, diags
+        yield record
+
+
+def _read_all(path: str, parse, key=None) -> tuple[list, list[Diagnostic]]:
+    """Every record of :func:`_read_jsonl` as a list, and its diagnostics."""
+    diags: list[Diagnostic] = []
+    return list(_read_jsonl(path, parse, diags, key)), diags
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +272,7 @@ def read_corpus(path: str) -> tuple[list[Utterance], list[Diagnostic]]:
     validated against its own declared tags (monotone times, no duplicate
     channel tags, no word equal to a tag surface).
     """
-    return _read_jsonl(path, _corpus_record, _utt_id)
+    return _read_all(path, _corpus_record, _utt_id)
 
 
 def write_corpus(corpus: Iterable[Utterance], path: str) -> None:
@@ -310,7 +325,7 @@ def serialized_from_json(obj: dict, tags: TagSet | None) -> SerializedSequence:
 
 def read_serialized(path: str, tags: TagSet) -> tuple[list[SerializedSequence], list[Diagnostic]]:
     """Parse JSONL serialized records, resolving tag surfaces via `tags`."""
-    return _read_jsonl(path, lambda obj: serialized_from_json(obj, tags), _utt_id)
+    return _read_all(path, lambda obj: serialized_from_json(obj, tags), _utt_id)
 
 
 def write_serialized(seqs: Iterable[SerializedSequence], path: str) -> None:
@@ -358,7 +373,7 @@ def channels_from_json(obj: dict) -> tuple[str, dict[str, tuple[str, ...]]]:
 
 def read_channels(path: str) -> tuple[dict[str, dict[str, tuple[str, ...]]], list[Diagnostic]]:
     """Parse demuxed channel records into {utt_id: {tag: words}}."""
-    records, diags = _read_jsonl(path, channels_from_json, itemgetter(0))
+    records, diags = _read_all(path, channels_from_json, itemgetter(0))
     return dict(records), diags
 
 
@@ -397,7 +412,7 @@ def trace_from_json(obj: dict) -> EmissionTrace:
 
 def read_traces(path: str) -> tuple[list[EmissionTrace], list[Diagnostic]]:
     """Parse JSONL traces.  A trace LAAL cannot score is a bad line, not a fatal error."""
-    return _read_jsonl(path, trace_from_json)
+    return _read_all(path, trace_from_json)
 
 
 def write_traces(traces: Iterable[EmissionTrace], path: str) -> None:

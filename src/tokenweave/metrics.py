@@ -17,6 +17,8 @@ import string
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
 from .kernels import edit_distance
 from .model import (
@@ -45,6 +47,13 @@ BLEU_MAX_ORDER = 4
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
+def _check_int(value, what: str) -> int:
+    """`value` if it is an int and not a bool, else a ValueError naming `what`; nothing is coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class EmissionTrace:
     """Per-token emission delays for one channel of one utterance.
@@ -58,8 +67,9 @@ class EmissionTrace:
         source_duration_ms: Length of the source audio, at least 1 ms.
         ref_len: Reference length of the channel (word count), non-negative.
 
-    Every trace can be scored by :func:`laal`: construction also rejects
-    times beyond the float range.
+    Ordinals, delays, `source_duration_ms` and `ref_len` must be ints (not
+    bools); nothing is coerced.  Every trace can be scored by :func:`laal`:
+    construction also rejects times beyond the float range.
     """
 
     utt_id: str
@@ -69,10 +79,15 @@ class EmissionTrace:
     ref_len: int
 
     def __post_init__(self) -> None:
-        entries = tuple((int(o), int(d)) for o, d in self.entries)
+        entries = tuple((o, d) for o, d in self.entries)
         object.__setattr__(self, "entries", entries)
-        if self.ref_len < 0:
+        if _check_int(self.ref_len, "ref_len") < 0:
             raise ValueError(f"ref_len must be >= 0, got {self.ref_len}")
+        # In bulk; on failure, entry by entry for the message.
+        if not set(map(type, chain.from_iterable(entries))) <= {int}:
+            for i, (o, d) in enumerate(entries):
+                _check_int(o, f"entries[{i}] ordinal")
+                _check_int(d, f"entries[{i}] delay")
         prev = None
         for _, d in entries:
             if prev is not None and d < prev:
@@ -80,7 +95,7 @@ class EmissionTrace:
             prev = d
         if not entries:
             raise ValueError(f"empty trace for {self.utt_id!r}/{self.tag!r}")
-        if self.source_duration_ms < 1:
+        if _check_int(self.source_duration_ms, "source_duration_ms") < 1:
             raise ValueError(f"source_duration_ms must be >= 1, got {self.source_duration_ms}")
         # Delays are non-decreasing, so the first and last bound them all.
         if max(self.source_duration_ms, -entries[0][1], entries[-1][1]) > sys.float_info.max:
@@ -323,7 +338,7 @@ def format_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def evaluate_corpus(
-    refs: list[Utterance],
+    refs: Iterable[Utterance],
     hyps: dict[str, dict[str, list[str]]],
     traces: list[EmissionTrace] | None = None,
     normalize: bool = False,
@@ -336,29 +351,24 @@ def evaluate_corpus(
     lagging.  Utterance ids must align exactly; mismatches raise with the
     offending id.
     """
-    ref_ids = [u.utt_id for u in refs]
+    # One pass over the references, so they may stream from a file.
+    tag_order: dict[str, Modality] = {}  # in order of first appearance
+    per_tag_dist: defaultdict[str, int] = defaultdict(int)
+    per_tag_ref_words: defaultdict[str, int] = defaultdict(int)
+    per_tag_bleu: defaultdict[str, Counter] = defaultdict(Counter)
+    per_tag_segments: defaultdict[str, int] = defaultdict(int)
+    seen: set[str] = set()
+    utterances = 0
+
     for u in refs:
         if u.utt_id not in hyps:
             raise ValueError(f"missing hypothesis for utterance {u.utt_id!r}")
-    extra = set(hyps) - set(ref_ids)
-    if extra:
-        raise ValueError(f"hypothesis for unknown utterance {sorted(extra)[0]!r}")
-
-    # Tag surfaces in first-appearance order across the reference corpus.
-    tag_order: dict[str, Modality] = {}
-    for u in refs:
-        for ch in u.channels:
-            tag_order.setdefault(ch.tag.surface, ch.tag.modality)
-
-    per_tag_dist: dict[str, int] = {s: 0 for s in tag_order}
-    per_tag_ref_words: dict[str, int] = {s: 0 for s in tag_order}
-    per_tag_bleu: defaultdict[str, Counter] = defaultdict(Counter)
-    per_tag_segments: dict[str, int] = {s: 0 for s in tag_order}
-
-    for u in refs:
         hyp_channels = hyps[u.utt_id]
+        seen.add(u.utt_id)
+        utterances += 1
         for ch in u.channels:
             s = ch.tag.surface
+            tag_order.setdefault(s, ch.tag.modality)
             ref_words = list(ch.texts)
             hyp_words = list(hyp_channels.get(s, []))
             if normalize:
@@ -370,6 +380,9 @@ def evaluate_corpus(
                 per_tag_dist[s] += edit_distance(ref_words, hyp_words)
             else:
                 per_tag_bleu[s] += _bleu_stats(ref_words, hyp_words)
+    extra = set(hyps) - seen
+    if extra:
+        raise ValueError(f"hypothesis for unknown utterance {sorted(extra)[0]!r}")
 
     laal_by_tag: dict[str, list[float]] = {}
     if traces:
@@ -408,5 +421,5 @@ def evaluate_corpus(
         overall_wer=total_dist / total_ref_words if total_ref_words else None,
         overall_bleu=_bleu_from_stats(sum(per_tag_bleu.values(), Counter())) if per_tag_bleu else None,
         mean_laal_ms=sum(all_laal) / len(all_laal) if all_laal else None,
-        utterances=len(refs),
+        utterances=utterances,
     )

@@ -317,7 +317,8 @@ class SerializedSequence:
     each word's origin time, always None at tag positions.  `tokens` builds
     :class:`TagToken`/:class:`WordToken` views of the columns on each read.
 
-    Invariants (enforced at construction): every word is a non-empty string
+    Invariants (enforced at construction): `method` is a
+    :class:`SerializationMethod`, every word is a non-empty string
     without whitespace, a non-empty sequence starts with a tag, tags only
     appear on channel switches (never twice in a row, never equal to the
     previous tag), and every word follows some tag.
@@ -355,6 +356,8 @@ class SerializedSequence:
         return seq
 
     def _fill(self, utt_id, items, origin_times, method) -> None:
+        if not isinstance(method, SerializationMethod):
+            raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
         # Word text first, in bulk: for strings the join/split round trip is
         # exact iff every word is non-empty and has no whitespace.  On
         # failure, the per-word check finds the first bad word and its message.

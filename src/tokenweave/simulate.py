@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .formats import _check_version, _expect_int_pair, _expect_json, _tags_from_json, _tags_to_json
 from .metrics import EmissionTrace, count_switches, laal
@@ -152,12 +153,16 @@ def synth_corpus(config: SynthConfig) -> list[Utterance]:
     lag, jittered within the reordering window, and re-sorted ascending so
     the channel stays a monotone emission trace.
     """
+    return list(_synth_utterances(config))
+
+
+def _synth_utterances(config: SynthConfig) -> Iterator[Utterance]:
+    """The utterances of :func:`synth_corpus`, drawn one at a time."""
     rng = random.Random(config.seed)
     anchor_tag = next(
         (t for t in config.channels if t.modality.value == "asr"), None
     )
 
-    corpus: list[Utterance] = []
     for idx in range(config.num_utterances):
         counts = {t.surface: rng.randint(*config.words_per_channel) for t in config.channels}
         times_by_tag: dict[str, list[int]] = {}
@@ -200,14 +205,11 @@ def synth_corpus(config: SynthConfig) -> list[Utterance]:
             (t for ts in times_by_tag.values() for t in ts), default=0
         )
         duration = max(1, span + config.word_rate_ms[1])
-        corpus.append(
-            Utterance(
-                utt_id=f"s{config.seed}-u{idx:05d}",
-                duration_ms=duration,
-                channels=tuple(channels),
-            )
+        yield Utterance(
+            utt_id=f"s{config.seed}-u{idx:05d}",
+            duration_ms=duration,
+            channels=tuple(channels),
         )
-    return corpus
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,8 +219,8 @@ class ReplayPolicy:
     mode "origin_time" charges each word its carried timestamp;
     "group_boundary" charges the grouping-window boundary instead (only
     valid for grouped sequences); "auto" picks the boundary when the
-    sequence was grouped and the origin time otherwise.  overhead_ms adds a
-    fixed cost per emitted token (tags included), default 0.
+    sequence was grouped and the origin time otherwise.  overhead_ms, an
+    int, adds a fixed cost per emitted token (tags included), default 0.
     """
 
     mode: str = "auto"
@@ -227,6 +229,8 @@ class ReplayPolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("origin_time", "group_boundary", "auto"):
             raise ValueError(f"unknown replay mode {self.mode!r}")
+        if not isinstance(self.overhead_ms, int) or isinstance(self.overhead_ms, bool):
+            raise ValueError(f"overhead_ms must be an integer, got {self.overhead_ms!r}")
         if self.overhead_ms < 0:
             raise ValueError(f"overhead_ms must be >= 0, got {self.overhead_ms}")
 

@@ -15,10 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenweave import (
+    Channel,
     GroupingConfig,
     ReplayPolicy,
     SynthConfig,
     TagSet,
+    TimedWord,
+    Utterance,
+    demux_full,
     inter_time,
     laal,
     replay,
@@ -29,6 +33,8 @@ from tokenweave.formats import (
     read_channels,
     read_corpus,
     read_serialized,
+    read_traces,
+    utterance_to_json,
     write_channels,
     write_corpus,
     write_serialized,
@@ -37,7 +43,7 @@ from tokenweave.formats import (
 )
 from tokenweave.serialize import render_text
 from tokenweave.simulate import synth_config_to_json
-from conftest import ASR, DE, DEMO_GROUPED_500, DEMO_UNGROUPED, ES
+from conftest import ASR, DE, DEMO_GROUPED_500, DEMO_UNGROUPED, ES, FR
 
 
 @pytest.fixture
@@ -66,6 +72,46 @@ def _synth_files(tmp_path, *, seed=5, n=20, channels=(ASR, ES, DE), words=(1, 8)
     write_corpus(synth_corpus(cfg), corpus)
     write_tag_set(TagSet(channels), tags)
     return corpus, tags
+
+
+def _peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of calling `fn`."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+BIG_CONFIG = SynthConfig(
+    seed=3,
+    num_utterances=3000,
+    words_per_channel=(0, 45),
+    word_rate_ms=(150, 450),
+    translation_lag_ms=(200, 1500),
+    reorder_window_ms=300,
+    channels=(ASR, ES, DE),
+    vocab_size=5000,
+)
+
+
+@pytest.fixture(scope="module")
+def big_files(tmp_path_factory):
+    """Every stage's input for a 3,000-utterance corpus, written by the library."""
+    d = tmp_path_factory.mktemp("big")
+    files = {name: str(d / f"{name}.jsonl") for name in ("corpus", "built", "hyps", "traces")}
+    files.update(tags=str(d / "tags.json"), config=str(d / "synth.json"))
+    tags = TagSet((ASR, ES, DE))
+    corpus = synth_corpus(BIG_CONFIG)
+    seqs = [inter_time(u, tags=tags) for u in corpus]
+    write_corpus(corpus, files["corpus"])
+    write_tag_set(tags, files["tags"])
+    write_serialized(seqs, files["built"])
+    write_channels([(s.utt_id, demux_full(s, tags).words) for s in seqs], files["hyps"])
+    write_traces([tr for s, u in zip(seqs, corpus) for tr in replay(s, ReplayPolicy(), u.duration_ms).values()], files["traces"])
+    Path(files["config"]).write_text(json.dumps(synth_config_to_json(BIG_CONFIG)))
+    return files
 
 
 class TestBuild:
@@ -442,34 +488,13 @@ class TestStats:
         assert main(["stats", "--base", str(path), "--variant", str(path)]) == 2
         assert capsys.readouterr().err == "error: base corpus has zero tag tokens; reduction is undefined\n"
 
-    def test_memory_is_bounded_by_one_record(self, tmp_path, capsys):
+    def test_memory_is_bounded_by_one_record(self, big_files, capsys):
         # stats holds one record at a time; reading the whole build into
         # SerializedSequences takes at least 5 times its peak.
-        cfg = SynthConfig(
-            seed=3,
-            num_utterances=3000,
-            words_per_channel=(0, 45),
-            word_rate_ms=(150, 450),
-            translation_lag_ms=(200, 1500),
-            reorder_window_ms=300,
-            channels=(ASR, ES, DE),
-            vocab_size=5000,
-        )
-        tags = TagSet((ASR, ES, DE))
-        path = str(tmp_path / "built.jsonl")
-        write_serialized([inter_time(u, tags=tags) for u in synth_corpus(cfg)], path)
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        stats_peak = peak(lambda: main(["stats", "--base", path, "--variant", path]))
+        path = big_files["built"]
+        stats_peak = _peak(lambda: main(["stats", "--base", path, "--variant", path]))
         assert json.loads(capsys.readouterr().out)["utterances"] == 3000
-        whole_file_peak = peak(lambda: read_serialized(path, tags))
+        whole_file_peak = _peak(lambda: read_serialized(path, TagSet((ASR, ES, DE))))
         assert stats_peak * 5 <= whole_file_peak
 
 
@@ -943,6 +968,109 @@ def test_escaped_lone_surrogate_is_a_bad_record(tmp_path, demo_files, capsys):
     diags = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [(d["code"], d["index"]) for d in diags] == [("bad-record", 2)]
     assert [json.loads(line)["utt_id"] for line in out.read_text().splitlines()] == ["demo-001"]
+
+
+class TestStreaming:
+    """build, demux, synth and laal hold one record; eval holds the hypotheses and one reference."""
+
+    @pytest.mark.parametrize("command", ["build", "demux", "synth", "laal"])
+    def test_memory_is_bounded_by_one_record(self, tmp_path, big_files, capsys, command):
+        f, out = big_files, str(tmp_path / "out.jsonl")
+        argv, read_whole = {
+            "build": (
+                ["build", "--method", "inter-time", "--tags", f["tags"], "--input", f["corpus"], "--output", out],
+                lambda: read_corpus(f["corpus"]),
+            ),
+            "demux": (
+                ["demux", "--tags", f["tags"], "--input", f["built"], "--output", out],
+                lambda: read_serialized(f["built"], TagSet((ASR, ES, DE))),
+            ),
+            "synth": (["synth", "--config", f["config"], "--output", out], lambda: synth_corpus(BIG_CONFIG)),
+            "laal": (["laal", "--traces", f["traces"]], lambda: read_traces(f["traces"])),
+        }[command]
+        stage_peak = _peak(lambda: main(argv))
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "laal":
+            assert json.loads(captured.out)["traces"] == Path(f["traces"]).read_text().count("\n")
+        else:
+            assert Path(out).read_text().count("\n") == 3000
+        assert stage_peak * 5 <= _peak(read_whole)
+
+    def test_eval_holds_less_than_both_inputs(self, big_files, capsys):
+        f = big_files
+        eval_peak = _peak(lambda: main(["eval", "--refs", f["corpus"], "--hyps", f["hyps"]]))
+        captured = capsys.readouterr()
+        assert (json.loads(captured.out)["utterances"], captured.err) == (3000, "")
+        assert eval_peak < _peak(lambda: (read_corpus(f["corpus"]), read_channels(f["hyps"])))
+
+    def test_build_diagnostics_keep_reader_validation_serialize_order(self, tmp_path, capsys, monkeypatch):
+        # Line 2 has an undeclared channel tag, line 3 is not JSON and line 4
+        # has three channels, which inter_gamma cannot serialize.
+        def utt(utt_id, *tags):
+            return Utterance(utt_id, 1000, tuple(Channel(t, (TimedWord(100 * (i + 1), f"w{i}"),)) for i, t in enumerate(tags)))
+
+        monkeypatch.chdir(tmp_path)
+        records = [utt("u1", ASR, ES), utt("u2", ASR, FR), None, utt("u4", ASR, ES, DE), utt("u5", ASR, DE)]
+        lines = ["{broken" if u is None else json.dumps(utterance_to_json(u)) for u in records]
+        Path("corpus.jsonl").write_text("\n".join(lines) + "\n")
+        write_tag_set(TagSet((ASR, ES, DE)), "tags.json")
+        argv = ["build", "--method", "inter-gamma", "--gamma", "0.5", "--tags", "tags.json", "--input", "corpus.jsonl", "--output", "out.jsonl"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            '{"code":"bad-record","message":"corpus.jsonl:3: Expecting property name enclosed in double quotes: '
+            'line 1 column 2 (char 1)","index":3}\n'
+            '{"code":"unknown-channel-tag","message":"tag \'#FR#\' is not in the tag set","utt_id":"u2","tag":"#FR#","index":1}\n'
+            '{"code":"serialize-error","message":"inter_gamma needs exactly two channels, utterance \'u4\' has 3","utt_id":"u4"}\n'
+        )
+        assert [json.loads(line)["utt_id"] for line in Path("out.jsonl").read_text().splitlines()] == ["u1", "u5"]
+
+    def test_invalid_utf8_mid_stream_keeps_the_records_before_it(self, tmp_path, big_files, capsys):
+        # The fault sits far past the decoder's first read, so some records
+        # are written before it; each is whole and in order.
+        f = big_files
+        clean, out = str(tmp_path / "clean.jsonl"), tmp_path / "out.jsonl"
+        argv = ["build", "--method", "inter-time", "--tags", f["tags"], "--output"]
+        assert main([*argv, clean, "--input", f["corpus"]]) == 0
+        lines = Path(f["corpus"]).read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(lines[:1000]) + b"\xff\xfe\n" + b"".join(lines[1000:]))
+        assert main([*argv, str(out), "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid UTF-8: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        written = out.read_text().splitlines()
+        assert 0 < len(written) < 1000
+        assert written == Path(clean).read_text().splitlines()[: len(written)]
+
+    def test_missing_input_leaves_the_output_untouched(self, tmp_path, demo_files, capsys):
+        _, tags = demo_files
+        out = tmp_path / "out.jsonl"
+        out.write_text("kept\n")
+        for argv in (
+            ["build", "--method", "inter-time", "--tags", tags],
+            ["demux", "--tags", tags],
+        ):
+            assert main([*argv, "--input", str(tmp_path / "missing.jsonl"), "--output", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+            assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["build", "demux"])
+    def test_output_that_is_the_input_is_refused(self, tmp_path, demo_files, capsys, monkeypatch, command):
+        corpus, tags = demo_files
+        path = tmp_path / "data.jsonl"
+        if command == "build":
+            path.write_bytes(Path(corpus).read_bytes())
+            argv = ["build", "--method", "inter-time", "--tags", tags]
+        else:
+            assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(path)]) == 0
+            argv = ["demux", "--tags", tags]
+        before = path.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        # The same file under another name is refused as well.
+        assert main([*argv, "--input", str(path), "--output", "./data.jsonl"]) == 2
+        assert capsys.readouterr().err == f"error: ./data.jsonl: is also the input {path}; write to another file\n"
+        assert path.read_bytes() == before
 
 
 class TestEntryPoints:

@@ -353,6 +353,31 @@ class TestLaal:
             EmissionTrace("t", "#ES#", entries, source_duration_ms=duration, ref_len=ref_len)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "entries, duration, ref_len, message",
+        [
+            (((0, 1.9), (1.5, 2.7)), 10, 2, "entries[0] delay must be an integer, got 1.9"),
+            (((0, 1), (1.5, 2)), 10, 2, "entries[1] ordinal must be an integer, got 1.5"),
+            (((0, 1), (1, True)), 10, 2, "entries[1] delay must be an integer, got True"),
+            (((False, 1),), 10, 1, "entries[0] ordinal must be an integer, got False"),
+            (((0, "1"),), 10, 1, "entries[0] delay must be an integer, got '1'"),
+            (((0, 1),), 10.5, 1, "source_duration_ms must be an integer, got 10.5"),
+            (((0, 1),), True, 1, "source_duration_ms must be an integer, got True"),
+            (((0, 1),), 10, 1.0, "ref_len must be an integer, got 1.0"),
+            (((0, 1),), 10, None, "ref_len must be an integer, got None"),
+        ],
+    )
+    def test_numbers_must_be_ints_and_are_never_coerced(self, entries, duration, ref_len, message):
+        # int() once truncated these: ((0, 1.9), (1.5, 2.7)) over 10.5 ms scored -1.125.
+        with pytest.raises(ValueError) as exc:
+            EmissionTrace("u", "#ES#", entries, source_duration_ms=duration, ref_len=ref_len)
+        assert str(exc.value) == message
+
+    def test_entries_are_kept_as_given(self):
+        tr = EmissionTrace("u", "#ES#", [[0, 5], [2, 10**20]], source_duration_ms=7, ref_len=0)
+        assert tr.entries == ((0, 5), (2, 10**20))
+        assert tr.delays == (5, 10**20)
+
     def test_trace_invariants(self):
         with pytest.raises(ValueError):
             _trace([500, 400], 1000, 2)  # decreasing delays

@@ -218,6 +218,14 @@ class TestSerializedSequence:
         assert len(s) == 0
         assert s.word_tokens == ()
 
+    @pytest.mark.parametrize("method", [{"name": "zigzag"}, {"name": "inter_time"}, "inter_time", None])
+    def test_method_that_is_not_a_method_record_is_rejected(self, method):
+        # Caught when the sequence is built, not when it is written.
+        with pytest.raises(ValueError, match=f"^method must be a SerializationMethod, got {type(method).__name__}$"):
+            SerializedSequence("u", (), method)
+        with pytest.raises(ValueError, match="method must be a SerializationMethod"):
+            SerializedSequence._from_columns("u", (ASR, "a"), (None, 1), method)
+
     def test_word_before_tag_rejected(self):
         with pytest.raises(ValueError, match="precedes any tag"):
             SerializedSequence("u", (WordToken("hi"),), SerializationMethod("inter_time"))

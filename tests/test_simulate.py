@@ -177,11 +177,27 @@ class TestReplay:
         assert traces["#ASR#"].ref_len == 3
         assert traces["#ASR#"].hyp_len == 3
 
+    @pytest.mark.parametrize("group_ms", [None, 250])
+    @pytest.mark.parametrize("duration", [None, "utterance"])
+    def test_traces_carry_only_ints(self, group_ms, duration):
+        # EmissionTrace coerces nothing, so replay must hand it ints.
+        tags = TagSet((ASR, ES, DE))
+        for u in synth_corpus(_config()):
+            seq = inter_time(u, GroupingConfig(group_ms), tags)
+            source = u.duration_ms if duration else None
+            for tr in replay(seq, ReplayPolicy(overhead_ms=3), source).values():
+                numbers = [tr.source_duration_ms, tr.ref_len, *(x for entry in tr.entries for x in entry)]
+                assert {type(x) for x in numbers} == {int}
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             ReplayPolicy(mode="banana")
         with pytest.raises(ValueError):
             ReplayPolicy(overhead_ms=-1)
+        # Traces take ints only; a fractional overhead was truncated in them.
+        for overhead in (2.5, True, "5"):
+            with pytest.raises(ValueError, match=f"^overhead_ms must be an integer, got {overhead!r}$"):
+                ReplayPolicy(overhead_ms=overhead)
         assert replay_policy_from_json({}) == ReplayPolicy()
         assert replay_policy_from_json({"mode": "origin_time", "overhead_ms": 5}) == ReplayPolicy(
             "origin_time", 5
