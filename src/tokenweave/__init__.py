@@ -9,7 +9,7 @@ average lagging).  A seeded generator and an idealized replayer stand in
 for real streaming models in tests and latency studies.
 """
 
-from .demux import DemuxResult, DemuxState, demux_full, diff_channels, feed
+from .demux import DemuxResult, DemuxState, demux_full, feed
 from .metrics import (
     ChannelMetrics,
     EmissionTrace,
@@ -77,7 +77,6 @@ __all__ = [
     "DemuxResult",
     "feed",
     "demux_full",
-    "diff_channels",
     "EmissionTrace",
     "ChannelMetrics",
     "MetricReport",

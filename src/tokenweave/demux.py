@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .kernels import edit_distance
 from .model import (
     Diagnostic,
     SerializedSequence,
@@ -19,11 +18,10 @@ from .model import (
     TagSet,
     TagToken,
     UNKNOWN_CHANNEL,
-    Utterance,
     WordToken,
 )
 
-__all__ = ["DemuxState", "DemuxResult", "feed", "demux_full", "diff_channels"]
+__all__ = ["DemuxState", "DemuxResult", "feed", "demux_full"]
 
 
 @dataclass(slots=True)
@@ -190,22 +188,3 @@ def _demux_sequence(seq: SerializedSequence, tags: TagSet, utt_id: str) -> Demux
             bucket = words.setdefault(UNKNOWN_CHANNEL, [])
         bucket += items[start + 1 : end]
     return DemuxResult(words=words, diagnostics=diagnostics)
-
-
-def diff_channels(expected: Utterance, actual: dict[str, list[str]]) -> dict[str, int]:
-    """Word edit distance per channel between an utterance and demuxed output.
-
-    Channels present on only one side are charged their full length, so stray
-    words (including the unknown bucket) and dropped channels always show up.
-    """
-    out: dict[str, int] = {}
-    seen = set()
-    for ch in expected.channels:
-        ref = list(ch.texts)
-        hyp = actual.get(ch.tag.surface, [])
-        out[ch.tag.surface] = edit_distance(ref, hyp)
-        seen.add(ch.tag.surface)
-    for surface, words in actual.items():
-        if surface not in seen and words:
-            out[surface] = len(words)
-    return out

@@ -30,7 +30,6 @@ from .model import (
     Utterance,
     validate_utterance,
 )
-from .serialize import render_text
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -45,8 +44,6 @@ __all__ = [
     "read_tag_set",
     "read_json",
     "write_tag_set",
-    "write_serialized_text",
-    "read_text_lines",
     "utterance_to_json",
     "utterance_from_json",
     "serialized_to_json",
@@ -330,16 +327,6 @@ def read_serialized(path: str, tags: TagSet) -> tuple[list[SerializedSequence], 
 
 def write_serialized(seqs: Iterable[SerializedSequence], path: str) -> None:
     _write_lines(path, (_dumps(serialized_to_json(s)) for s in seqs))
-
-
-def write_serialized_text(seqs: Iterable[SerializedSequence], path: str) -> None:
-    """Plain-text export: one rendered line per sequence, timestamps dropped."""
-    _write_lines(path, (render_text(s) for s in seqs))
-
-
-def read_text_lines(path: str) -> list[tuple[int, str]]:
-    """Read raw lines (1-based numbering), stripped of the trailing newline."""
-    return [(lineno, line.rstrip("\n")) for lineno, line in _read_lines(path)]
 
 
 # ---------------------------------------------------------------------------

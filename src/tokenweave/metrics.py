@@ -256,7 +256,6 @@ class ChannelMetrics:
     modality: Modality
     wer: float | None = None
     bleu: float | None = None
-    mean_laal_ms: float | None = None
     ref_words: int = 0
     segments: int = 0
 
@@ -266,8 +265,6 @@ class ChannelMetrics:
             out["wer"] = self.wer
         if self.bleu is not None:
             out["bleu"] = self.bleu
-        if self.mean_laal_ms is not None:
-            out["mean_laal_ms"] = self.mean_laal_ms
         out["ref_words"] = self.ref_words
         out["segments"] = self.segments
         return out
@@ -280,7 +277,6 @@ class MetricReport:
     channels: tuple[ChannelMetrics, ...]
     overall_wer: float | None = None
     overall_bleu: float | None = None
-    mean_laal_ms: float | None = None
     utterances: int = 0
 
     def to_json(self) -> dict:
@@ -292,8 +288,6 @@ class MetricReport:
             out["overall_wer"] = self.overall_wer
         if self.overall_bleu is not None:
             out["overall_bleu"] = self.overall_bleu
-        if self.mean_laal_ms is not None:
-            out["mean_laal_ms"] = self.mean_laal_ms
         return out
 
     def to_table(self) -> str:
@@ -305,7 +299,6 @@ class MetricReport:
                     c.modality.value,
                     "" if c.wer is None else f"{c.wer:.4f}",
                     "" if c.bleu is None else f"{c.bleu:.2f}",
-                    "" if c.mean_laal_ms is None else f"{c.mean_laal_ms:.1f}",
                     str(c.segments),
                 ]
             )
@@ -314,12 +307,9 @@ class MetricReport:
             "",
             "" if self.overall_wer is None else f"{self.overall_wer:.4f}",
             "" if self.overall_bleu is None else f"{self.overall_bleu:.2f}",
-            "" if self.mean_laal_ms is None else f"{self.mean_laal_ms:.1f}",
             str(self.utterances),
         ]
-        return format_table(
-            ["tag", "modality", "WER", "BLEU", "LAAL(ms)", "n"], rows + [overall]
-        )
+        return format_table(["tag", "modality", "WER", "BLEU", "n"], rows + [overall])
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -340,16 +330,14 @@ def format_table(headers: list[str], rows: list[list[str]]) -> str:
 def evaluate_corpus(
     refs: Iterable[Utterance],
     hyps: dict[str, dict[str, list[str]]],
-    traces: list[EmissionTrace] | None = None,
     normalize: bool = False,
 ) -> MetricReport:
     """Score demultiplexed hypotheses against a reference corpus.
 
     `hyps` maps utterance id to per-tag word lists (the demultiplexer's
     output shape).  Transcription tags get pooled corpus WER, translation
-    tags corpus BLEU; when `traces` are supplied each tag also gets its mean
-    lagging.  Utterance ids must align exactly; mismatches raise with the
-    offending id.
+    tags corpus BLEU.  Utterance ids must align exactly; mismatches raise
+    with the offending id.
     """
     # One pass over the references, so they may stream from a file.
     tag_order: dict[str, Modality] = {}  # in order of first appearance
@@ -384,11 +372,6 @@ def evaluate_corpus(
     if extra:
         raise ValueError(f"hypothesis for unknown utterance {sorted(extra)[0]!r}")
 
-    laal_by_tag: dict[str, list[float]] = {}
-    if traces:
-        for tr in traces:
-            laal_by_tag.setdefault(tr.tag, []).append(laal(tr))
-
     channels = []
     total_dist = 0
     total_ref_words = 0
@@ -402,24 +385,20 @@ def evaluate_corpus(
             total_ref_words += per_tag_ref_words[s]
         else:
             tag_bleu = _bleu_from_stats(per_tag_bleu[s])
-        tag_laal = laal_by_tag.get(s)
         channels.append(
             ChannelMetrics(
                 tag=s,
                 modality=modality,
                 wer=tag_wer,
                 bleu=tag_bleu,
-                mean_laal_ms=sum(tag_laal) / len(tag_laal) if tag_laal else None,
                 ref_words=per_tag_ref_words[s],
                 segments=per_tag_segments[s],
             )
         )
 
-    all_laal = [v for vals in laal_by_tag.values() for v in vals]
     return MetricReport(
         channels=tuple(channels),
         overall_wer=total_dist / total_ref_words if total_ref_words else None,
         overall_bleu=_bleu_from_stats(sum(per_tag_bleu.values(), Counter())) if per_tag_bleu else None,
-        mean_laal_ms=sum(all_laal) / len(all_laal) if all_laal else None,
         utterances=utterances,
     )

@@ -137,15 +137,6 @@ class TagSet:
         # Surfaces are strings; anything else (even unhashable) matches no tag.
         return self._by_surface.get(surface) if isinstance(surface, str) else None
 
-    def priority(self, surface: str) -> int:
-        """Index of `surface` in declaration order; len(tags) if unknown."""
-        found = self.get(surface)
-        return len(self.tags) if found is None else self.tags.index(found)
-
-    @property
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface for t in self.tags)
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class Channel:
@@ -388,47 +379,28 @@ class SerializedSequence:
             for x, t in zip(self.items, self.origin_times)
         )
 
-    @property
-    def word_tokens(self) -> tuple[WordToken, ...]:
-        """The WordTokens of `tokens`, built on each read."""
-        return tuple(
-            WordToken(x, t) for x, t in zip(self.items, self.origin_times) if not isinstance(x, Tag)
-        )
 
-
-def check_sequence(tokens) -> list[str]:
+def check_sequence(items) -> list[str]:
     """Single linear scan over the serialized-sequence invariants.
 
-    `tokens` holds TagToken/WordToken objects or a sequence's items (a Tag
-    or a word string).  Returns one message per violation; an empty list
-    means the token stream is well-formed.
+    `items` are a sequence's items: a :class:`Tag` at each tag position and
+    anything else at a word position.  Returns one message per violation;
+    an empty list means the token stream is well-formed.
     """
     problems: list[str] = []
     prev_tag: Tag | None = None
     prev_was_tag = False
-    for i, tok in enumerate(tokens):
-        if isinstance(tok, str):
-            tag = None
-        elif isinstance(tok, Tag):
-            tag = tok
-        elif isinstance(tok, WordToken):
-            tag = None
-            tok = tok.word
-        elif isinstance(tok, TagToken):
-            tag = tok.tag
-        else:
-            problems.append(f"unknown token type at index {i}: {tok!r}")
-            continue
-        if tag is None:
+    for i, item in enumerate(items):
+        if not isinstance(item, Tag):
             if prev_tag is None:
-                problems.append(f"word {tok!r} at index {i} precedes any tag")
+                problems.append(f"word {item!r} at index {i} precedes any tag")
             prev_was_tag = False
             continue
         if prev_was_tag:
             problems.append(f"adjacent tag tokens at index {i}")
-        elif prev_tag is not None and tag.surface == prev_tag.surface:
-            problems.append(f"tag {tag.surface!r} repeated without a switch at index {i}")
-        prev_tag = tag
+        elif prev_tag is not None and item.surface == prev_tag.surface:
+            problems.append(f"tag {item.surface!r} repeated without a switch at index {i}")
+        prev_tag = item
         prev_was_tag = True
     return problems
 

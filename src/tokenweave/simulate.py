@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .formats import _check_version, _expect_int_pair, _expect_json, _tags_from_json, _tags_to_json
-from .metrics import EmissionTrace, count_switches, laal
+from .metrics import EmissionTrace, _check_int, count_switches, laal
 from .model import (
     Channel,
     SerializationMethod,
@@ -44,7 +44,7 @@ __all__ = [
 
 
 def _check_range(r: tuple[int, int], what: str) -> tuple[int, int]:
-    lo, hi = int(r[0]), int(r[1])
+    lo, hi = _check_int(r[0], f"{what}[0]"), _check_int(r[1], f"{what}[1]")
     if lo < 0 or hi < lo:
         raise ValueError(f"{what} must be a non-empty non-negative range, got {r!r}")
     return (lo, hi)
@@ -66,6 +66,8 @@ class SynthConfig:
             times before re-sorting; 0 keeps them anchor-ordered.
         channels: Channel plan (tags with modality and language).
         vocab_size: Number of distinct word surfaces to draw from.
+
+    Every number must be an int (not a bool); nothing is coerced.
     """
 
     seed: int
@@ -78,25 +80,23 @@ class SynthConfig:
     vocab_size: int
 
     def __post_init__(self) -> None:
+        _check_int(self.seed, "seed")
         object.__setattr__(self, "words_per_channel", _check_range(self.words_per_channel, "words_per_channel"))
         object.__setattr__(self, "word_rate_ms", _check_range(self.word_rate_ms, "word_rate_ms"))
         object.__setattr__(self, "translation_lag_ms", _check_range(self.translation_lag_ms, "translation_lag_ms"))
         object.__setattr__(self, "channels", tuple(self.channels))
         if self.word_rate_ms[1] < 1:
             raise ValueError("word_rate_ms upper bound must be >= 1")
-        if self.reorder_window_ms < 0:
+        if _check_int(self.reorder_window_ms, "reorder_window_ms") < 0:
             raise ValueError(f"reorder_window_ms must be >= 0, got {self.reorder_window_ms}")
-        if self.num_utterances < 0:
+        if _check_int(self.num_utterances, "num_utterances") < 0:
             raise ValueError(f"num_utterances must be >= 0, got {self.num_utterances}")
-        if self.vocab_size < 1:
+        if _check_int(self.vocab_size, "vocab_size") < 1:
             raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
         if not self.channels:
             raise ValueError("channel plan is empty")
         # Reuse TagSet validation for surface uniqueness.
         TagSet(self.channels)
-
-    def tag_set(self) -> TagSet:
-        return TagSet(self.channels)
 
 
 def synth_config_to_json(c: SynthConfig) -> dict:

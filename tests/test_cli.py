@@ -241,6 +241,8 @@ class TestDemuxAndEval:
     def test_eval_table(self, tmp_path, capsys):
         rc, out = self._pipeline(tmp_path, capsys, extra_eval=("--table",))
         assert rc == 0
+        # Five columns: tag, modality, WER, BLEU and the segment count.
+        assert out.splitlines()[:2] == ["tag    modality  WER     BLEU    n", "-----  --------  ------  ------  --"]
         assert "(all)" in out
         assert "#ASR#" in out
 

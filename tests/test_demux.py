@@ -18,7 +18,6 @@ from tokenweave import (
     Utterance,
     WordToken,
     demux_full,
-    diff_channels,
     feed,
     inter_time,
     render_text,
@@ -138,27 +137,6 @@ class TestRobustness:
     def test_diagnostics_carry_token_index(self, demo_tags):
         result = demux_full("oops #ASR# a", demo_tags)
         assert result.diagnostics[0].index == 0
-
-
-class TestDiffChannels:
-    def test_identical(self, demo_utterance, demo_tags):
-        seq = inter_time(demo_utterance, tags=demo_tags)
-        words = demux_full(seq, demo_tags).words
-        assert diff_channels(demo_utterance, words) == {"#ASR#": 0, "#ES#": 0, "#DE#": 0}
-
-    def test_dropped_channel_charged_full_length(self, demo_utterance):
-        assert diff_channels(demo_utterance, {})["#DE#"] == 3
-
-    def test_stray_bucket_included(self, demo_utterance):
-        words = {UNKNOWN_CHANNEL: ["x", "y"]}
-        diff = diff_channels(demo_utterance, words)
-        assert diff[UNKNOWN_CHANNEL] == 2
-
-    def test_single_substitution(self, demo_utterance, demo_tags):
-        seq = inter_time(demo_utterance, tags=demo_tags)
-        words = demux_full(seq, demo_tags).words
-        words["#ES#"][0] = "Soy"
-        assert diff_channels(demo_utterance, words)["#ES#"] == 1
 
 
 def _oracle_demux_full(tokens, tags, utt_id):

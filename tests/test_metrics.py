@@ -460,14 +460,6 @@ class TestEvaluateCorpus:
         with pytest.raises(ValueError, match="empty reference"):
             evaluate_corpus([u], {"u": {"#ASR#": []}})
 
-    def test_traces_produce_mean_laal(self, demo_utterance, demo_tags):
-        hyps = self._perfect_hyps([demo_utterance], demo_tags)
-        traces = [_trace([300, 900], 1200, 2, tag="#ES#")]
-        report = evaluate_corpus([demo_utterance], hyps, traces=traces)
-        by_tag = {c.tag: c for c in report.channels}
-        assert by_tag["#ES#"].mean_laal_ms == pytest.approx(300.0)
-        assert by_tag["#ASR#"].mean_laal_ms is None
-
     def test_normalize_flag(self):
         u = Utterance("u", 100, (Channel(ASR, (TimedWord(1, "Hello,"), TimedWord(2, "World!"))),))
         hyps = {"u": {"#ASR#": ["hello", "world"]}}

@@ -63,12 +63,16 @@ def _accepts(make, value) -> bool:
 _TOKEN_TEXT_CHECKS = [
     lambda v: TimedWord(0, v),
     lambda v: WordToken(v),
-    lambda v: Tag(v, Modality.TRANSCRIPTION, "en"),
 ]
+
+
+def _make_tag(surface):
+    return Tag(surface, Modality.TRANSCRIPTION, "en")
 
 
 class TestTokenTextWhitespace:
     @given(st.text())
+    @example(UNKNOWN_CHANNEL)
     @example("\x1c")
     @example("\x85")
     @example("a\u2003b")
@@ -78,10 +82,12 @@ class TestTokenTextWhitespace:
         expected = _old_whitespace_rule_accepts(value)
         for make in _TOKEN_TEXT_CHECKS:
             assert _accepts(make, value) == expected
+        # A tag surface also must not be the reserved unknown bucket.
+        assert _accepts(_make_tag, value) == (expected and value != UNKNOWN_CHANNEL)
 
     @pytest.mark.parametrize("value", ["\x1c", "\x85", "a\u2003b", "\u3000"])
     def test_rejects_unicode_whitespace(self, value):
-        for make in _TOKEN_TEXT_CHECKS:
+        for make in (*_TOKEN_TEXT_CHECKS, _make_tag):
             with pytest.raises(ValueError, match="whitespace"):
                 make(value)
 
@@ -106,25 +112,20 @@ class TestTag:
 
 
 class TestTagSet:
-    def test_lookup_and_priority(self):
+    def test_lookup(self):
         ts = TagSet((ASR, ES, DE))
         assert "#ES#" in ts
         assert "#FR#" not in ts
         assert ts.get("#DE#") is DE
         assert ts.get("#FR#") is None
-        assert ts.priority("#ASR#") == 0
-        assert ts.priority("#DE#") == 2
-        assert ts.priority("#XX#") == 3
-        assert ts.surfaces == ("#ASR#", "#ES#", "#DE#")
         assert list(ts) == [ASR, ES, DE]
 
     @given(st.one_of(st.sampled_from(["#ASR#", "#ES#", "#DE#", "#FR#", "#asr#", ""]), st.text(), st.none(), st.integers(), st.lists(st.text())))
     def test_lookup_matches_linear_scan(self, surface):
         ts = TagSet((ASR, ES, DE))
-        matches = [(i, t) for i, t in enumerate(ts.tags) if t.surface == surface]
+        matches = [t for t in ts.tags if t.surface == surface]
         assert (surface in ts) == bool(matches)
-        assert ts.get(surface) is (matches[0][1] if matches else None)
-        assert ts.priority(surface) == (matches[0][0] if matches else len(ts.tags))
+        assert ts.get(surface) is (matches[0] if matches else None)
 
     def test_index_is_not_part_of_value(self):
         ts = TagSet((ASR, ES))
@@ -133,7 +134,7 @@ class TestTagSet:
         assert "_by_surface" not in repr(ts)
         copy = pickle.loads(pickle.dumps(ts))
         assert copy == ts
-        assert copy.get("#ES#") == ES and copy.priority("#ES#") == 1
+        assert copy.get("#ES#") == ES and copy.tags == (ASR, ES)
 
     def test_rejects_duplicate_surface(self):
         dup = Tag("#ASR#", Modality.TRANSLATION, "de")
@@ -216,7 +217,7 @@ class TestSerializedSequence:
     def test_empty_is_valid(self):
         s = SerializedSequence("u", (), SerializationMethod("inter_time"))
         assert len(s) == 0
-        assert s.word_tokens == ()
+        assert s.tokens == ()
 
     @pytest.mark.parametrize("method", [{"name": "zigzag"}, {"name": "inter_time"}, "inter_time", None])
     def test_method_that_is_not_a_method_record_is_rejected(self, method):
@@ -240,24 +241,14 @@ class TestSerializedSequence:
         with pytest.raises(ValueError, match="repeated without a switch"):
             SerializedSequence("u", toks, SerializationMethod("inter_time"))
 
-    def test_check_sequence_flags_foreign_objects(self):
-        assert check_sequence([object()]) != []
-
-    @pytest.mark.parametrize(
-        "tokens",
-        [
-            (TagToken(ASR), WordToken("a"), TagToken(ES), WordToken("b")),
-            (WordToken("a"), WordToken("b"), TagToken(ASR)),
-            (TagToken(ASR), TagToken(ES), TagToken(ASR), WordToken("a"), TagToken(ASR)),
-            (TagToken(ASR), WordToken("#ASR#"), TagToken(ASR)),
-            (TagToken(ASR), 5, TagToken(ES)),
-        ],
-    )
-    def test_check_sequence_reads_items_like_tokens(self, tokens):
-        def item(t):
-            return t.tag if isinstance(t, TagToken) else t.word if isinstance(t, WordToken) else t
-
-        assert check_sequence([item(t) for t in tokens]) == check_sequence(tokens)
+    def test_check_sequence_lists_every_problem(self):
+        assert check_sequence((ASR, "a", ES, "b")) == []
+        assert check_sequence(("a", ASR, ES, ASR, "b", ASR)) == [
+            "word 'a' at index 0 precedes any tag",
+            "adjacent tag tokens at index 2",
+            "adjacent tag tokens at index 3",
+            "tag '#ASR#' repeated without a switch at index 5",
+        ]
 
     def test_foreign_object_rejected(self):
         with pytest.raises(ValueError, match="word must be a non-empty string"):
@@ -270,11 +261,6 @@ class TestSerializedSequence:
         assert s.origin_times == (None, 10, None, None, 30)
         assert s.tokens == toks
         assert s.items[0] is ASR
-
-    def test_word_tokens_property(self):
-        toks = (TagToken(ASR), WordToken("a"), TagToken(ES), WordToken("b"))
-        s = SerializedSequence("u", toks, SerializationMethod("inter_time"))
-        assert [w.word for w in s.word_tokens] == ["a", "b"]
 
 
 class TestSerializationMethod:

@@ -244,11 +244,16 @@ class TestGoldenSerialization:
         assert via_method == inter_time(demo_utterance, GroupingConfig(500), demo_tags)
 
 
+def _words(seq):
+    """The WordTokens of a sequence, in stream order."""
+    return [t for t in seq.tokens if isinstance(t, WordToken)]
+
+
 class TestMergeAndSort:
     """The time, tag-priority, rank merge inside inter_time."""
 
     def test_orders_by_time(self, demo_utterance, demo_tags):
-        merged = inter_time(demo_utterance, tags=demo_tags).word_tokens
+        merged = _words(inter_time(demo_utterance, tags=demo_tags))
         assert [wt.origin_time for wt in merged] == sorted(wt.origin_time for wt in merged)
         assert [wt.word for wt in merged] == [
             "I", "Estoy", "am", "Ich", "happy.", "bin", "feliz.", "froh.",
@@ -262,10 +267,10 @@ class TestMergeAndSort:
                 Channel(ASR, (TimedWord(50, "hello"),)),
             ),
         )
-        merged = inter_time(u, tags=TagSet((ASR, ES))).word_tokens
+        merged = _words(inter_time(u, tags=TagSet((ASR, ES))))
         assert [wt.word for wt in merged] == ["hello", "hola"]
         # Without a tag set the utterance's channel order is the priority.
-        merged = inter_time(u, tags=None).word_tokens
+        merged = _words(inter_time(u, tags=None))
         assert [wt.word for wt in merged] == ["hola", "hello"]
 
 
@@ -410,7 +415,7 @@ class TestInterGamma:
     def test_quarter_gamma_mixes_three_to_one(self):
         a, b = _two_channels([f"a{i}" for i in range(1, 7)], ["s1", "s2"])
         seq = inter_gamma(a, b, 0.25, "u")
-        words = [t.word for t in seq.word_tokens]
+        words = [t.word for t in _words(seq)]
         # Counts drift toward a 3:1 transcription:translation ratio.
         assert words[:4] == ["a1", "a2", "a3", "s1"]
 

@@ -101,6 +101,26 @@ class TestSynthCorpus:
         with pytest.raises(ValueError):
             _config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"num_utterances": 2.7}, "num_utterances must be an integer, got 2.7"),
+            ({"words_per_channel": (1.9, 3.2)}, "words_per_channel[0] must be an integer, got 1.9"),
+            ({"word_rate_ms": (True, 2.5)}, "word_rate_ms[0] must be an integer, got True"),
+            ({"word_rate_ms": (1, 2.5)}, "word_rate_ms[1] must be an integer, got 2.5"),
+            ({"translation_lag_ms": ("0", 5)}, "translation_lag_ms[0] must be an integer, got '0'"),
+            ({"reorder_window_ms": 0.0}, "reorder_window_ms must be an integer, got 0.0"),
+            ({"vocab_size": False}, "vocab_size must be an integer, got False"),
+        ],
+    )
+    def test_config_numbers_must_be_ints(self, overrides, message):
+        # Nothing is coerced: a float or bool is refused, not truncated.
+        with pytest.raises(ValueError) as info:
+            _config(**overrides)
+        assert str(info.value) == message
+
     def test_config_json_round_trip(self):
         cfg = _config()
         assert synth_config_from_json(synth_config_to_json(cfg)) == cfg
