@@ -30,7 +30,6 @@ from .model import (
 )
 from .serialize import serialize_utterance
 from .simulate import (
-    _synth_utterances,
     latency_study,
     method_label,
     replay_policy_from_json,
@@ -74,8 +73,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     invalid: list[Diagnostic] = []
     unserializable: list[Diagnostic] = []
 
-    def lines():
-        for u in formats._read_jsonl(args.input, formats._corpus_record, read_diags, formats._utt_id):
+    def seqs():
+        for u in formats.read_corpus(args.input, read_diags):
             problems = validate_utterance(u, tags)
             if problems:
                 invalid.extend(problems)
@@ -85,9 +84,9 @@ def cmd_build(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 unserializable.append(Diagnostic("serialize-error", str(exc), utt_id=u.utt_id))
                 continue
-            yield formats._dumps(formats.serialized_to_json(seq))
+            yield seq
 
-    formats._write_lines(args.output, lines())
+    formats.write_serialized(seqs(), args.output)
     diags = read_diags + invalid + unserializable
     _emit_diags(diags)
     return 1 if diags else 0
@@ -108,8 +107,7 @@ def cmd_demux(args: argparse.Namespace) -> int:
         lines = formats._read_lines(args.input)
         streams = ((f"line{n:06d}", line.rstrip("\n")) for n, line in lines if line.strip())
     else:
-        seqs = formats._read_jsonl(args.input, lambda obj: formats.serialized_from_json(obj, tags), read_diags, formats._utt_id)
-        streams = ((s.utt_id, s) for s in seqs)
+        streams = ((s.utt_id, s) for s in formats.read_serialized(args.input, tags, read_diags))
 
     def records():
         for utt_id, stream in streams:
@@ -196,8 +194,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # The hypotheses are held; the references stream through one scoring pass.
     diags_r: list[Diagnostic] = []
     diags_h: list[Diagnostic] = []
-    hyps = dict(formats._read_jsonl(args.hyps, formats.channels_from_json, diags_h, itemgetter(0)))
-    with closing(formats._read_jsonl(args.refs, formats._corpus_record, diags_r, formats._utt_id)) as refs:
+    hyps = dict(formats.read_channels(args.hyps, diags_h))
+    with closing(formats.read_corpus(args.refs, diags_r)) as refs:
         report = evaluate_corpus(refs, hyps, normalize=args.normalize)
     _print(report.to_table() if args.table else formats._dumps(report.to_json()))
     diags = diags_r + diags_h
@@ -209,7 +207,7 @@ def cmd_laal(args: argparse.Namespace) -> int:
     diags: list[Diagnostic] = []
     by_tag: dict[str, list[float]] = {}
     traces = 0
-    for tr in formats._read_jsonl(args.traces, formats.trace_from_json, diags):
+    for tr in formats.read_traces(args.traces, diags):
         by_tag.setdefault(tr.tag, []).append(laal(tr))
         traces += 1
     channels = [
@@ -251,7 +249,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if "seed" not in obj:
         raise ValueError("no seed: provide --seed or a \"seed\" field in the config")
     config = synth_config_from_json(obj)
-    formats.write_corpus(_synth_utterances(config), args.output)
+    formats.write_corpus(synth_corpus(config), args.output)
     return 0
 
 
@@ -262,7 +260,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     if "corpus" in obj and "synth" in obj:
         raise ValueError("study config must have exactly one of \"corpus\" or \"synth\"")
     if "corpus" in obj:
-        corpus, diags = formats.read_corpus(_section(args.config, "corpus", obj["corpus"], str))
+        corpus = formats.read_corpus(_section(args.config, "corpus", obj["corpus"], str), diags)
     elif "synth" in obj:
         synth = _section(args.config, "synth", obj["synth"], dict)
         corpus = synth_corpus(synth_config_from_json(synth))
@@ -283,7 +281,8 @@ def cmd_study(args: argparse.Namespace) -> int:
     policy = replay_policy_from_json(_section(args.config, "replay", obj.get("replay", {}), dict))
     tags = formats.read_tag_set(_section(args.config, "tags", obj["tags"], str)) if "tags" in obj else None
 
-    report = latency_study(corpus, methods, policy, tags)
+    with closing(corpus):
+        report = latency_study(corpus, methods, policy, tags)
 
     formats._write_lines(args.output, [formats._dumps(report)])
 

@@ -4,9 +4,9 @@ Every line carries a schema version field ``"v": 1`` and is written in
 canonical form: fixed key order, no insignificant whitespace, UTF-8 without
 escaping.  Writing what was just read reproduces the file byte for byte.
 
-Readers are line oriented and forgiving: an invalid line yields a diagnostic
-carrying its 1-based line number and is skipped, so one bad record never
-poisons a corpus.  A path of ``"-"`` means stdin or stdout.
+Record readers are generators that hold one record at a time.  An invalid
+line is skipped with a diagnostic carrying its 1-based line number, appended
+to the caller's list.  A path of ``"-"`` means stdin or stdout.
 """
 
 from __future__ import annotations
@@ -207,12 +207,6 @@ def _read_jsonl(path: str, parse, diags: list[Diagnostic], key=None) -> Iterator
         yield record
 
 
-def _read_all(path: str, parse, key=None) -> tuple[list, list[Diagnostic]]:
-    """Every record of :func:`_read_jsonl` as a list, and its diagnostics."""
-    diags: list[Diagnostic] = []
-    return list(_read_jsonl(path, parse, diags, key)), diags
-
-
 # ---------------------------------------------------------------------------
 # corpus records
 
@@ -261,15 +255,15 @@ def _corpus_record(obj) -> Utterance:
     return u
 
 
-def read_corpus(path: str) -> tuple[list[Utterance], list[Diagnostic]]:
-    """Parse a JSONL corpus.  Invalid lines are skipped with a diagnostic.
+def read_corpus(path: str, diags: list[Diagnostic]) -> Iterator[Utterance]:
+    """Yield the utterances of a JSONL corpus.  Invalid lines are skipped with a diagnostic in `diags`.
 
     Each record is self-describing (modality and language stored per
     channel), so no tag sidecar is needed; the utterance is additionally
     validated against its own declared tags (monotone times, no duplicate
     channel tags, no word equal to a tag surface).
     """
-    return _read_all(path, _corpus_record, _utt_id)
+    return _read_jsonl(path, _corpus_record, diags, _utt_id)
 
 
 def write_corpus(corpus: Iterable[Utterance], path: str) -> None:
@@ -320,9 +314,9 @@ def serialized_from_json(obj: dict, tags: TagSet | None) -> SerializedSequence:
     return SerializedSequence._from_columns(utt_id, items, origins, method)
 
 
-def read_serialized(path: str, tags: TagSet) -> tuple[list[SerializedSequence], list[Diagnostic]]:
-    """Parse JSONL serialized records, resolving tag surfaces via `tags`."""
-    return _read_all(path, lambda obj: serialized_from_json(obj, tags), _utt_id)
+def read_serialized(path: str, tags: TagSet, diags: list[Diagnostic]) -> Iterator[SerializedSequence]:
+    """Yield JSONL serialized records, resolving tag surfaces via `tags`."""
+    return _read_jsonl(path, lambda obj: serialized_from_json(obj, tags), diags, _utt_id)
 
 
 def write_serialized(seqs: Iterable[SerializedSequence], path: str) -> None:
@@ -358,10 +352,9 @@ def channels_from_json(obj: dict) -> tuple[str, dict[str, tuple[str, ...]]]:
     return _expect_json(obj["utt_id"], "utt_id", str), out
 
 
-def read_channels(path: str) -> tuple[dict[str, dict[str, tuple[str, ...]]], list[Diagnostic]]:
-    """Parse demuxed channel records into {utt_id: {tag: words}}."""
-    records, diags = _read_all(path, channels_from_json, itemgetter(0))
-    return dict(records), diags
+def read_channels(path: str, diags: list[Diagnostic]) -> Iterator[tuple[str, dict[str, tuple[str, ...]]]]:
+    """Yield demuxed channel records as (utt_id, {tag: words}) pairs."""
+    return _read_jsonl(path, channels_from_json, diags, itemgetter(0))
 
 
 def write_channels(records: Iterable[tuple[str, dict[str, tuple[str, ...] | list[str]]]], path: str) -> None:
@@ -397,9 +390,9 @@ def trace_from_json(obj: dict) -> EmissionTrace:
     )
 
 
-def read_traces(path: str) -> tuple[list[EmissionTrace], list[Diagnostic]]:
-    """Parse JSONL traces.  A trace LAAL cannot score is a bad line, not a fatal error."""
-    return _read_all(path, trace_from_json)
+def read_traces(path: str, diags: list[Diagnostic]) -> Iterator[EmissionTrace]:
+    """Yield JSONL traces.  A trace LAAL cannot score is a bad line, not a fatal error."""
+    return _read_jsonl(path, trace_from_json, diags)
 
 
 def write_traces(traces: Iterable[EmissionTrace], path: str) -> None:

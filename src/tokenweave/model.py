@@ -122,6 +122,9 @@ class TagSet:
         object.__setattr__(self, "tags", tags)
         if not tags:
             raise ValueError("a TagSet needs at least one tag")
+        for t in tags:
+            if not isinstance(t, Tag):
+                raise ValueError(f"a TagSet holds Tag objects, got {t!r}")
         surfaces = [t.surface for t in tags]
         if len(set(surfaces)) != len(surfaces):
             raise ValueError(f"duplicate tag surfaces: {surfaces}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .formats import _check_version, _expect_int_pair, _expect_json, _tags_from_json, _tags_to_json
 from .metrics import EmissionTrace, _check_int, count_switches, laal
@@ -145,19 +145,14 @@ def _gen_monotone_times(rng: random.Random, n: int, rate: tuple[int, int]) -> li
     return times
 
 
-def synth_corpus(config: SynthConfig) -> list[Utterance]:
-    """Generate a corpus that always passes utterance validation.
+def synth_corpus(config: SynthConfig) -> Iterator[Utterance]:
+    """Yield, one at a time, the utterances of a corpus that always passes utterance validation.
 
     Transcription channels are monotone by construction; translation times
     are derived from the first transcription channel (anchor), shifted by a
     lag, jittered within the reordering window, and re-sorted ascending so
     the channel stays a monotone emission trace.
     """
-    return list(_synth_utterances(config))
-
-
-def _synth_utterances(config: SynthConfig) -> Iterator[Utterance]:
-    """The utterances of :func:`synth_corpus`, drawn one at a time."""
     rng = random.Random(config.seed)
     anchor_tag = next(
         (t for t in config.channels if t.modality.value == "asr"), None
@@ -229,9 +224,7 @@ class ReplayPolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("origin_time", "group_boundary", "auto"):
             raise ValueError(f"unknown replay mode {self.mode!r}")
-        if not isinstance(self.overhead_ms, int) or isinstance(self.overhead_ms, bool):
-            raise ValueError(f"overhead_ms must be an integer, got {self.overhead_ms!r}")
-        if self.overhead_ms < 0:
+        if _check_int(self.overhead_ms, "overhead_ms") < 0:
             raise ValueError(f"overhead_ms must be >= 0, got {self.overhead_ms}")
 
 
@@ -296,36 +289,38 @@ def method_label(m: SerializationMethod) -> str:
 
 
 def latency_study(
-    corpus: list[Utterance],
+    corpus: Iterable[Utterance],
     methods: list[SerializationMethod],
     policy: ReplayPolicy,
     tags: TagSet | None = None,
 ) -> dict:
     """Compare serialization methods on one corpus: mean lagging and switches.
 
-    Each utterance is serialized with every method, replayed under `policy`
-    with the utterance's own duration, and scored with per-channel lagging.
-    Aggregation order is fixed, so the report is deterministic.
+    One pass over `corpus`: each utterance is serialized with every method,
+    replayed under `policy` with the utterance's own duration, and scored
+    with per-channel lagging.  Only the per-method, per-tag LAAL values are
+    held, and they are summed in corpus order, so the report is deterministic.
     """
-    report: dict = {"utterances": len(corpus), "replay": {"mode": policy.mode, "overhead_ms": policy.overhead_ms}, "methods": []}
-    for method in methods:
-        switch_total = 0
-        laal_by_tag: dict[str, list[float]] = {}
-        for u in corpus:
+    switches = [0] * len(methods)
+    laals: list[dict[str, list[float]]] = [{} for _ in methods]
+    utterances = 0
+    for utterances, u in enumerate(corpus, start=1):
+        for i, method in enumerate(methods):
             seq = serialize_utterance(u, method, tags)
-            switch_total += count_switches(seq)
-            traces = replay(seq, policy, source_duration_ms=u.duration_ms)
-            for surface, trace in traces.items():
-                laal_by_tag.setdefault(surface, []).append(laal(trace))
-        entry = {
+            switches[i] += count_switches(seq)
+            for surface, trace in replay(seq, policy, source_duration_ms=u.duration_ms).items():
+                laals[i].setdefault(surface, []).append(laal(trace))
+    entries = [
+        {
             "method": method.to_json(),
             "label": method_label(method),
-            "mean_switches": switch_total / len(corpus) if corpus else 0.0,
-            "total_switches": switch_total,
+            "mean_switches": total / utterances if utterances else 0.0,
+            "total_switches": total,
             "channels": [
                 {"tag": surface, "mean_laal_ms": sum(vals) / len(vals), "utterances": len(vals)}
                 for surface, vals in sorted(laal_by_tag.items())
             ],
         }
-        report["methods"].append(entry)
-    return report
+        for method, total, laal_by_tag in zip(methods, switches, laals)
+    ]
+    return {"utterances": utterances, "replay": {"mode": policy.mode, "overhead_ms": policy.overhead_ms}, "methods": entries}

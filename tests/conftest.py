@@ -85,7 +85,7 @@ def two_channel_corpus() -> list[Utterance]:
         channels=(ASR, ES),
         vocab_size=300,
     )
-    return synth_corpus(cfg)
+    return list(synth_corpus(cfg))
 
 
 def pytest_configure(config) -> None:

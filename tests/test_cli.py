@@ -103,7 +103,7 @@ def big_files(tmp_path_factory):
     files = {name: str(d / f"{name}.jsonl") for name in ("corpus", "built", "hyps", "traces")}
     files.update(tags=str(d / "tags.json"), config=str(d / "synth.json"))
     tags = TagSet((ASR, ES, DE))
-    corpus = synth_corpus(BIG_CONFIG)
+    corpus = list(synth_corpus(BIG_CONFIG))
     seqs = [inter_time(u, tags=tags) for u in corpus]
     write_corpus(corpus, files["corpus"])
     write_tag_set(tags, files["tags"])
@@ -129,7 +129,8 @@ class TestBuild:
         out = str(tmp_path / "g.jsonl")
         rc = main(["build", "--method", "inter-time", "--group-ms", "500", "--tags", tags, "--input", corpus, "--output", out])
         assert rc == 0
-        seqs, diags = read_serialized(out, demo_tags)
+        diags = []
+        seqs = list(read_serialized(out, demo_tags, diags))
         assert diags == []
         assert render_text(seqs[0]) == DEMO_GROUPED_500
 
@@ -253,7 +254,8 @@ class TestDemuxAndEval:
         out = str(tmp_path / "ch.jsonl")
         rc = main(["demux", "--tags", tags, "--input", str(text), "--output", out, "--text"])
         assert rc == 0
-        records, diags = read_channels(out)
+        diags = []
+        records = dict(read_channels(out, diags))
         assert diags == []
         assert set(records) == {"line000001", "line000003"}
         assert records["line000001"]["#ASR#"] == ("I", "am", "happy.")
@@ -496,7 +498,7 @@ class TestStats:
         path = big_files["built"]
         stats_peak = _peak(lambda: main(["stats", "--base", path, "--variant", path]))
         assert json.loads(capsys.readouterr().out)["utterances"] == 3000
-        whole_file_peak = _peak(lambda: read_serialized(path, TagSet((ASR, ES, DE))))
+        whole_file_peak = _peak(lambda: list(read_serialized(path, TagSet((ASR, ES, DE)), [])))
         assert stats_peak * 5 <= whole_file_peak
 
 
@@ -783,6 +785,17 @@ class TestStudy:
         assert capsys.readouterr() == ("", f"error: {config}: methods[3]: {message}\n")
         assert not out.exists()
 
+    def test_a_bad_method_is_reported_before_a_corpus_that_cannot_be_opened(self, tmp_path, capsys):
+        # The corpus is read in the one pass of the study, after every check of the config.
+        config = self._study_config(tmp_path, methods=[{"name": "inter_time", "gamma": 0.5}])
+        blob = json.loads(Path(config).read_text())
+        del blob["synth"]
+        blob["corpus"] = str(tmp_path / "missing.jsonl")
+        Path(config).write_text(json.dumps(blob))
+        rc = main(["study", "--config", config, "--output", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {config}: methods[0]: inter_time takes no gamma, got 0.5\n"
+
     def test_replay_overhead_of_the_wrong_type_is_fatal(self, tmp_path, capsys):
         config = self._study_config(tmp_path, replay={"mode": "auto", "overhead_ms": "5"})
         rc = main(["study", "--config", config, "--output", str(tmp_path / "out")])
@@ -887,7 +900,7 @@ def pipeline_inputs(tmp_path_factory):
     assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", files["built"]]) == 0
     assert main(["build", "--method", "inter-time", "--group-ms", "500", "--tags", tags, "--input", corpus, "--output", files["grouped"]]) == 0
     assert main(["demux", "--tags", tags, "--input", files["built"], "--output", files["hyps"]]) == 0
-    utts, _ = read_corpus(corpus)
+    utts = read_corpus(corpus, [])
     write_traces([tr for u in utts for tr in replay(inter_time(u, tags=TagSet((ASR, ES, DE))), ReplayPolicy(), u.duration_ms).values()], files["traces"])
     return files
 
@@ -973,7 +986,7 @@ def test_escaped_lone_surrogate_is_a_bad_record(tmp_path, demo_files, capsys):
 
 
 class TestStreaming:
-    """build, demux, synth and laal hold one record; eval holds the hypotheses and one reference."""
+    """build, demux, synth and laal hold one record; eval holds the hypotheses and one reference; study its LAAL values."""
 
     @pytest.mark.parametrize("command", ["build", "demux", "synth", "laal"])
     def test_memory_is_bounded_by_one_record(self, tmp_path, big_files, capsys, command):
@@ -981,14 +994,14 @@ class TestStreaming:
         argv, read_whole = {
             "build": (
                 ["build", "--method", "inter-time", "--tags", f["tags"], "--input", f["corpus"], "--output", out],
-                lambda: read_corpus(f["corpus"]),
+                lambda: list(read_corpus(f["corpus"], [])),
             ),
             "demux": (
                 ["demux", "--tags", f["tags"], "--input", f["built"], "--output", out],
-                lambda: read_serialized(f["built"], TagSet((ASR, ES, DE))),
+                lambda: list(read_serialized(f["built"], TagSet((ASR, ES, DE)), [])),
             ),
-            "synth": (["synth", "--config", f["config"], "--output", out], lambda: synth_corpus(BIG_CONFIG)),
-            "laal": (["laal", "--traces", f["traces"]], lambda: read_traces(f["traces"])),
+            "synth": (["synth", "--config", f["config"], "--output", out], lambda: list(synth_corpus(BIG_CONFIG))),
+            "laal": (["laal", "--traces", f["traces"]], lambda: list(read_traces(f["traces"], []))),
         }[command]
         stage_peak = _peak(lambda: main(argv))
         captured = capsys.readouterr()
@@ -1004,7 +1017,15 @@ class TestStreaming:
         eval_peak = _peak(lambda: main(["eval", "--refs", f["corpus"], "--hyps", f["hyps"]]))
         captured = capsys.readouterr()
         assert (json.loads(captured.out)["utterances"], captured.err) == (3000, "")
-        assert eval_peak < _peak(lambda: (read_corpus(f["corpus"]), read_channels(f["hyps"])))
+        assert eval_peak < _peak(lambda: (list(read_corpus(f["corpus"], [])), dict(read_channels(f["hyps"], []))))
+
+    def test_study_holds_less_than_its_corpus(self, tmp_path, big_files, capsys):
+        f, config, out = big_files, tmp_path / "study.json", tmp_path / "report.json"
+        config.write_text(json.dumps({"corpus": f["corpus"], "tags": f["tags"], "methods": [{"name": "inter_time", "group_ms": 500}]}))
+        study_peak = _peak(lambda: main(["study", "--config", str(config), "--output", str(out)]))
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["utterances"] == 3000
+        assert study_peak * 5 <= _peak(lambda: list(read_corpus(f["corpus"], [])))
 
     def test_build_diagnostics_keep_reader_validation_serialize_order(self, tmp_path, capsys, monkeypatch):
         # Line 2 has an undeclared channel tag, line 3 is not JSON and line 4

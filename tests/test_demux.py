@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from tokenweave import (
     UNKNOWN_CHANNEL,
-    Channel,
     DemuxState,
     GroupingConfig,
     Modality,
@@ -14,8 +13,6 @@ from tokenweave import (
     Tag,
     TagSet,
     TagToken,
-    TimedWord,
-    Utterance,
     WordToken,
     demux_full,
     feed,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import io
 import json
@@ -57,18 +58,26 @@ from conftest import ASR, DE, ES
 
 
 def _small_corpus():
-    return synth_corpus(
-        SynthConfig(
-            seed=9,
-            num_utterances=30,
-            words_per_channel=(0, 12),
-            word_rate_ms=(80, 300),
-            translation_lag_ms=(0, 400),
-            reorder_window_ms=100,
-            channels=(ASR, ES, DE),
-            vocab_size=50,
+    return list(
+        synth_corpus(
+            SynthConfig(
+                seed=9,
+                num_utterances=30,
+                words_per_channel=(0, 12),
+                word_rate_ms=(80, 300),
+                translation_lag_ms=(0, 400),
+                reorder_window_ms=100,
+                channels=(ASR, ES, DE),
+                vocab_size=50,
+            )
         )
     )
+
+
+def _read(reader, *args):
+    """Every record `reader` yields, as a list, and the diagnostics it appended."""
+    diags: list[Diagnostic] = []
+    return list(reader(*args, diags)), diags
 
 
 class TestCorpusRoundTrip:
@@ -76,7 +85,7 @@ class TestCorpusRoundTrip:
         corpus = _small_corpus()
         path = str(tmp_path / "corpus.jsonl")
         write_corpus(corpus, path)
-        back, diags = read_corpus(path)
+        back, diags = _read(read_corpus, path)
         assert diags == []
         assert back == corpus
 
@@ -85,7 +94,7 @@ class TestCorpusRoundTrip:
         first = str(tmp_path / "a.jsonl")
         second = str(tmp_path / "b.jsonl")
         write_corpus(corpus, first)
-        back, _ = read_corpus(first)
+        back, _ = _read(read_corpus, first)
         write_corpus(back, second)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
@@ -101,13 +110,13 @@ class TestCorpusRoundTrip:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert read_corpus(str(path)) == ([], [])
+        assert _read(read_corpus, str(path)) == ([], [])
 
     def test_blank_lines_skipped(self, tmp_path, demo_utterance):
         path = tmp_path / "c.jsonl"
         line = json.dumps(utterance_to_json(demo_utterance))
         path.write_text(f"\n{line}\n\n")
-        corpus, diags = read_corpus(str(path))
+        corpus, diags = _read(read_corpus, str(path))
         assert diags == []
         assert [u.utt_id for u in corpus] == ["demo-001"]
 
@@ -121,7 +130,7 @@ class TestCorpusDiagnostics:
     def test_invalid_json_line_is_skipped(self, tmp_path, demo_utterance):
         good = json.dumps(utterance_to_json(demo_utterance))
         path = self._write(tmp_path, ["{not json", good])
-        corpus, diags = read_corpus(path)
+        corpus, diags = _read(read_corpus, path)
         assert [u.utt_id for u in corpus] == ["demo-001"]
         (d,) = diags
         assert d.code == "bad-record"
@@ -132,7 +141,7 @@ class TestCorpusDiagnostics:
         blob = utterance_to_json(demo_utterance)
         blob["channels"][0]["words"][0]["t"] = -5
         path = self._write(tmp_path, [json.dumps(blob)])
-        corpus, diags = read_corpus(path)
+        corpus, diags = _read(read_corpus, path)
         assert corpus == []
         assert diags[0].code == "bad-record"
 
@@ -140,7 +149,7 @@ class TestCorpusDiagnostics:
         blob = utterance_to_json(demo_utterance)
         blob["v"] = 99
         path = self._write(tmp_path, [json.dumps(blob)])
-        corpus, diags = read_corpus(path)
+        corpus, diags = _read(read_corpus, path)
         assert corpus == []
         assert "version" in diags[0].message
 
@@ -148,7 +157,7 @@ class TestCorpusDiagnostics:
         blob = utterance_to_json(demo_utterance)
         del blob["duration_ms"]
         path = self._write(tmp_path, [json.dumps(blob)])
-        corpus, diags = read_corpus(path)
+        corpus, diags = _read(read_corpus, path)
         assert corpus == []
         assert diags[0].code == "bad-record"
 
@@ -157,7 +166,7 @@ class TestCorpusDiagnostics:
         words = blob["channels"][0]["words"]
         words[0], words[1] = words[1], words[0]
         path = self._write(tmp_path, [json.dumps(blob)])
-        corpus, diags = read_corpus(path)
+        corpus, diags = _read(read_corpus, path)
         assert corpus == []
         assert diags[0].code == "non-monotone-time"
         assert diags[0].index == 1
@@ -165,7 +174,7 @@ class TestCorpusDiagnostics:
     def test_duplicate_utt_id_keeps_first(self, tmp_path, demo_utterance):
         line = json.dumps(utterance_to_json(demo_utterance))
         path = self._write(tmp_path, [line, line])
-        corpus, diags = read_corpus(path)
+        corpus, diags = _read(read_corpus, path)
         assert len(corpus) == 1
         assert diags[0].code == "duplicate-utt-id"
         assert diags[0].index == 2
@@ -174,7 +183,7 @@ class TestCorpusDiagnostics:
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ValueError, match="not valid UTF-8"):
-            read_corpus(str(path))
+            _read(read_corpus, str(path))
 
 
 class TestSerializedRoundTrip:
@@ -183,7 +192,7 @@ class TestSerializedRoundTrip:
         seq = inter_time(demo_utterance, grouping, demo_tags)
         path = str(tmp_path / "s.jsonl")
         write_serialized([seq], path)
-        back, diags = read_serialized(path, demo_tags)
+        back, diags = _read(read_serialized, path, demo_tags)
         assert diags == []
         assert back == [seq]
         assert back[0].method == seq.method
@@ -210,7 +219,7 @@ class TestSerializedRoundTrip:
         seq = inter_time(demo_utterance, tags=demo_tags)
         path = str(tmp_path / "s.jsonl")
         write_serialized([seq, seq], path)
-        back, diags = read_serialized(path, demo_tags)
+        back, diags = _read(read_serialized, path, demo_tags)
         assert len(back) == 1
         assert diags[0].code == "duplicate-utt-id"
 
@@ -222,9 +231,9 @@ class TestChannelsRoundTrip:
         ]
         path = str(tmp_path / "ch.jsonl")
         write_channels(records, path)
-        back, diags = read_channels(path)
+        back, diags = _read(read_channels, path)
         assert diags == []
-        assert back == {"u1": {"#ASR#": ("a", "b"), "#ES#": ("x",)}, "u2": {"#ASR#": ()}}
+        assert back == records
 
     def test_duplicate_tag_in_record(self):
         with pytest.raises(ValueError, match="duplicate channel tag"):
@@ -242,8 +251,8 @@ class TestChannelsRoundTrip:
     def test_bad_line_diagnosed(self, tmp_path):
         path = tmp_path / "ch.jsonl"
         path.write_text('{"v":1,"utt_id":"u1","channels":[]}\nnope\n')
-        back, diags = read_channels(str(path))
-        assert list(back) == ["u1"]
+        back, diags = _read(read_channels, str(path))
+        assert [utt_id for utt_id, _ in back] == ["u1"]
         assert diags[0].index == 2
 
 
@@ -253,7 +262,7 @@ class TestTraceRoundTrip:
         traces = list(replay(seq, ReplayPolicy(), 1200).values())
         path = str(tmp_path / "tr.jsonl")
         write_traces(traces, path)
-        back, diags = read_traces(path)
+        back, diags = _read(read_traces, path)
         assert diags == []
         assert back == traces
 
@@ -263,7 +272,7 @@ class TestTraceRoundTrip:
         write_traces([good], str(path))
         text = path.read_text() + '{"v":1,"utt_id":"u2"}\n'
         path.write_text(text)
-        back, diags = read_traces(str(path))
+        back, diags = _read(read_traces, str(path))
         assert back == [good]
         assert diags[0].code == "bad-record"
 
@@ -330,8 +339,8 @@ def _contract_record(kind: str, utt_id: str) -> dict:
 
 _CONTRACT_READERS = {
     "corpus": (read_corpus, lambda records: [u.utt_id for u in records]),
-    "serialized": (lambda path: read_serialized(path, TagSet((ASR,))), lambda records: [s.utt_id for s in records]),
-    "channels": (read_channels, list),
+    "serialized": (lambda path, diags: read_serialized(path, TagSet((ASR,)), diags), lambda records: [s.utt_id for s in records]),
+    "channels": (read_channels, lambda records: [utt_id for utt_id, _ in records]),
     "traces": (read_traces, lambda records: [t.utt_id for t in records]),
 }
 
@@ -349,7 +358,7 @@ class TestReaderContract:
         else:
             path = str(tmp_path / f"{kind}.jsonl")
             (tmp_path / f"{kind}.jsonl").write_text(text)
-        records, diags = reader(path)
+        records, diags = _read(reader, path)
         expected = [
             ("bad-record", 3, f"{path}:3: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)", None),
             ("bad-record", 4, f"{path}:4: record must be a JSON object, got list", None),
@@ -368,7 +377,7 @@ class TestReaderContract:
         reader, utt_ids = _CONTRACT_READERS[kind]
         path = tmp_path / f"{kind}.jsonl"
         path.write_text("".join(json.dumps(_contract_record(kind, u)) + "\n" for u in ("\ud800", "\U0001f600")))
-        records, diags = reader(str(path))
+        records, diags = _read(reader, str(path))
         assert utt_ids(records) == ["\U0001f600"]
         assert [(d.code, d.index, d.message) for d in diags] == [
             ("bad-record", 1, f"{path}:1: escaped lone surrogate: the text has no UTF-8 form")
@@ -386,7 +395,19 @@ class TestReaderContract:
             path = str(tmp_path / "bad.jsonl")
             (tmp_path / "bad.jsonl").write_bytes(data)
         with pytest.raises(ValueError, match=f"^{re.escape(path)}: not valid UTF-8"):
-            reader(path)
+            _read(reader, path)
+
+    @pytest.mark.parametrize("kind", sorted(_CONTRACT_READERS))
+    def test_diagnostics_are_appended_as_the_lines_are_read(self, tmp_path, kind):
+        reader, utt_ids = _CONTRACT_READERS[kind]
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(_dumps(_contract_record(kind, "u1")) + "\n{broken\n")
+        diags: list[Diagnostic] = []
+        with contextlib.closing(reader(str(path), diags)) as records:
+            first = next(records)
+            assert diags == []
+            assert utt_ids([first, *records]) == ["u1"]
+        assert [(d.code, d.index) for d in diags] == [("bad-record", 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +646,7 @@ class TestColumnarStreamMatchesObjectOracle:
         exc_type, message = _outcome(_oracle_from_json, copy.deepcopy(record), _STREAM_TAGS)
         path = tmp_path / "s.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        seqs, diags = read_serialized(str(path), _STREAM_TAGS)
+        seqs, diags = _read(read_serialized, str(path), _STREAM_TAGS)
         assert seqs == []
         assert [(d.code, d.message) for d in diags] == [("bad-record", f"{path}:1: {message}")]
 

@@ -15,10 +15,8 @@ from tokenweave import (
     Modality,
     SerializationMethod,
     SerializedSequence,
-    TagToken,
     TimedWord,
     Utterance,
-    WordToken,
     bleu_corpus,
     count_switches,
     evaluate_corpus,
@@ -327,11 +325,25 @@ LAAL_CASES = [
     ([500, 1000, 1500, 2000], 1500, 4, 625.0),
 ]
 
+# Conformance with Papi et al. 2022 (arXiv:2206.05807), worked by hand as above.
+LAAL_CONFORMANCE_CASES = [
+    # Over-generation: d* = 1000/max(2, 4) = 250; (100 - 50 - 200 - 350)/4.
+    pytest.param([100, 200, 300, 400], 1000, 2, -125.0, id="over-generation"),
+    # Under-generation: d* = 800/max(4, 2) = 200; (300 + 400)/2.
+    pytest.param([300, 600], 800, 4, 350.0, id="under-generation"),
+    # Cut-off at 1200, the third delay: d* = 250; (100 + 650 + 700)/3.
+    pytest.param([100, 900, 1200, 1300], 1000, 4, 1450 / 3, id="mid-trace-cut-off"),
+]
+
 
 class TestLaal:
     @pytest.mark.parametrize("delays,duration,ref_len,expected", LAAL_CASES)
     def test_oracle_cases(self, delays, duration, ref_len, expected):
         assert laal(_trace(delays, duration, ref_len)) == pytest.approx(expected, abs=0.5)
+
+    @pytest.mark.parametrize("delays,duration,ref_len,expected", LAAL_CONFORMANCE_CASES)
+    def test_conformance_cases(self, delays, duration, ref_len, expected):
+        assert laal(_trace(delays, duration, ref_len)) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_trace_is_an_error(self):
         with pytest.raises(ValueError):

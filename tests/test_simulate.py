@@ -11,7 +11,6 @@ from tokenweave import (
     TagSet,
     TagToken,
     WordToken,
-    assign_group,
     inter_time,
     latency_study,
     replay,
@@ -248,7 +247,7 @@ class TestLatencyStudy:
 
     def test_switch_counts_fall_as_windows_coarsen(self):
         tags = TagSet((ASR, ES, DE))
-        corpus = synth_corpus(_config(words_per_channel=(5, 25)))
+        corpus = list(synth_corpus(_config(words_per_channel=(5, 25))))
         report = latency_study(
             corpus,
             [
@@ -274,3 +273,34 @@ class TestLatencyStudy:
         report = latency_study([], [SerializationMethod("inter_time")], ReplayPolicy())
         assert report["methods"][0]["mean_switches"] == 0.0
         assert report["methods"][0]["channels"] == []
+
+    def test_one_pass_over_an_iterator_gives_the_report_of_the_list(self):
+        config = _config(num_utterances=12, channels=(ASR, ES))
+        corpus = list(synth_corpus(config))
+        methods = [
+            SerializationMethod("inter_time"),
+            SerializationMethod("inter_time", group_ms=500),
+            SerializationMethod("inter_gamma", gamma=0.5),
+        ]
+        policy = ReplayPolicy(overhead_ms=2)
+        tags = TagSet((ASR, ES))
+        expected = latency_study(corpus, methods, policy, tags)
+        assert expected["utterances"] == 12
+        assert latency_study(iter(corpus), methods, policy, tags) == expected
+        assert latency_study(synth_corpus(config), methods, policy, tags) == expected
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TagSet(("#A#",)), "a TagSet holds Tag objects, got '#A#'"),
+        (lambda: TagSet((ASR, None)), "a TagSet holds Tag objects, got None"),
+        (lambda: _config(channels=(5,)), "a TagSet holds Tag objects, got 5"),
+        (lambda: ReplayPolicy(overhead_ms=True), "overhead_ms must be an integer, got True"),
+        (lambda: ReplayPolicy(overhead_ms="5"), "overhead_ms must be an integer, got '5'"),
+    ],
+)
+def test_a_field_of_the_wrong_type_is_a_value_error(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
