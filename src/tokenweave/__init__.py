@@ -11,9 +11,7 @@ for real streaming models in tests and latency studies.
 
 from .demux import DemuxResult, DemuxState, demux_full, feed
 from .metrics import (
-    ChannelMetrics,
     EmissionTrace,
-    MetricReport,
     bleu_corpus,
     count_switches,
     evaluate_corpus,
@@ -78,8 +76,6 @@ __all__ = [
     "feed",
     "demux_full",
     "EmissionTrace",
-    "ChannelMetrics",
-    "MetricReport",
     "wer",
     "bleu_corpus",
     "laal",

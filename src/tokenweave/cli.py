@@ -18,7 +18,7 @@ from operator import is_, itemgetter
 
 from . import formats
 from .demux import demux_full
-from .metrics import _switch_reduction, count_switches, evaluate_corpus, format_table, laal
+from .metrics import _switch_reduction, count_switches, evaluate_corpus, laal
 from .model import (
     Diagnostic,
     Modality,
@@ -51,6 +51,21 @@ def _print(text: str) -> None:
         sys.stdout.write("\n")
 
 
+def format_table(headers: list[str], rows: list[list[str]]) -> str:
+    """Left-aligned plain-text table with a dashed header rule."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [
+        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
+        "  ".join("-" * w for w in widths),
+    ]
+    for row in rows:
+        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # build
 
@@ -64,17 +79,16 @@ def _refuse_input_as_output(output: str, *inputs: str) -> None:
             raise ValueError(f"{output}: is also the input {path}; write to another file")
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def cmd_build(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     tags = formats.read_tag_set(args.tags)
     method = SerializationMethod(args.method.replace("-", "_"), gamma=args.gamma, group_ms=args.group_ms)
     _refuse_input_as_output(args.output, args.input)
     # Reader, validation and serialize diagnostics are reported in that order.
-    read_diags: list[Diagnostic] = []
     invalid: list[Diagnostic] = []
     unserializable: list[Diagnostic] = []
 
     def seqs():
-        for u in formats.read_corpus(args.input, read_diags):
+        for u in formats.read_corpus(args.input, diags):
             problems = validate_utterance(u, tags)
             if problems:
                 invalid.extend(problems)
@@ -87,27 +101,24 @@ def cmd_build(args: argparse.Namespace) -> int:
             yield seq
 
     formats.write_serialized(seqs(), args.output)
-    diags = read_diags + invalid + unserializable
-    _emit_diags(diags)
-    return 1 if diags else 0
+    diags += invalid + unserializable
 
 
 # ---------------------------------------------------------------------------
 # demux
 
 
-def cmd_demux(args: argparse.Namespace) -> int:
+def cmd_demux(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     tags = formats.read_tag_set(args.tags)
     _refuse_input_as_output(args.output, args.input)
     # Reader diagnostics are reported before demux diagnostics.
-    read_diags: list[Diagnostic] = []
     demux_diags: list[Diagnostic] = []
 
     if args.text:
         lines = formats._read_lines(args.input)
         streams = ((f"line{n:06d}", line.rstrip("\n")) for n, line in lines if line.strip())
     else:
-        streams = ((s.utt_id, s) for s in formats.read_serialized(args.input, tags, read_diags))
+        streams = ((s.utt_id, s) for s in formats.read_serialized(args.input, tags, diags))
 
     def records():
         for utt_id, stream in streams:
@@ -116,9 +127,7 @@ def cmd_demux(args: argparse.Namespace) -> int:
             yield utt_id, result.words
 
     formats.write_channels(records(), args.output)
-    diags = read_diags + demux_diags
-    _emit_diags(diags)
-    return 1 if diags else 0
+    diags += demux_diags
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +160,7 @@ def _own_tags(obj, known: dict[str, Tag]) -> TagSet | None:
     return TagSet(tags) if tags else None
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     known: dict[str, Tag] = {}
 
     def parse(obj) -> tuple[str, int]:
@@ -159,7 +168,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         seq = formats.serialized_from_json(obj, _own_tags(obj, known))
         return seq.utt_id, count_switches(seq)
 
-    diags: list[Diagnostic] = []
     base_counts = list(formats._read_jsonl(args.base, parse, diags, itemgetter(0)))
     variant_counts = list(formats._read_jsonl(args.variant, parse, diags, itemgetter(0)))
     try:
@@ -182,29 +190,38 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
     else:
         _print(formats._dumps(result))
-    _emit_diags(diags)
-    return 1 if diags else 0
 
 
 # ---------------------------------------------------------------------------
 # eval / laal
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def _cell(obj: dict, key: str, spec: str) -> str:
+    """`obj[key]` formatted with `spec`, or an empty cell if the report has no such key."""
+    return format(obj[key], spec) if key in obj else ""
+
+
+def cmd_eval(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     # The hypotheses are held; the references stream through one scoring pass.
-    diags_r: list[Diagnostic] = []
-    diags_h: list[Diagnostic] = []
-    hyps = dict(formats.read_channels(args.hyps, diags_h))
-    with closing(formats.read_corpus(args.refs, diags_r)) as refs:
+    # Reference diagnostics are reported before hypothesis diagnostics.
+    hyp_diags: list[Diagnostic] = []
+    hyps = dict(formats.read_channels(args.hyps, hyp_diags))
+    with closing(formats.read_corpus(args.refs, diags)) as refs:
         report = evaluate_corpus(refs, hyps, normalize=args.normalize)
-    _print(report.to_table() if args.table else formats._dumps(report.to_json()))
-    diags = diags_r + diags_h
-    _emit_diags(diags)
-    return 1 if diags else 0
+    if args.table:
+        rows = [
+            [c["tag"], c["modality"], _cell(c, "wer", ".4f"), _cell(c, "bleu", ".2f"), str(c["segments"])]
+            for c in report["channels"]
+        ]
+        overall = ["(all)", "", _cell(report, "overall_wer", ".4f"), _cell(report, "overall_bleu", ".2f")]
+        rows.append([*overall, str(report["utterances"])])
+        _print(format_table(["tag", "modality", "WER", "BLEU", "n"], rows))
+    else:
+        _print(formats._dumps(report))
+    diags += hyp_diags
 
 
-def cmd_laal(args: argparse.Namespace) -> int:
-    diags: list[Diagnostic] = []
+def cmd_laal(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     by_tag: dict[str, list[float]] = {}
     traces = 0
     for tr in formats.read_traces(args.traces, diags):
@@ -225,8 +242,6 @@ def cmd_laal(args: argparse.Namespace) -> int:
         _print(format_table(["tag", "mean LAAL (ms)", "traces"], rows))
     else:
         _print(formats._dumps(result))
-    _emit_diags(diags)
-    return 1 if diags else 0
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +257,7 @@ def _read_config(path: str) -> dict:
     return _section(path, "config", formats.read_json(path), dict)
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     obj = _read_config(args.config)
     if args.seed is not None:
         obj = {**obj, "seed": args.seed}
@@ -250,12 +265,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ValueError("no seed: provide --seed or a \"seed\" field in the config")
     config = synth_config_from_json(obj)
     formats.write_corpus(synth_corpus(config), args.output)
-    return 0
 
 
-def cmd_study(args: argparse.Namespace) -> int:
+def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     obj = _read_config(args.config)
-    diags: list[Diagnostic] = []
 
     if "corpus" in obj and "synth" in obj:
         raise ValueError("study config must have exactly one of \"corpus\" or \"synth\"")
@@ -293,8 +306,6 @@ def cmd_study(args: argparse.Namespace) -> int:
                 [entry["label"], ch["tag"], f"{ch['mean_laal_ms']:.1f}", f"{entry['mean_switches']:.2f}"]
             )
     _print(format_table(["method", "tag", "mean LAAL (ms)", "mean switches"], rows))
-    _emit_diags(diags)
-    return 1 if diags else 0
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; its diagnostics go to stderr and set the exit code, unless it fails fatally."""
     args = build_parser().parse_args(argv)
+    diags: list[Diagnostic] = []
     try:
-        return args.func(args)
+        args.func(args, diags)
     except KeyError as exc:
         print(f"error: missing field {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit_diags(diags)
+    return 1 if diags else 0

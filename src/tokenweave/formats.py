@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import IO, Iterable, Iterator
+from typing import IO, ContextManager, Iterable, Iterator
 
 from .metrics import EmissionTrace
 from .model import (
@@ -59,30 +60,20 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-def _open_read(path: str) -> tuple[IO[str], bool]:
+def _open(path: str, mode: str) -> ContextManager[IO[str]]:
+    """`path` opened as UTF-8 text in `mode` ("r" or "w"); "-" is stdin or stdout, which stays open."""
     if path == "-":
-        return sys.stdin, False
-    return open(path, "r", encoding="utf-8"), True
-
-
-def _open_write(path: str) -> tuple[IO[str], bool]:
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        return nullcontext(sys.stdin if mode == "r" else sys.stdout)
+    return open(path, mode, encoding="utf-8")
 
 
 def _read_lines(path: str) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, line) pairs; decode errors name the path."""
-    fh, close = _open_read(path)
-    try:
+    with _open(path, "r") as fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                yield lineno, line
+            yield from enumerate(fh, start=1)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
-    finally:
-        if close:
-            fh.close()
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
@@ -94,29 +85,17 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
     """
     lines = iter(lines)
     first = next(lines, None)
-    fh, close = _open_write(path)
-    try:
+    with _open(path, "w") as fh:
         if first is not None:
             lines = chain((first,), lines)
         for line in lines:
             fh.write(line)
             fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def read_json(path: str, what: str = "JSON"):
     """Parse a whole file as one JSON document; errors name the path and `what` it should be."""
-    fh, close = _open_read(path)
-    try:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
-    finally:
-        if close:
-            fh.close()
+    text = "".join(line for _, line in _read_lines(path))
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

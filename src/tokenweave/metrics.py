@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import string
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -30,8 +30,6 @@ from .model import (
 
 __all__ = [
     "EmissionTrace",
-    "ChannelMetrics",
-    "MetricReport",
     "normalize_words",
     "wer",
     "bleu_corpus",
@@ -39,7 +37,6 @@ __all__ = [
     "count_switches",
     "switch_reduction",
     "evaluate_corpus",
-    "format_table",
 ]
 
 BLEU_MAX_ORDER = 4
@@ -248,103 +245,26 @@ def _switch_reduction(base: list[tuple[str, int]], variant: list[tuple[str, int]
     return 1.0 - variant_total / base_total
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelMetrics:
-    """Scores for one channel tag across a corpus."""
-
-    tag: str
-    modality: Modality
-    wer: float | None = None
-    bleu: float | None = None
-    ref_words: int = 0
-    segments: int = 0
-
-    def to_json(self) -> dict:
-        out: dict = {"tag": self.tag, "modality": self.modality.value}
-        if self.wer is not None:
-            out["wer"] = self.wer
-        if self.bleu is not None:
-            out["bleu"] = self.bleu
-        out["ref_words"] = self.ref_words
-        out["segments"] = self.segments
-        return out
-
-
-@dataclass(frozen=True, slots=True)
-class MetricReport:
-    """Per-channel scores plus corpus-level aggregates."""
-
-    channels: tuple[ChannelMetrics, ...]
-    overall_wer: float | None = None
-    overall_bleu: float | None = None
-    utterances: int = 0
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "utterances": self.utterances,
-            "channels": [c.to_json() for c in self.channels],
-        }
-        if self.overall_wer is not None:
-            out["overall_wer"] = self.overall_wer
-        if self.overall_bleu is not None:
-            out["overall_bleu"] = self.overall_bleu
-        return out
-
-    def to_table(self) -> str:
-        rows = []
-        for c in self.channels:
-            rows.append(
-                [
-                    c.tag,
-                    c.modality.value,
-                    "" if c.wer is None else f"{c.wer:.4f}",
-                    "" if c.bleu is None else f"{c.bleu:.2f}",
-                    str(c.segments),
-                ]
-            )
-        overall = [
-            "(all)",
-            "",
-            "" if self.overall_wer is None else f"{self.overall_wer:.4f}",
-            "" if self.overall_bleu is None else f"{self.overall_bleu:.2f}",
-            str(self.utterances),
-        ]
-        return format_table(["tag", "modality", "WER", "BLEU", "n"], rows + [overall])
-
-
-def format_table(headers: list[str], rows: list[list[str]]) -> str:
-    """Left-aligned plain-text table with a dashed header rule."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return "\n".join(lines)
-
-
 def evaluate_corpus(
     refs: Iterable[Utterance],
     hyps: dict[str, dict[str, list[str]]],
     normalize: bool = False,
-) -> MetricReport:
-    """Score demultiplexed hypotheses against a reference corpus.
+) -> dict:
+    """Score demultiplexed hypotheses against a reference corpus: the JSON report `eval` prints.
 
     `hyps` maps utterance id to per-tag word lists (the demultiplexer's
     output shape).  Transcription tags get pooled corpus WER, translation
-    tags corpus BLEU.  Utterance ids must align exactly; mismatches raise
-    with the offending id.
+    tags corpus BLEU; a tag must keep one modality across the references.
+    Utterance ids must align exactly; mismatches raise with the offending id.
+
+    The report holds ``utterances``, one ``channels`` entry per tag in order
+    of first appearance (``tag``, ``modality``, ``wer`` or ``bleu``,
+    ``ref_words``, ``segments``), then ``overall_wer`` if some tag is a
+    transcription and ``overall_bleu`` if some tag is a translation.
     """
-    # One pass over the references, so they may stream from a file.
-    tag_order: dict[str, Modality] = {}  # in order of first appearance
-    per_tag_dist: defaultdict[str, int] = defaultdict(int)
-    per_tag_ref_words: defaultdict[str, int] = defaultdict(int)
-    per_tag_bleu: defaultdict[str, Counter] = defaultdict(Counter)
-    per_tag_segments: defaultdict[str, int] = defaultdict(int)
+    # One pass over the references, so they may stream from a file.  Per tag:
+    # [modality, ref words, segments, edit distance or summed `_bleu_stats`].
+    per_tag: dict[str, list] = {}
     seen: set[str] = set()
     utterances = 0
 
@@ -355,19 +275,25 @@ def evaluate_corpus(
         seen.add(u.utt_id)
         utterances += 1
         for ch in u.channels:
-            s = ch.tag.surface
-            tag_order.setdefault(s, ch.tag.modality)
+            s, modality = ch.tag.surface, ch.tag.modality
+            acc = per_tag.get(s)
+            if acc is None:
+                acc = per_tag[s] = [modality, 0, 0, 0 if modality is Modality.TRANSCRIPTION else Counter()]
+            elif acc[0] is not modality:
+                raise ValueError(
+                    f"tag {s!r} is {modality.value} in utterance {u.utt_id!r} but {acc[0].value} before it"
+                )
             ref_words = list(ch.texts)
             hyp_words = list(hyp_channels.get(s, []))
             if normalize:
                 ref_words = normalize_words(ref_words)
                 hyp_words = normalize_words(hyp_words)
-            per_tag_segments[s] += 1
-            per_tag_ref_words[s] += len(ref_words)
-            if ch.tag.modality is Modality.TRANSCRIPTION:
-                per_tag_dist[s] += edit_distance(ref_words, hyp_words)
+            acc[1] += len(ref_words)
+            acc[2] += 1
+            if modality is Modality.TRANSCRIPTION:
+                acc[3] += edit_distance(ref_words, hyp_words)
             else:
-                per_tag_bleu[s] += _bleu_stats(ref_words, hyp_words)
+                acc[3] += _bleu_stats(ref_words, hyp_words)
     extra = set(hyps) - seen
     if extra:
         raise ValueError(f"hypothesis for unknown utterance {sorted(extra)[0]!r}")
@@ -375,30 +301,25 @@ def evaluate_corpus(
     channels = []
     total_dist = 0
     total_ref_words = 0
-    for s, modality in tag_order.items():
-        tag_wer = tag_bleu = None
+    bleu_stats = []
+    for s, (modality, ref_words, segments, score) in per_tag.items():
+        channel: dict = {"tag": s, "modality": modality.value}
         if modality is Modality.TRANSCRIPTION:
-            if per_tag_ref_words[s] == 0:
+            if ref_words == 0:
                 raise ValueError(f"transcription tag {s!r} has an empty reference corpus")
-            tag_wer = per_tag_dist[s] / per_tag_ref_words[s]
-            total_dist += per_tag_dist[s]
-            total_ref_words += per_tag_ref_words[s]
+            channel["wer"] = score / ref_words
+            total_dist += score
+            total_ref_words += ref_words
         else:
-            tag_bleu = _bleu_from_stats(per_tag_bleu[s])
-        channels.append(
-            ChannelMetrics(
-                tag=s,
-                modality=modality,
-                wer=tag_wer,
-                bleu=tag_bleu,
-                ref_words=per_tag_ref_words[s],
-                segments=per_tag_segments[s],
-            )
-        )
+            channel["bleu"] = _bleu_from_stats(score)
+            bleu_stats.append(score)
+        channel["ref_words"] = ref_words
+        channel["segments"] = segments
+        channels.append(channel)
 
-    return MetricReport(
-        channels=tuple(channels),
-        overall_wer=total_dist / total_ref_words if total_ref_words else None,
-        overall_bleu=_bleu_from_stats(sum(per_tag_bleu.values(), Counter())) if per_tag_bleu else None,
-        utterances=utterances,
-    )
+    report: dict = {"utterances": utterances, "channels": channels}
+    if total_ref_words:
+        report["overall_wer"] = total_dist / total_ref_words
+    if bleu_stats:
+        report["overall_bleu"] = _bleu_from_stats(sum(bleu_stats, Counter()))
+    return report

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from tokenweave import (
     Channel,
     GroupingConfig,
+    Modality,
     ReplayPolicy,
     SynthConfig,
+    Tag,
     TagSet,
     TimedWord,
     Utterance,
@@ -28,7 +30,7 @@ from tokenweave import (
     replay,
     synth_corpus,
 )
-from tokenweave.cli import main
+from tokenweave.cli import format_table, main
 from tokenweave.formats import (
     read_channels,
     read_corpus,
@@ -220,13 +222,21 @@ class TestBuild:
 
 
 class TestDemuxAndEval:
-    def _pipeline(self, tmp_path, capsys, extra_eval=()):
-        corpus, tags = _synth_files(tmp_path)
+    def _pipeline(self, tmp_path, capsys, extra_eval=(), channels=(ASR, ES, DE), wrong=False):
+        """build, demux and eval over a synthetic corpus; with `wrong`, every other hypothesis ends in a wrong word."""
+        corpus, tags = _synth_files(tmp_path, channels=channels)
         serialized = str(tmp_path / "ser.jsonl")
-        channels = str(tmp_path / "ch.jsonl")
+        hyps = str(tmp_path / "ch.jsonl")
         assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", serialized]) == 0
-        assert main(["demux", "--tags", tags, "--input", serialized, "--output", channels]) == 0
-        rc = main(["eval", "--refs", corpus, "--hyps", channels, *extra_eval])
+        assert main(["demux", "--tags", tags, "--input", serialized, "--output", hyps]) == 0
+        if wrong:
+            records = list(read_channels(hyps, []))
+            spoiled = [
+                (utt_id, {tag: (*words[:-1], "zzz") if i % 2 and words else words for tag, words in chans.items()})
+                for i, (utt_id, chans) in enumerate(records)
+            ]
+            write_channels(spoiled, hyps)
+        rc = main(["eval", "--refs", corpus, "--hyps", hyps, *extra_eval])
         return rc, capsys.readouterr().out
 
     def test_lossless_pipeline_scores_perfectly(self, tmp_path, capsys):
@@ -239,13 +249,66 @@ class TestDemuxAndEval:
             assert ch.get("wer", 0.0) == 0.0
             assert ch.get("bleu", 100.0) == 100.0
 
-    def test_eval_table(self, tmp_path, capsys):
-        rc, out = self._pipeline(tmp_path, capsys, extra_eval=("--table",))
+    @pytest.mark.parametrize(
+        "channels, wrong, table",
+        [
+            pytest.param(
+                (ASR, ES, DE),
+                False,
+                [
+                    "tag    modality  WER     BLEU    n",
+                    "-----  --------  ------  ------  --",
+                    "#ASR#  asr       0.0000          20",
+                    "#ES#   st                100.00  20",
+                    "#DE#   st                100.00  20",
+                    "(all)            0.0000  100.00  20",
+                ],
+                id="lossless",
+            ),
+            pytest.param(
+                (ASR, ES, DE),
+                True,
+                [
+                    "tag    modality  WER     BLEU   n",
+                    "-----  --------  ------  -----  --",
+                    "#ASR#  asr       0.0971         20",
+                    "#ES#   st                86.11  20",
+                    "#DE#   st                88.14  20",
+                    "(all)            0.0971  87.21  20",
+                ],
+                id="wrong-words",
+            ),
+            pytest.param(
+                (ES, DE),
+                True,
+                [
+                    "tag    modality  WER  BLEU   n",
+                    "-----  --------  ---  -----  --",
+                    "#ES#   st             87.21  20",
+                    "#DE#   st             87.73  20",
+                    "(all)                 87.49  20",
+                ],
+                id="translation-only",
+            ),
+            pytest.param(
+                (ASR,),
+                True,
+                [
+                    "tag    modality  WER     BLEU  n",
+                    "-----  --------  ------  ----  --",
+                    "#ASR#  asr       0.1205        20",
+                    "(all)            0.1205        20",
+                ],
+                id="transcription-only",
+            ),
+        ],
+    )
+    def test_eval_table(self, tmp_path, capsys, channels, wrong, table):
+        # Five columns: tag, modality, WER, BLEU and the segment count; a
+        # score that does not apply to a modality is an empty cell.
+        rc, out = self._pipeline(tmp_path, capsys, extra_eval=("--table",), channels=channels, wrong=wrong)
         assert rc == 0
-        # Five columns: tag, modality, WER, BLEU and the segment count.
-        assert out.splitlines()[:2] == ["tag    modality  WER     BLEU    n", "-----  --------  ------  ------  --"]
-        assert "(all)" in out
-        assert "#ASR#" in out
+        assert out == "\n".join(table) + "\n"
 
     def test_demux_text_mode(self, tmp_path, demo_files, capsys):
         _, tags = demo_files
@@ -359,6 +422,31 @@ class TestDemuxAndEval:
         rc = main(["eval", "--refs", corpus, "--hyps", hyps])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_tag_that_changes_modality_is_fatal(self, tmp_path, capsys):
+        corpus, hyps = str(tmp_path / "corpus.jsonl"), str(tmp_path / "hyps.jsonl")
+        asr_es = Tag("#ES#", Modality.TRANSCRIPTION, "es")
+        write_corpus(
+            [
+                Utterance("a", 100, (Channel(ES, (TimedWord(10, "hola"), TimedWord(20, "amigo"))),)),
+                Utterance("b", 100, (Channel(asr_es, (TimedWord(10, "hola"), TimedWord(20, "amigo"))),)),
+            ],
+            corpus,
+        )
+        write_channels([("a", {"#ES#": ("hola", "amigo")}), ("b", {"#ES#": ("adios", "enemigo")})], hyps)
+        rc = main(["eval", "--refs", corpus, "--hyps", hyps])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: tag '#ES#' is asr in utterance 'b' but st before it\n"
+
+
+def test_format_table_alignment():
+    table = format_table(["a", "bb"], [["1", "2"], ["333", "4"]])
+    lines = table.splitlines()
+    assert lines[0].startswith("a")
+    assert set(lines[1]) <= {"-", " "}
+    assert len(lines) == 4
 
 
 class TestStats:
