@@ -1,10 +1,10 @@
 """Command-line front end: serialize, demux, score, and simulate as a pipeline.
 
-Exit codes: 0 success, 1 the run completed but validation diagnostics were
-emitted (bad input lines were skipped), 2 fatal error (usage, unreadable
-file, domain violation).  Diagnostics go to standard error, one canonical
-JSON object per line; primary results go to the requested output path, with
-"-" meaning stdin/stdout.
+Exit codes: 0 success, 1 the run completed but diagnostics were emitted
+(bad input lines were skipped, or input words went unscored), 2 fatal error
+(usage, unreadable file, domain violation).  Diagnostics go to standard
+error, one canonical JSON object per line; primary results go to the
+requested output path, with "-" meaning stdin/stdout.
 """
 
 from __future__ import annotations
@@ -202,12 +202,20 @@ def _cell(obj: dict, key: str, spec: str) -> str:
 
 
 def cmd_eval(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
-    # The hypotheses are held; the references stream through one scoring pass.
-    # Reference diagnostics are reported before hypothesis diagnostics.
+    if args.refs == "-" and args.hyps == "-":
+        raise ValueError("--refs and --hyps cannot both be - (stdin): the two are read side by side")
+    # Both inputs stream through one scoring pass.  Reference, hypothesis and
+    # unscored-words diagnostics are reported in that order.
     hyp_diags: list[Diagnostic] = []
-    hyps = dict(formats.read_channels(args.hyps, hyp_diags))
-    with closing(formats.read_corpus(args.refs, diags)) as refs:
-        report = evaluate_corpus(refs, hyps, normalize=args.normalize)
+    unscored: list[Diagnostic] = []
+    refs = formats.read_corpus(args.refs, diags)
+    hyps = formats.read_channels(args.hyps, hyp_diags)
+    with closing(refs), closing(hyps):
+        try:
+            report = evaluate_corpus(refs, hyps, unscored, normalize=args.normalize)
+        except ValueError:
+            _emit_diags(diags + hyp_diags)  # a skipped line is often why a hypothesis is missing
+            raise
     if args.table:
         rows = [
             [c["tag"], c["modality"], _cell(c, "wer", ".4f"), _cell(c, "bleu", ".2f"), str(c["segments"])]
@@ -218,7 +226,7 @@ def cmd_eval(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
         _print(format_table(["tag", "modality", "WER", "BLEU", "n"], rows))
     else:
         _print(formats._dumps(report))
-    diags += hyp_diags
+    diags += hyp_diags + unscored
 
 
 def cmd_laal(args: argparse.Namespace, diags: list[Diagnostic]) -> None:

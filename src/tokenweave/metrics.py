@@ -18,10 +18,11 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .kernels import edit_distance
 from .model import (
+    Diagnostic,
     Modality,
     SerializedSequence,
     Tag,
@@ -247,32 +248,47 @@ def _switch_reduction(base: list[tuple[str, int]], variant: list[tuple[str, int]
 
 def evaluate_corpus(
     refs: Iterable[Utterance],
-    hyps: dict[str, dict[str, list[str]]],
+    hyps: Iterable[tuple[str, Mapping[str, Sequence[str]]]],
+    diags: list[Diagnostic],
     normalize: bool = False,
 ) -> dict:
     """Score demultiplexed hypotheses against a reference corpus: the JSON report `eval` prints.
 
-    `hyps` maps utterance id to per-tag word lists (the demultiplexer's
-    output shape).  Transcription tags get pooled corpus WER, translation
-    tags corpus BLEU; a tag must keep one modality across the references.
-    Utterance ids must align exactly; mismatches raise with the offending id.
+    `hyps` yields ``(utt_id, {tag: words})`` pairs (the demultiplexer's
+    output, as :func:`~tokenweave.formats.read_channels` yields it, or a
+    dict's ``.items()``).  Both inputs are read once, in lockstep: each
+    reference pulls hypotheses until it meets its own, and those it passes
+    wait for their reference.  In the same order, only the current record
+    of each is held.  Utterance ids must be distinct on each side, as the
+    readers leave them, and align exactly; the first reference without a
+    hypothesis raises, and then the smallest hypothesis id that no
+    reference has.  A non-empty hypothesis channel whose tag the
+    utterance's reference lacks is an ``unscored-words`` diagnostic
+    appended to `diags`.
 
-    The report holds ``utterances``, one ``channels`` entry per tag in order
-    of first appearance (``tag``, ``modality``, ``wer`` or ``bleu``,
-    ``ref_words``, ``segments``), then ``overall_wer`` if some tag is a
-    transcription and ``overall_bleu`` if some tag is a translation.
+    Transcription tags get pooled corpus WER, translation tags corpus BLEU;
+    a tag must keep one modality across the references.  The report holds
+    ``utterances``, one ``channels`` entry per tag in order of first
+    appearance (``tag``, ``modality``, ``wer`` or ``bleu``, ``ref_words``,
+    ``segments``), then ``overall_wer`` if some tag is a transcription and
+    ``overall_bleu`` if some tag is a translation.
     """
-    # One pass over the references, so they may stream from a file.  Per tag:
-    # [modality, ref words, segments, edit distance or summed `_bleu_stats`].
+    # Per tag: [modality, ref words, segments, edit distance or summed `_bleu_stats`].
     per_tag: dict[str, list] = {}
-    seen: set[str] = set()
+    hyps = iter(hyps)
+    ahead: dict[str, Mapping[str, Sequence[str]]] = {}  # read past, waiting for their reference
     utterances = 0
 
     for u in refs:
-        if u.utt_id not in hyps:
-            raise ValueError(f"missing hypothesis for utterance {u.utt_id!r}")
-        hyp_channels = hyps[u.utt_id]
-        seen.add(u.utt_id)
+        hyp_channels = ahead.pop(u.utt_id, None)
+        while hyp_channels is None:
+            utt_id, channels = next(hyps, (None, None))
+            if utt_id is None:
+                raise ValueError(f"missing hypothesis for utterance {u.utt_id!r}")
+            if utt_id == u.utt_id:
+                hyp_channels = channels
+            else:
+                ahead[utt_id] = channels
         utterances += 1
         for ch in u.channels:
             s, modality = ch.tag.surface, ch.tag.modality
@@ -294,9 +310,21 @@ def evaluate_corpus(
                 acc[3] += edit_distance(ref_words, hyp_words)
             else:
                 acc[3] += _bleu_stats(ref_words, hyp_words)
-    extra = set(hyps) - seen
-    if extra:
-        raise ValueError(f"hypothesis for unknown utterance {sorted(extra)[0]!r}")
+        ref_tags = {ch.tag.surface for ch in u.channels}
+        for s, words in hyp_channels.items():
+            if words and s not in ref_tags:
+                diags.append(
+                    Diagnostic(
+                        "unscored-words",
+                        f"hypothesis channel {s!r} has no reference channel; its {len(words)} word(s) are not scored",
+                        utt_id=u.utt_id,
+                        tag=s,
+                    )
+                )
+    # Of the hypotheses left over, only the smallest id is kept.
+    extra = min(chain(ahead, (utt_id for utt_id, _ in hyps)), default=None)
+    if extra is not None:
+        raise ValueError(f"hypothesis for unknown utterance {extra!r}")
 
     channels = []
     total_dist = 0

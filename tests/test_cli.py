@@ -423,6 +423,63 @@ class TestDemuxAndEval:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def _one_record_files(self, tmp_path, channels):
+        """A reference `u1` with "#ASR# hi", and a hypothesis line for it with `channels`."""
+        corpus, hyps = tmp_path / "corpus.jsonl", tmp_path / "hyps.jsonl"
+        write_corpus([Utterance("u1", 100, (Channel(ASR, (TimedWord(1, "hi"),)),))], str(corpus))
+        hyps.write_text(json.dumps({"v": 1, "utt_id": "u1", "channels": channels}) + "\n")
+        return corpus, hyps
+
+    def test_missing_hypothesis_is_reported_after_the_line_that_explains_it(self, tmp_path, capsys):
+        corpus, hyps = self._one_record_files(tmp_path, [{"tag": "#ASR#", "words": [5]}])
+        rc = main(["eval", "--refs", str(corpus), "--hyps", str(hyps)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        bad = {"code": "bad-record", "message": f"{hyps}:1: word must be a JSON string, got int", "index": 1}
+        assert captured.err.splitlines() == [json.dumps(bad, separators=(",", ":")), "error: missing hypothesis for utterance 'u1'"]
+
+    def test_hypothesis_words_that_nothing_scores_are_a_diagnostic(self, tmp_path, capsys):
+        corpus, hyps = self._one_record_files(tmp_path, [{"tag": "#ASR#", "words": ["hi"]}])
+        assert main(["eval", "--refs", str(corpus), "--hyps", str(hyps)]) == 0
+        clean = capsys.readouterr().out
+        hyps.write_text(hyps.read_text().replace('"words": ["hi"]}', '"words": ["hi"]}, {"tag": "<unknown>", "words": ["x", "y", "z"]}'))
+        rc = main(["eval", "--refs", str(corpus), "--hyps", str(hyps)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, clean)
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {
+                "code": "unscored-words",
+                "message": "hypothesis channel '<unknown>' has no reference channel; its 3 word(s) are not scored",
+                "utt_id": "u1",
+                "tag": "<unknown>",
+            }
+        ]
+
+    def test_diagnostics_keep_reference_hypothesis_unscored_order(self, tmp_path, capsys):
+        corpus, hyps = self._one_record_files(tmp_path, [{"tag": "#ASR#", "words": ["hi"]}, {"tag": "#ES#", "words": ["x"]}])
+        corpus.write_text(corpus.read_text() + "not json\n")
+        hyps.write_text("not json\n" + hyps.read_text())
+        assert main(["eval", "--refs", str(corpus), "--hyps", str(hyps)]) == 1
+        diags = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(d["code"], d.get("utt_id") or d["message"].split(":")[0]) for d in diags] == [
+            ("bad-record", str(corpus)),
+            ("bad-record", str(hyps)),
+            ("unscored-words", "u1"),
+        ]
+
+    def test_when_neither_input_can_be_opened_the_references_are_named(self, tmp_path, capsys):
+        refs, hyps = tmp_path / "no-refs.jsonl", tmp_path / "no-hyps.jsonl"
+        assert main(["eval", "--refs", str(refs), "--hyps", str(hyps)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(refs) in err and str(hyps) not in err
+
+    def test_refs_and_hyps_both_from_stdin_is_refused_before_reading(self, capsys, monkeypatch):
+        stdin = io.StringIO("not json\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        rc = main(["eval", "--refs", "-", "--hyps", "-"])
+        assert (rc, stdin.tell()) == (2, 0)
+        assert capsys.readouterr().err == "error: --refs and --hyps cannot both be - (stdin): the two are read side by side\n"
+
     def test_tag_that_changes_modality_is_fatal(self, tmp_path, capsys):
         corpus, hyps = str(tmp_path / "corpus.jsonl"), str(tmp_path / "hyps.jsonl")
         asr_es = Tag("#ES#", Modality.TRANSCRIPTION, "es")
@@ -1074,9 +1131,9 @@ def test_escaped_lone_surrogate_is_a_bad_record(tmp_path, demo_files, capsys):
 
 
 class TestStreaming:
-    """build, demux, synth and laal hold one record; eval holds the hypotheses and one reference; study its LAAL values."""
+    """build, demux, synth, laal and eval hold one record; study holds its LAAL values."""
 
-    @pytest.mark.parametrize("command", ["build", "demux", "synth", "laal"])
+    @pytest.mark.parametrize("command", ["build", "demux", "synth", "laal", "eval"])
     def test_memory_is_bounded_by_one_record(self, tmp_path, big_files, capsys, command):
         f, out = big_files, str(tmp_path / "out.jsonl")
         argv, read_whole = {
@@ -1090,22 +1147,21 @@ class TestStreaming:
             ),
             "synth": (["synth", "--config", f["config"], "--output", out], lambda: list(synth_corpus(BIG_CONFIG))),
             "laal": (["laal", "--traces", f["traces"]], lambda: list(read_traces(f["traces"], []))),
+            "eval": (
+                ["eval", "--refs", f["corpus"], "--hyps", f["hyps"]],
+                lambda: (list(read_corpus(f["corpus"], [])), dict(read_channels(f["hyps"], []))),
+            ),
         }[command]
         stage_peak = _peak(lambda: main(argv))
         captured = capsys.readouterr()
         assert captured.err == ""
         if command == "laal":
             assert json.loads(captured.out)["traces"] == Path(f["traces"]).read_text().count("\n")
+        elif command == "eval":
+            assert json.loads(captured.out)["utterances"] == 3000
         else:
             assert Path(out).read_text().count("\n") == 3000
         assert stage_peak * 5 <= _peak(read_whole)
-
-    def test_eval_holds_less_than_both_inputs(self, big_files, capsys):
-        f = big_files
-        eval_peak = _peak(lambda: main(["eval", "--refs", f["corpus"], "--hyps", f["hyps"]]))
-        captured = capsys.readouterr()
-        assert (json.loads(captured.out)["utterances"], captured.err) == (3000, "")
-        assert eval_peak < _peak(lambda: (list(read_corpus(f["corpus"], [])), dict(read_channels(f["hyps"], []))))
 
     def test_study_holds_less_than_its_corpus(self, tmp_path, big_files, capsys):
         f, config, out = big_files, tmp_path / "study.json", tmp_path / "report.json"

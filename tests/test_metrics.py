@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
+import tempfile
 from collections import Counter
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,9 @@ from tokenweave import (
     switch_reduction,
     wer,
 )
-from tokenweave.metrics import normalize_words
+from tokenweave.formats import read_channels, write_channels
+from tokenweave.kernels import edit_distance
+from tokenweave.metrics import _bleu_from_stats, _bleu_stats, normalize_words
 from conftest import ASR, DE, ES, FR
 
 
@@ -286,7 +291,7 @@ class TestBleuMatchesTwoPassOracle:
     @settings(max_examples=300)
     def test_evaluate_corpus(self, corpus_and_hyps, normalize):
         corpus, hyps = corpus_and_hyps
-        report = evaluate_corpus(corpus, hyps, normalize=normalize)
+        report = evaluate_corpus(corpus, hyps.items(), [], normalize=normalize)
         by_tag, overall = _evaluate_bleu_oracle(corpus, hyps, normalize)
         assert {c["tag"]: c["bleu"] for c in report["channels"] if "bleu" in c} == by_tag
         assert report.get("overall_bleu") == overall
@@ -444,13 +449,10 @@ class TestSwitchCounting:
 
 class TestEvaluateCorpus:
     def _perfect_hyps(self, corpus, tags):
-        return {
-            u.utt_id: {ch.tag.surface: [tw.word for tw in ch.words] for ch in u.channels}
-            for u in corpus
-        }
+        return [(u.utt_id, {ch.tag.surface: [tw.word for tw in ch.words] for ch in u.channels}) for u in corpus]
 
     def test_perfect_round_trip_scores(self, demo_utterance, demo_tags):
-        report = evaluate_corpus([demo_utterance], self._perfect_hyps([demo_utterance], demo_tags))
+        report = evaluate_corpus([demo_utterance], self._perfect_hyps([demo_utterance], demo_tags), [])
         by_tag = {c["tag"]: c for c in report["channels"]}
         assert by_tag["#ASR#"]["wer"] == 0.0
         assert by_tag["#ES#"]["bleu"] == 100.0
@@ -460,27 +462,26 @@ class TestEvaluateCorpus:
 
     def test_missing_hypothesis_names_utterance(self, demo_utterance):
         with pytest.raises(ValueError, match="demo-001"):
-            evaluate_corpus([demo_utterance], {})
+            evaluate_corpus([demo_utterance], [], [])
 
     def test_extra_hypothesis_names_utterance(self, demo_utterance, demo_tags):
-        hyps = self._perfect_hyps([demo_utterance], demo_tags)
-        hyps["ghost"] = {}
+        hyps = [*self._perfect_hyps([demo_utterance], demo_tags), ("ghost", {})]
         with pytest.raises(ValueError, match="ghost"):
-            evaluate_corpus([demo_utterance], hyps)
+            evaluate_corpus([demo_utterance], hyps, [])
 
     def test_empty_transcription_reference_is_an_error(self):
         u = Utterance("u", 100, (Channel(ASR, ()),))
         with pytest.raises(ValueError, match="empty reference"):
-            evaluate_corpus([u], {"u": {"#ASR#": []}})
+            evaluate_corpus([u], [("u", {"#ASR#": []})], [])
 
     def test_normalize_flag(self):
         u = Utterance("u", 100, (Channel(ASR, (TimedWord(1, "Hello,"), TimedWord(2, "World!"))),))
-        hyps = {"u": {"#ASR#": ["hello", "world"]}}
-        assert evaluate_corpus([u], hyps)["overall_wer"] == 1.0
-        assert evaluate_corpus([u], hyps, normalize=True)["overall_wer"] == 0.0
+        hyps = [("u", {"#ASR#": ["hello", "world"]})]
+        assert evaluate_corpus([u], hyps, [])["overall_wer"] == 1.0
+        assert evaluate_corpus([u], hyps, [], normalize=True)["overall_wer"] == 0.0
 
     def test_report_json(self, demo_utterance, demo_tags):
-        report = evaluate_corpus([demo_utterance], self._perfect_hyps([demo_utterance], demo_tags))
+        report = evaluate_corpus([demo_utterance], self._perfect_hyps([demo_utterance], demo_tags), [])
         assert report["utterances"] == 1
         assert {c["tag"] for c in report["channels"]} == {"#ASR#", "#ES#", "#DE#"}
         assert list(report["channels"][0]) == ["tag", "modality", "wer", "ref_words", "segments"]
@@ -490,7 +491,7 @@ class TestEvaluateCorpus:
     def test_overall_bleu_with_every_translation_empty(self):
         # Empty segments sum to BLEU statistics of all zeros, yet the tag is a translation.
         u = Utterance("u", 100, (Channel(ES, ()),))
-        report = evaluate_corpus([u], {"u": {}})
+        report = evaluate_corpus([u], [("u", {})], [])
         assert report == {
             "utterances": 1,
             "channels": [{"tag": "#ES#", "modality": "st", "bleu": 0.0, "ref_words": 0, "segments": 1}],
@@ -501,6 +502,148 @@ class TestEvaluateCorpus:
         # Scored as a translation first, the transcription's edit distance would be dropped.
         a = Utterance("a", 100, (Channel(ES, (TimedWord(1, "hola"),)),))
         b = Utterance("b", 100, (Channel(Tag("#ES#", Modality.TRANSCRIPTION, "es"), (TimedWord(1, "hola"),)),))
-        hyps = {"a": {"#ES#": ["hola"]}, "b": {"#ES#": ["adios"]}}
+        hyps = [("a", {"#ES#": ["hola"]}), ("b", {"#ES#": ["adios"]})]
         with pytest.raises(ValueError, match=r"tag '#ES#' is asr in utterance 'b' but st before it"):
-            evaluate_corpus([a, b], hyps)
+            evaluate_corpus([a, b], hyps, [])
+
+    def test_hypothesis_words_that_no_reference_channel_scores_are_reported(self):
+        u = Utterance("u1", 100, (Channel(ASR, (TimedWord(1, "hi"),)),))
+        diags = []
+        hyps = [("u1", {"#ASR#": ["hi"], "<unknown>": ["x", "y", "z"], "#ES#": []})]
+        assert evaluate_corpus([u], hyps, diags)["overall_wer"] == 0.0
+        assert [(d.code, d.utt_id, d.tag) for d in diags] == [("unscored-words", "u1", "<unknown>")]
+        assert diags[0].message == "hypothesis channel '<unknown>' has no reference channel; its 3 word(s) are not scored"
+
+
+# The join that the lockstep one replaced, kept as the oracle: the
+# hypotheses are held in a dict and each reference looks its own up.
+def _dict_join_oracle(refs, hyps: dict, normalize=False) -> dict:
+    per_tag: dict[str, list] = {}
+    seen: set[str] = set()
+    utterances = 0
+    for u in refs:
+        if u.utt_id not in hyps:
+            raise ValueError(f"missing hypothesis for utterance {u.utt_id!r}")
+        hyp_channels = hyps[u.utt_id]
+        seen.add(u.utt_id)
+        utterances += 1
+        for ch in u.channels:
+            s, modality = ch.tag.surface, ch.tag.modality
+            acc = per_tag.get(s)
+            if acc is None:
+                acc = per_tag[s] = [modality, 0, 0, 0 if modality is Modality.TRANSCRIPTION else Counter()]
+            elif acc[0] is not modality:
+                raise ValueError(
+                    f"tag {s!r} is {modality.value} in utterance {u.utt_id!r} but {acc[0].value} before it"
+                )
+            ref_words = list(ch.texts)
+            hyp_words = list(hyp_channels.get(s, []))
+            if normalize:
+                ref_words = normalize_words(ref_words)
+                hyp_words = normalize_words(hyp_words)
+            acc[1] += len(ref_words)
+            acc[2] += 1
+            if modality is Modality.TRANSCRIPTION:
+                acc[3] += edit_distance(ref_words, hyp_words)
+            else:
+                acc[3] += _bleu_stats(ref_words, hyp_words)
+    extra = set(hyps) - seen
+    if extra:
+        raise ValueError(f"hypothesis for unknown utterance {sorted(extra)[0]!r}")
+
+    channels = []
+    total_dist = 0
+    total_ref_words = 0
+    bleu_stats = []
+    for s, (modality, ref_words, segments, score) in per_tag.items():
+        channel: dict = {"tag": s, "modality": modality.value}
+        if modality is Modality.TRANSCRIPTION:
+            if ref_words == 0:
+                raise ValueError(f"transcription tag {s!r} has an empty reference corpus")
+            channel["wer"] = score / ref_words
+            total_dist += score
+            total_ref_words += ref_words
+        else:
+            channel["bleu"] = _bleu_from_stats(score)
+            bleu_stats.append(score)
+        channel["ref_words"] = ref_words
+        channel["segments"] = segments
+        channels.append(channel)
+
+    report: dict = {"utterances": utterances, "channels": channels}
+    if total_ref_words:
+        report["overall_wer"] = total_dist / total_ref_words
+    if bleu_stats:
+        report["overall_bleu"] = _bleu_from_stats(sum(bleu_stats, Counter()))
+    return report
+
+
+_WORDS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=4)
+
+
+@st.composite
+def _joined_inputs(draw):
+    """Up to five references, and hypothesis records for them in any order:
+    some dropped, some for ids no reference has, some repeated with other
+    words.  "#DE#" may change modality between utterances, and a hypothesis
+    may have a channel that its reference lacks."""
+    corpus, records = [], []
+    de_modalities = st.sampled_from(list(Modality)) if draw(st.booleans()) else st.just(Modality.TRANSLATION)
+    for i in range(draw(st.integers(0, 5))):
+        de = Tag("#DE#", draw(de_modalities), "de")
+        tags = draw(st.lists(st.sampled_from([ASR, ES, de]), min_size=1, max_size=3, unique_by=lambda t: t.surface))
+        channels = tuple(Channel(t, tuple(TimedWord(k, w) for k, w in enumerate(draw(_WORDS)))) for t in tags)
+        corpus.append(Utterance(f"u{i}", 100, channels))
+    for utt_id in [u.utt_id for u in corpus] + [f"x{i}" for i in range(draw(st.sampled_from([0, 0, 0, 1, 2])))]:
+        for _ in range(draw(st.sampled_from([1, 1, 1, 1, 1, 1, 2, 2, 0]))):
+            surfaces = draw(st.lists(st.sampled_from(["#ASR#", "#ES#", "#DE#", "<unknown>"]), unique=True))
+            records.append((utt_id, {s: draw(_WORDS) for s in surfaces}))
+    return corpus, draw(st.permutations(records))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLockstepJoin:
+    @given(_joined_inputs(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_order_gives_the_report_of_the_dict_join(self, inputs, normalize):
+        # Through a file, so that a repeated id is dropped by the reader.
+        corpus, records = inputs
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "hyps.jsonl")
+            write_channels(records, path)
+            hyps = dict(read_channels(path, []))
+            expected = _outcome(lambda: _dict_join_oracle(corpus, hyps, normalize))
+            diags = []
+            with closing(read_channels(path, [])) as stream:
+                assert _outcome(lambda: evaluate_corpus(corpus, stream, diags, normalize)) == expected
+        if isinstance(expected, dict):
+            ref_tags = {u.utt_id: {ch.tag.surface for ch in u.channels} for u in corpus}
+            assert [(d.utt_id, d.tag) for d in diags] == [
+                (u, s) for u in ref_tags for s, words in hyps[u].items() if words and s not in ref_tags[u]
+            ]
+
+    def test_in_order_hypotheses_are_pulled_one_per_reference(self, property_corpus):
+        # How many hypotheses were drawn ahead of the references, at each draw.
+        refs_drawn = 0
+        ahead = []
+
+        def refs():
+            nonlocal refs_drawn
+            for u in property_corpus:
+                refs_drawn += 1
+                yield u
+
+        def hyps():
+            for drawn, u in enumerate(property_corpus, 1):
+                ahead.append(drawn - refs_drawn)
+                yield u.utt_id, {ch.tag.surface: ch.texts for ch in u.channels}
+
+        report = evaluate_corpus(refs(), hyps(), [])
+        assert report["utterances"] == len(property_corpus) > 1
+        assert ahead == [0] * len(property_corpus)
