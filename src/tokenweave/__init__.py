@@ -7,84 +7,56 @@ groups timestamps into fixed windows to cut tag switches, splits streams
 back into channels, and scores the results (WER, BLEU, length-adaptive
 average lagging).  A seeded generator and an idealized replayer stand in
 for real streaming models in tests and latency studies.
+
+Each public name is imported from its submodule the first time it is looked
+up, so ``import tokenweave`` itself loads no submodule.
 """
 
-from .demux import DemuxResult, DemuxState, demux_full, feed
-from .metrics import (
-    EmissionTrace,
-    bleu_corpus,
-    count_switches,
-    evaluate_corpus,
-    laal,
-    switch_reduction,
-    wer,
-)
-from .model import (
-    UNKNOWN_CHANNEL,
-    Channel,
-    Diagnostic,
-    GroupingConfig,
-    Modality,
-    SerializationMethod,
-    SerializedSequence,
-    SerializedToken,
-    Tag,
-    TagSet,
-    TagToken,
-    TimedWord,
-    Utterance,
-    WordToken,
-    check_sequence,
-    validate_utterance,
-)
-from .serialize import (
-    assign_group,
-    inter_gamma,
-    inter_time,
-    render_text,
-    serialize_utterance,
-)
-from .simulate import ReplayPolicy, SynthConfig, latency_study, replay, synth_corpus
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "UNKNOWN_CHANNEL",
-    "Modality",
-    "TimedWord",
-    "Tag",
-    "TagSet",
-    "Channel",
-    "Utterance",
-    "TagToken",
-    "WordToken",
-    "SerializedToken",
-    "SerializationMethod",
-    "SerializedSequence",
-    "GroupingConfig",
-    "Diagnostic",
-    "check_sequence",
-    "validate_utterance",
-    "assign_group",
-    "inter_time",
-    "inter_gamma",
-    "serialize_utterance",
-    "render_text",
-    "DemuxState",
-    "DemuxResult",
-    "feed",
-    "demux_full",
-    "EmissionTrace",
-    "wer",
-    "bleu_corpus",
-    "laal",
-    "count_switches",
-    "switch_reduction",
-    "evaluate_corpus",
-    "SynthConfig",
-    "ReplayPolicy",
-    "synth_corpus",
-    "replay",
-    "latency_study",
-]
+# The submodule that defines each public name.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "model": (
+            "UNKNOWN_CHANNEL",
+            "Modality",
+            "TimedWord",
+            "Tag",
+            "TagSet",
+            "Channel",
+            "Utterance",
+            "TagToken",
+            "WordToken",
+            "SerializedToken",
+            "SerializationMethod",
+            "SerializedSequence",
+            "GroupingConfig",
+            "Diagnostic",
+            "EmissionTrace",
+            "check_sequence",
+            "validate_utterance",
+        ),
+        "serialize": ("assign_group", "inter_time", "inter_gamma", "serialize_utterance", "render_text"),
+        "demux": ("DemuxState", "DemuxResult", "feed", "demux_full"),
+        "metrics": ("wer", "bleu_corpus", "laal", "count_switches", "switch_reduction", "evaluate_corpus"),
+        "simulate": ("SynthConfig", "ReplayPolicy", "synth_corpus", "replay", "latency_study"),
+    }.items()
+    for name in names
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines `name` and keep the name here (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

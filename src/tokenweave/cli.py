@@ -16,9 +16,10 @@ from contextlib import closing
 from itertools import compress, repeat
 from operator import is_, itemgetter
 
+# Each cmd_* imports the other layers it calls, so that a stage loads only
+# those: a CLI stage is a short process, and its imports are a large part of
+# its run time.
 from . import formats
-from .demux import demux_full
-from .metrics import _switch_reduction, count_switches, evaluate_corpus, laal
 from .model import (
     Diagnostic,
     Modality,
@@ -27,14 +28,6 @@ from .model import (
     TagSet,
     UNKNOWN_CHANNEL,
     validate_utterance,
-)
-from .serialize import serialize_utterance
-from .simulate import (
-    latency_study,
-    method_label,
-    replay_policy_from_json,
-    synth_config_from_json,
-    synth_corpus,
 )
 
 __all__ = ["main"]
@@ -80,6 +73,8 @@ def _refuse_input_as_output(output: str, *inputs: str) -> None:
 
 
 def cmd_build(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
+    from .serialize import serialize_utterance
+
     tags = formats.read_tag_set(args.tags)
     method = SerializationMethod(args.method.replace("-", "_"), gamma=args.gamma, group_ms=args.group_ms)
     _refuse_input_as_output(args.output, args.input)
@@ -109,6 +104,8 @@ def cmd_build(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 
 
 def cmd_demux(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
+    from .demux import demux_full
+
     tags = formats.read_tag_set(args.tags)
     _refuse_input_as_output(args.output, args.input)
     # Reader diagnostics are reported before demux diagnostics.
@@ -161,6 +158,10 @@ def _own_tags(obj, known: dict[str, Tag]) -> TagSet | None:
 
 
 def cmd_stats(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
+    from .metrics import _switch_reduction, count_switches
+
+    if args.base == "-" and args.variant == "-":
+        raise ValueError("--base and --variant cannot both be - (stdin): stdin holds one input")
     known: dict[str, Tag] = {}
 
     def parse(obj) -> tuple[str, int]:
@@ -202,6 +203,8 @@ def _cell(obj: dict, key: str, spec: str) -> str:
 
 
 def cmd_eval(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
+    from .metrics import evaluate_corpus
+
     if args.refs == "-" and args.hyps == "-":
         raise ValueError("--refs and --hyps cannot both be - (stdin): the two are read side by side")
     # Both inputs stream through one scoring pass.  Reference, hypothesis and
@@ -230,6 +233,8 @@ def cmd_eval(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 
 
 def cmd_laal(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
+    from .metrics import laal
+
     by_tag: dict[str, list[float]] = {}
     traces = 0
     for tr in formats.read_traces(args.traces, diags):
@@ -266,6 +271,8 @@ def _read_config(path: str) -> dict:
 
 
 def cmd_synth(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
+    from .simulate import synth_config_from_json, synth_corpus
+
     obj = _read_config(args.config)
     if args.seed is not None:
         obj = {**obj, "seed": args.seed}
@@ -276,6 +283,8 @@ def cmd_synth(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 
 
 def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
+    from .simulate import latency_study, replay_policy_from_json, synth_config_from_json, synth_corpus
+
     obj = _read_config(args.config)
 
     if "corpus" in obj and "synth" in obj:

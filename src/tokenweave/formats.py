@@ -18,10 +18,10 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import IO, ContextManager, Iterable, Iterator
 
-from .metrics import EmissionTrace
 from .model import (
     Channel,
     Diagnostic,
+    EmissionTrace,
     Modality,
     SerializationMethod,
     SerializedSequence,

@@ -15,7 +15,9 @@ structural cross-checks that must tolerate broken data live in
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "SerializedSequence",
     "GroupingConfig",
     "Diagnostic",
+    "EmissionTrace",
     "UNKNOWN_CHANNEL",
     "validate_utterance",
     "check_sequence",
@@ -59,6 +62,13 @@ def _check_token_text(value: str, what: str) -> None:
 def _check_positive_int(value, what: str) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
+
+
+def _check_int(value, what: str) -> int:
+    """`value` if it is an int and not a bool, else a ValueError naming `what`; nothing is coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -446,6 +456,62 @@ class Diagnostic:
         if self.index is not None:
             out["index"] = self.index
         return out
+
+
+@dataclass(frozen=True, slots=True)
+class EmissionTrace:
+    """Per-token emission delays for one channel of one utterance.
+
+    Attributes:
+        utt_id: Utterance identifier.
+        tag: Channel tag surface the delays belong to.
+        entries: Ordered ``(token_ordinal, delay_ms)`` pairs, at least one;
+            delays are measured from utterance start and must be
+            non-decreasing.
+        source_duration_ms: Length of the source audio, at least 1 ms.
+        ref_len: Reference length of the channel (word count), non-negative.
+
+    Ordinals, delays, `source_duration_ms` and `ref_len` must be ints (not
+    bools); nothing is coerced.  Every trace can be scored by :func:`~tokenweave.metrics.laal`:
+    construction also rejects times beyond the float range.
+    """
+
+    utt_id: str
+    tag: str
+    entries: tuple[tuple[int, int], ...]
+    source_duration_ms: int
+    ref_len: int
+
+    def __post_init__(self) -> None:
+        entries = tuple((o, d) for o, d in self.entries)
+        object.__setattr__(self, "entries", entries)
+        if _check_int(self.ref_len, "ref_len") < 0:
+            raise ValueError(f"ref_len must be >= 0, got {self.ref_len}")
+        # In bulk; on failure, entry by entry for the message.
+        if not set(map(type, chain.from_iterable(entries))) <= {int}:
+            for i, (o, d) in enumerate(entries):
+                _check_int(o, f"entries[{i}] ordinal")
+                _check_int(d, f"entries[{i}] delay")
+        prev = None
+        for _, d in entries:
+            if prev is not None and d < prev:
+                raise ValueError(f"delays must be non-decreasing, got {d} after {prev}")
+            prev = d
+        if not entries:
+            raise ValueError(f"empty trace for {self.utt_id!r}/{self.tag!r}")
+        if _check_int(self.source_duration_ms, "source_duration_ms") < 1:
+            raise ValueError(f"source_duration_ms must be >= 1, got {self.source_duration_ms}")
+        # Delays are non-decreasing, so the first and last bound them all.
+        if max(self.source_duration_ms, -entries[0][1], entries[-1][1]) > sys.float_info.max:
+            raise ValueError(f"times beyond {sys.float_info.max:g} ms cannot be scored")
+
+    @property
+    def hyp_len(self) -> int:
+        return len(self.entries)
+
+    @property
+    def delays(self) -> tuple[int, ...]:
+        return tuple(d for _, d in self.entries)
 
 
 def validate_utterance(u: Utterance, tags: Iterable[Tag]) -> list[Diagnostic]:

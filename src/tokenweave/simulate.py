@@ -15,18 +15,20 @@ emission model of the serialization policy itself, not of any decoder.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .formats import _check_version, _expect_int_pair, _expect_json, _tags_from_json, _tags_to_json
-from .metrics import EmissionTrace, _check_int, count_switches, laal
+from .metrics import count_switches, laal
 from .model import (
     Channel,
+    EmissionTrace,
     SerializationMethod,
     SerializedSequence,
     Tag,
     TagSet,
     Utterance,
+    _check_int,
 )
 from .serialize import assign_group, serialize_utterance
 

@@ -564,6 +564,13 @@ class TestStats:
         assert main(["build", "--method", "inter-time", "--group-ms", "500", "--tags", tags, "--input", corpus, "--output", str(variant)]) == 0
         return base, variant
 
+    def test_base_and_variant_both_from_stdin_is_refused_before_reading(self, capsys, monkeypatch):
+        stdin = io.StringIO("not json\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        rc = main(["stats", "--base", "-", "--variant", "-"])
+        assert (rc, stdin.tell()) == (2, 0)
+        assert capsys.readouterr().err == "error: --base and --variant cannot both be - (stdin): stdin holds one input\n"
+
     def test_base_from_stdin(self, tmp_path, demo_files, capsys, monkeypatch):
         # Each input is read once, so `-` works for --base.
         base, variant = self._builds(tmp_path, demo_files)
@@ -1249,6 +1256,53 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "build" in proc.stdout and "demux" in proc.stdout
+
+    # Runs a command as `python -m tokenweave` does, then prints the
+    # tokenweave modules the process loaded as the last line of stderr.
+    PROBE = (
+        "import sys\n"
+        "try:\n"
+        "    from tokenweave.__main__ import main\n"
+        "    main(sys.argv[1:])\n"
+        "finally:\n"
+        "    print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'tokenweave'), file=sys.stderr)\n"
+    )
+    FRONT = ["tokenweave", "tokenweave.__main__", "tokenweave.cli", "tokenweave.formats", "tokenweave.model"]
+
+    @pytest.mark.parametrize(
+        "command, layers",
+        [
+            ("--help", []),
+            ("build", ["serialize"]),
+            ("demux", ["demux"]),
+            *[(c, ["kernels", "metrics"]) for c in ("stats", "eval", "laal")],
+            *[(c, ["kernels", "metrics", "serialize", "simulate"]) for c in ("synth", "study")],
+        ],
+    )
+    def test_each_command_loads_only_the_layers_it_runs(self, tmp_path, pipeline_inputs, command, layers):
+        # Stdlib modules are left out: the host's site-packages add their own.
+        f = dict(pipeline_inputs, out=str(tmp_path / "out"))
+        synth, study = tmp_path / "synth.json", tmp_path / "study.json"
+        synth.write_text(json.dumps({**synth_config_to_json(BIG_CONFIG), "num_utterances": 4}))
+        study.write_text(json.dumps({"corpus": f["corpus"], "tags": f["tags"], "methods": [{"name": "inter_time"}]}))
+        argv = {
+            "--help": ["--help"],
+            "synth": ["synth", "--config", str(synth), "--output", f["out"]],
+            "study": ["study", "--config", str(study), "--output", f["out"]],
+        }.get(command) or _ARGV[command](f)
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1].split() == sorted(self.FRONT + [f"tokenweave.{m}" for m in layers])
+
+    def test_package_import_loads_no_submodule(self):
+        code = (
+            "import sys, tokenweave; "
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'tokenweave')); "
+            "print(sorted(set(tokenweave.__all__) - set(dir(tokenweave))))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["tokenweave", "[]"]
 
     def test_import_leaves_out_the_process_pool(self):
         # No subcommand starts worker processes.
