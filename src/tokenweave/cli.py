@@ -13,22 +13,12 @@ import argparse
 import os
 import sys
 from contextlib import closing
-from itertools import compress, repeat
-from operator import is_, itemgetter
 
 # Each cmd_* imports the other layers it calls, so that a stage loads only
 # those: a CLI stage is a short process, and its imports are a large part of
 # its run time.
 from . import formats
-from .model import (
-    Diagnostic,
-    Modality,
-    SerializationMethod,
-    Tag,
-    TagSet,
-    UNKNOWN_CHANNEL,
-    validate_utterance,
-)
+from .model import Diagnostic, SerializationMethod, validate_utterance
 
 __all__ = ["main"]
 
@@ -95,8 +85,10 @@ def cmd_build(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
                 continue
             yield seq
 
-    formats.write_serialized(seqs(), args.output)
-    diags += invalid + unserializable
+    try:
+        formats.write_serialized(seqs(), args.output)
+    finally:
+        diags += invalid + unserializable
 
 
 # ---------------------------------------------------------------------------
@@ -123,38 +115,14 @@ def cmd_demux(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
             demux_diags.extend(result.diagnostics)
             yield utt_id, result.words
 
-    formats.write_channels(records(), args.output)
-    diags += demux_diags
+    try:
+        formats.write_channels(records(), args.output)
+    finally:
+        diags += demux_diags
 
 
 # ---------------------------------------------------------------------------
 # stats
-
-
-def _own_tags(obj, known: dict[str, Tag]) -> TagSet | None:
-    """A build-written record's tags: its own tokens at null origin times that can be tag surfaces.
-
-    The serializer stamps an origin time on every word; a record without
-    `origin_times` has a null one at every token.  A token that cannot be a
-    tag surface (not a non-empty string without whitespace, or the reserved
-    unknown bucket) stays a word, so its line fails the word check.  None if
-    there is no such token or the record is malformed (the parser reports
-    it).  `known` keeps one Tag per surface across records.
-    """
-    tokens, origins = (obj.get("tokens"), obj.get("origin_times")) if isinstance(obj, dict) else (None, None)
-    if not isinstance(tokens, list) or not isinstance(origins, (list, type(None))):
-        return None
-    try:
-        surfaces = dict.fromkeys(tokens if origins is None else compress(tokens, map(is_, origins, repeat(None))))
-    except TypeError:  # an unhashable token, which the word check rejects
-        return None
-    for s in surfaces:
-        if s not in known and isinstance(s, str) and s.split() == [s] and s != UNKNOWN_CHANNEL:
-            # Modality and language are not in the stream and do not matter
-            # for switch counting; "und" is the undetermined language code.
-            known[s] = Tag(s, Modality.TRANSCRIPTION, "und")
-    tags = tuple(known[s] for s in surfaces if s in known)
-    return TagSet(tags) if tags else None
 
 
 def cmd_stats(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
@@ -162,20 +130,10 @@ def cmd_stats(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 
     if args.base == "-" and args.variant == "-":
         raise ValueError("--base and --variant cannot both be - (stdin): stdin holds one input")
-    known: dict[str, Tag] = {}
-
-    def parse(obj) -> tuple[str, int]:
-        # Only the record's (utt_id, switches) pair is kept.
-        seq = formats.serialized_from_json(obj, _own_tags(obj, known))
-        return seq.utt_id, count_switches(seq)
-
-    base_counts = list(formats._read_jsonl(args.base, parse, diags, itemgetter(0)))
-    variant_counts = list(formats._read_jsonl(args.variant, parse, diags, itemgetter(0)))
-    try:
-        reduction = _switch_reduction(base_counts, variant_counts)
-    except ValueError:
-        _emit_diags(diags)  # the skipped lines are usually why the reduction is undefined
-        raise
+    # Each record's tags are its own, and only its (utt_id, switches) pair is kept.
+    base_counts = [(s.utt_id, count_switches(s)) for s in formats.read_serialized(args.base, None, diags)]
+    variant_counts = [(s.utt_id, count_switches(s)) for s in formats.read_serialized(args.variant, None, diags)]
+    reduction = _switch_reduction(base_counts, variant_counts)
     result = {
         "utterances": len(base_counts),
         "base_switches": sum(n for _, n in base_counts),
@@ -216,9 +174,8 @@ def cmd_eval(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     with closing(refs), closing(hyps):
         try:
             report = evaluate_corpus(refs, hyps, unscored, normalize=args.normalize)
-        except ValueError:
-            _emit_diags(diags + hyp_diags)  # a skipped line is often why a hypothesis is missing
-            raise
+        finally:
+            diags += hyp_diags + unscored
     if args.table:
         rows = [
             [c["tag"], c["modality"], _cell(c, "wer", ".4f"), _cell(c, "bleu", ".2f"), str(c["segments"])]
@@ -229,7 +186,6 @@ def cmd_eval(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
         _print(format_table(["tag", "modality", "WER", "BLEU", "n"], rows))
     else:
         _print(formats._dumps(report))
-    diags += hyp_diags + unscored
 
 
 def cmd_laal(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
@@ -386,16 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; its diagnostics go to stderr and set the exit code, unless it fails fatally."""
+    """Run one subcommand; its diagnostics go to stderr and set the exit code.
+
+    On a fatal error the diagnostics collected so far, which often explain
+    it, are written before the `error:` line, and the exit code is 2.
+    """
     args = build_parser().parse_args(argv)
     diags: list[Diagnostic] = []
     try:
         args.func(args, diags)
-    except KeyError as exc:
-        print(f"error: missing field {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KeyError, ValueError, OSError) as exc:
+        _emit_diags(diags)
+        print(f"error: missing field {exc}" if isinstance(exc, KeyError) else f"error: {exc}", file=sys.stderr)
         return 2
     _emit_diags(diags)
     return 1 if diags else 0

@@ -6,7 +6,9 @@ escaping.  Writing what was just read reproduces the file byte for byte.
 
 Record readers are generators that hold one record at a time.  An invalid
 line is skipped with a diagnostic carrying its 1-based line number, appended
-to the caller's list.  A path of ``"-"`` means stdin or stdout.
+to the caller's list.  A path of ``"-"`` means stdin or stdout.  A serialized
+record's tags come from a tag set, or, read without one, from the record's
+own tokens at null origin times.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import nullcontext
-from itertools import chain
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_, itemgetter
 from typing import IO, ContextManager, Iterable, Iterator
 
 from .model import (
@@ -28,6 +30,7 @@ from .model import (
     Tag,
     TagSet,
     TimedWord,
+    UNKNOWN_CHANNEL,
     Utterance,
     validate_utterance,
 )
@@ -263,8 +266,17 @@ def serialized_to_json(s: SerializedSequence) -> dict:
     }
 
 
-def serialized_from_json(obj: dict, tags: TagSet | None) -> SerializedSequence:
-    """A serialized record; with `tags` None, no token is a tag."""
+def serialized_from_json(obj: dict, tags: TagSet | None, known: dict[str, Tag] | None = None) -> SerializedSequence:
+    """A serialized record whose tag surfaces are looked up in `tags`.
+
+    With `tags` None the record's tags are its own: its tokens at null origin
+    times that can be tag surfaces (non-empty strings without whitespace, not
+    the reserved unknown bucket).  `build` stamps an origin time on every
+    word; a record without `origin_times` has a null one at every token.  The
+    stream holds no modality or language, so such a tag is a transcription
+    tag of undetermined language ("und").  `known` keeps one Tag per surface
+    across calls.
+    """
     _check_version(obj)
     raw_tokens = _expect_json(obj["tokens"], "tokens", list)
     origin_times = obj.get("origin_times")
@@ -281,9 +293,19 @@ def serialized_from_json(obj: dict, tags: TagSet | None) -> SerializedSequence:
     method = _expect_json(obj["method"], "method", dict)
     _expect_json(method["name"], "method name", str)
     method = SerializationMethod.from_json(method)
-    # One lookup per token: a declared surface becomes its Tag, anything else
+    if tags is not None:
+        by_surface = tags._by_surface
+    else:
+        # The record's own tags: each distinct string at a null origin time is checked once.
+        known = {} if known is None else known
+        by_surface = {}
+        for s in {x for x in compress(raw_tokens, map(is_, origin_times, repeat(None))) if isinstance(x, str)}:
+            if s.split() == [s] and s != UNKNOWN_CHANNEL:
+                if s not in known:
+                    known[s] = Tag(s, Modality.TRANSCRIPTION, "und")
+                by_surface[s] = known[s]
+    # One lookup per token: a tag surface becomes its Tag, anything else
     # stays as it is and must pass the word check.
-    by_surface = {} if tags is None else tags._by_surface
     try:
         items = tuple([by_surface.get(text, text) for text in raw_tokens])
     except TypeError:  # an unhashable token, which the word check rejects
@@ -293,9 +315,14 @@ def serialized_from_json(obj: dict, tags: TagSet | None) -> SerializedSequence:
     return SerializedSequence._from_columns(utt_id, items, origins, method)
 
 
-def read_serialized(path: str, tags: TagSet, diags: list[Diagnostic]) -> Iterator[SerializedSequence]:
-    """Yield JSONL serialized records, resolving tag surfaces via `tags`."""
-    return _read_jsonl(path, lambda obj: serialized_from_json(obj, tags), diags, _utt_id)
+def read_serialized(path: str, tags: TagSet | None, diags: list[Diagnostic]) -> Iterator[SerializedSequence]:
+    """Yield JSONL serialized records, resolving tag surfaces via `tags`.
+
+    With `tags` None each record's tags are its own, as in
+    :func:`serialized_from_json`, and each surface gets one Tag for the file.
+    """
+    known: dict[str, Tag] = {}
+    return _read_jsonl(path, lambda obj: serialized_from_json(obj, tags, known), diags, _utt_id)
 
 
 def write_serialized(seqs: Iterable[SerializedSequence], path: str) -> None:

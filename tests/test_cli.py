@@ -438,6 +438,15 @@ class TestDemuxAndEval:
         bad = {"code": "bad-record", "message": f"{hyps}:1: word must be a JSON string, got int", "index": 1}
         assert captured.err.splitlines() == [json.dumps(bad, separators=(",", ":")), "error: missing hypothesis for utterance 'u1'"]
 
+    def test_unscored_words_read_before_a_fatal_error_precede_it(self, tmp_path, capsys):
+        # u1's hypothesis has words that nothing scores; u2 has no hypothesis.
+        corpus, hyps = self._one_record_files(tmp_path, [{"tag": "#ASR#", "words": ["hi"]}, {"tag": "<unknown>", "words": ["x"]}])
+        write_corpus([*read_corpus(str(corpus), []), Utterance("u2", 100, (Channel(ASR, (TimedWord(1, "yo"),)),))], str(corpus))
+        assert main(["eval", "--refs", str(corpus), "--hyps", str(hyps)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line)["code"] for line in err[:-1]] == ["unscored-words"]
+        assert err[-1] == "error: missing hypothesis for utterance 'u2'"
+
     def test_hypothesis_words_that_nothing_scores_are_a_diagnostic(self, tmp_path, capsys):
         corpus, hyps = self._one_record_files(tmp_path, [{"tag": "#ASR#", "words": ["hi"]}])
         assert main(["eval", "--refs", str(corpus), "--hyps", str(hyps)]) == 0
@@ -1228,6 +1237,31 @@ class TestStreaming:
             assert main([*argv, "--input", str(tmp_path / "missing.jsonl"), "--output", str(out)]) == 2
             assert capsys.readouterr().err.startswith("error: ")
             assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["build", "demux"])
+    def test_diagnostics_read_before_a_fatal_error_precede_it(self, tmp_path, demo_files, capsys, command):
+        # Line 1 is a bad record, and build's line 2 has a channel tag that
+        # the tag set lacks.  The output's directory does not exist, so
+        # opening the output fails once the first good record is ready.
+        corpus, tags = demo_files
+        bad = tmp_path / "bad.jsonl"
+        if command == "build":
+            fr = Utterance("fr", 1000, (Channel(FR, (TimedWord(1, "oui"),)),))
+            good = json.dumps(utterance_to_json(fr)) + "\n" + Path(corpus).read_text()
+            argv = ["build", "--method", "inter-time", "--tags", tags]
+        else:
+            built = tmp_path / "built.jsonl"
+            assert main(["build", "--method", "inter-time", "--tags", tags, "--input", corpus, "--output", str(built)]) == 0
+            good = built.read_text()
+            argv = ["demux", "--tags", tags]
+        bad.write_text('{"v":1\n' + good)
+        capsys.readouterr()
+        assert main([*argv, "--input", str(bad), "--output", str(tmp_path / "missing" / "out.jsonl")]) == 2
+        *diags, error = capsys.readouterr().err.splitlines()
+        diags = [json.loads(line) for line in diags]
+        assert [d["code"] for d in diags] == ["bad-record"] + ["unknown-channel-tag"] * (command == "build")
+        assert (diags[0]["index"], diags[0]["message"].startswith(f"{bad}:1: ")) == (1, True)
+        assert error.startswith("error: [Errno 2] ")
 
     @pytest.mark.parametrize("command", ["build", "demux"])
     def test_output_that_is_the_input_is_refused(self, tmp_path, demo_files, capsys, monkeypatch, command):

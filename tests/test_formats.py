@@ -4,8 +4,12 @@ import contextlib
 import copy
 import io
 import json
+import os
 import pickle
 import re
+import tempfile
+from itertools import compress, repeat
+from operator import attrgetter, is_
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,7 @@ from tokenweave import (
     TagSet,
     TagToken,
     TimedWord,
+    UNKNOWN_CHANNEL,
     Utterance,
     WordToken,
     count_switches,
@@ -36,6 +41,7 @@ from tokenweave import (
 from tokenweave.formats import (
     _check_version,
     _dumps,
+    _read_jsonl,
     _read_lines,
     channels_from_json,
     read_channels,
@@ -655,6 +661,94 @@ class TestColumnarStreamMatchesObjectOracle:
         seq = serialized_from_json(record, _STREAM_TAGS)
         assert seq.origin_times == (None, 1)
         assert serialized_to_json(seq)["origin_times"] == [None, 1]
+
+
+# ---------------------------------------------------------------------------
+# The record parser that `stats` kept to itself before `read_serialized` read
+# each record's own tags, kept as the reference for `read_serialized(path,
+# None, diags)`.
+
+
+def _own_tags(obj, known: dict) -> TagSet | None:
+    """A build-written record's tags: its own tokens at null origin times that can be tag surfaces.
+
+    None if there is no such token or the record is malformed.  `known`
+    keeps one Tag per surface across records.
+    """
+    tokens, origins = (obj.get("tokens"), obj.get("origin_times")) if isinstance(obj, dict) else (None, None)
+    if not isinstance(tokens, list) or not isinstance(origins, (list, type(None))):
+        return None
+    try:
+        surfaces = dict.fromkeys(tokens if origins is None else compress(tokens, map(is_, origins, repeat(None))))
+    except TypeError:  # an unhashable token, which the word check rejects
+        return None
+    for s in surfaces:
+        if s not in known and isinstance(s, str) and s.split() == [s] and s != UNKNOWN_CHANNEL:
+            known[s] = Tag(s, Modality.TRANSCRIPTION, "und")
+    tags = tuple(known[s] for s in surfaces if s in known)
+    return TagSet(tags) if tags else None
+
+
+# No record spells this surface, so with it no token is a tag.
+_NO_TAGS = TagSet((Tag("#no-such-tag#", Modality.TRANSCRIPTION, "und"),))
+
+
+def _reference_read_own_tags(path: str, diags: list) -> list[SerializedSequence]:
+    known: dict = {}
+
+    def parse(obj):
+        tags = _own_tags(obj, known)
+        return serialized_from_json(obj, _NO_TAGS if tags is None else tags)
+
+    return list(_read_jsonl(path, parse, diags, attrgetter("utt_id")))
+
+
+def _assert_reads_as_reference(path: str) -> list[SerializedSequence]:
+    """`read_serialized(path, None, diags)`'s records, after checking them and its diagnostics against the reference."""
+    got, diags = _read(read_serialized, path, None)
+    expected_diags: list[Diagnostic] = []
+    expected = _reference_read_own_tags(path, expected_diags)
+    assert diags == expected_diags
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert (g.utt_id, g.items, g.origin_times) == (e.utt_id, e.items, e.origin_times)
+        assert _dumps(serialized_to_json(g)) == _dumps(serialized_to_json(e))
+        assert count_switches(g) == count_switches(e)
+    return got
+
+
+class TestOwnTagsMatchTheReference:
+    @given(st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3"]), _records()), min_size=1, max_size=4))
+    @settings(max_examples=300)
+    def test_records_read_as_the_reference_reads_them(self, records):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "built.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(json.dumps({**record, "utt_id": utt_id}) + "\n" for utt_id, record in records)
+            _assert_reads_as_reference(path)
+
+    def test_a_tag_of_one_record_is_a_word_where_another_times_it(self, tmp_path):
+        # Between the two good records: tokens at null origin times that
+        # cannot be tag surfaces, a line that is not JSON and a duplicate.
+        path = tmp_path / "built.jsonl"
+        method = {"name": "inter_time"}
+        records = [
+            {"v": 1, "utt_id": "u1", "method": method, "tokens": ["#ASR#", "hi", "#ES#", "hola"], "origin_times": [None, 0, None, 5]},
+            {"v": 1, "utt_id": "u3", "method": method, "tokens": ["<unknown>", "#ASR#", "y"], "origin_times": [None, None, 1]},
+            {"v": 1, "utt_id": "u4", "method": method, "tokens": ["#ASR#", "a b", "y"], "origin_times": [None, None, 1]},
+            {"v": 1, "utt_id": "u5", "method": method, "tokens": ["#ASR#", ["y"], "#ES#"]},
+            {"v": 1, "utt_id": "u6", "method": method, "tokens": ["#ASR#", "", "y"], "origin_times": [None, None, 1]},
+            "{nope",
+            {"v": 1, "utt_id": "u1", "method": method, "tokens": ["#ES#", "z"], "origin_times": [None, 1]},
+            {"v": 1, "utt_id": "u2", "method": method, "tokens": ["#ASR#", "#ES#", "x"], "origin_times": [None, 3, 4]},
+        ]
+        path.write_text("".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records))
+        first, second = _assert_reads_as_reference(str(path))
+        assert [isinstance(x, Tag) for x in first.items] == [True, False, True, False]
+        assert second.items == (first.items[0], "#ES#", "x")
+        assert second.items[0] is first.items[0]
+        assert second.origin_times == (None, 3, 4)
+        assert (count_switches(first), count_switches(second)) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
