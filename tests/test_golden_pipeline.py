@@ -1,8 +1,8 @@
 """Byte contract of the CLI pipeline, pinned against a committed manifest.
 
 For seeds 1 and 7 the test runs the benchmark's pipeline chain (synth, build
-plain and grouped, stats, demux, eval) plus study and laal through
-`cli.main`, once on clean inputs and once on copies with a few corrupted
+plain and grouped, stats, demux, eval) plus `demux --text`, study and laal
+through `cli.main`, once on clean inputs and once on copies with a few corrupted
 lines, and compares each output file's and stdout's SHA-256, the full stderr
 and the exit code with `tests/golden/pipeline.json`.
 
@@ -98,6 +98,23 @@ def _corrupt_hyps(lines: list[str]) -> list[str]:
     return lines[:3] + ["null", lines[0], _dumps({**rec, "channels": 5})] + lines[3:] + ["{broken"]
 
 
+def _text(built: str) -> list[str]:
+    """A build rendered as `demux --text` reads it, written without the package: one stream per line."""
+    return [" ".join(json.loads(line)["tokens"]) for line in _lines(built)]
+
+
+def _corrupt_text(lines: list[str]) -> list[str]:
+    """Faulty copies of clean lines, one fault each, added so that every clean line stays."""
+    faults = [
+        "hello " + lines[1],  # a word before any tag
+        lines[3].replace(" ", "  ", 1),  # a double space: one empty token
+        lines[5] + " #XX# x",  # an undeclared surface is a word
+        lines[7].split(" ", 1)[0] + " " + lines[7],  # a tag repeated without a switch
+        "",  # an empty line is skipped
+    ]
+    return lines[:2] + faults + lines[2:]
+
+
 def _traces(corpus: str, built: str) -> list[str]:
     """Replay of a plain build by origin times, written without the package."""
     duration = {json.loads(line)["utt_id"]: json.loads(line)["duration_ms"] for line in _lines(corpus)}
@@ -129,6 +146,7 @@ def _stages(seed: int, bad: bool) -> list[tuple[str, list[str]]]:
         ("build_grouped", ["build", "--method", "inter-time", "--group-ms", "500", "--tags", tags, "--input", corpus, "--output", grouped]),
         ("stats", ["stats", "--base", plain, "--variant", grouped]),
         ("demux", ["demux", "--tags", tags, "--input", grouped, "--output", "bad-demuxed.jsonl" if bad else hyps]),
+        ("demux_text", ["demux", "--text", "--tags", tags, "--input", f"{p}grouped.txt", "--output", f"{p}text-hyps.jsonl"]),
         ("eval", ["eval", "--refs", refs, "--hyps", hyps]),
         ("study", ["study", "--config", f"{p}study.json", "--output", f"{p}study-report.json"]),
         ("laal", ["laal", "--traces", f"{p}traces.jsonl"]),
@@ -180,6 +198,9 @@ def run_all(workdir: Path) -> dict:
                     # A corrupted input is a stage's output with a few lines broken.
                     if name == "synth":
                         _write_lines("bad-corpus.jsonl", _corrupt_corpus(_lines("corpus.jsonl")))
+                    if name == "build_grouped" and not bad:
+                        _write_lines("grouped.txt", _text("grouped.jsonl"))
+                        _write_lines("bad-grouped.txt", _corrupt_text(_text("grouped.jsonl")))
                     if bad and name == "build_grouped":
                         _write_lines("bad-grouped.jsonl", _corrupt_serialized(_lines("bad-grouped.jsonl")))
                     if name == "demux" and not bad:
