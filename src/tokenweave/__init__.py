@@ -40,7 +40,7 @@ _EXPORTS = {
             "validate_utterance",
         ),
         "serialize": ("assign_group", "inter_time", "inter_gamma", "serialize_utterance", "render_text"),
-        "demux": ("DemuxState", "DemuxResult", "feed", "demux_full"),
+        "demux": ("DemuxState", "feed", "demux_full"),
         "metrics": ("wer", "bleu_corpus", "laal", "count_switches", "switch_reduction", "evaluate_corpus"),
         "simulate": ("SynthConfig", "ReplayPolicy", "synth_corpus", "replay", "latency_study"),
     }.items()

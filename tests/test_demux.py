@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenweave import (
     UNKNOWN_CHANNEL,
     DemuxState,
+    Diagnostic,
     GroupingConfig,
     Modality,
     SerializationMethod,
@@ -19,7 +22,7 @@ from tokenweave import (
     inter_time,
     render_text,
 )
-from conftest import ASR, DE, DEMO_GROUPED_500, DEMO_UNGROUPED, ES
+from conftest import ASR, DE, DEMO_GROUPED_500, DEMO_UNGROUPED, ES, FR
 
 
 class TestRoundTrip:
@@ -67,8 +70,7 @@ class TestIncrementality:
         state = DemuxState(utt_id=seq.utt_id)
         routed = [feed(state, tok, demo_tags) for tok in seq.tokens]
         batch = demux_full(seq, demo_tags)
-        assert state.words == batch.words
-        assert state.diagnostics == batch.diagnostics
+        assert state == batch
         assert routed == _run_tags(seq.items, demo_tags)
 
     def test_midstream_state_reflects_prefix(self, demo_tags):
@@ -135,12 +137,126 @@ class TestRobustness:
         result = demux_full("oops #ASR# a", demo_tags)
         assert result.diagnostics[0].index == 0
 
+    def test_bare_tag_in_a_token_list_is_a_tag(self, demo_tags):
+        # As SerializedSequence(utt_id, tokens, method) takes it.
+        result = demux_full([ASR, "a", ES, "b"], demo_tags)
+        assert result.words == {"#ASR#": ["a"], "#ES#": ["b"]}
+        assert result.diagnostics == []
+        state = DemuxState()
+        assert [feed(state, t, demo_tags) for t in (ASR, "a", FR, "b")] == [None, ASR, None, None]
+        assert state.words == {"#ASR#": ["a"], UNKNOWN_CHANNEL: ["b"]}
+        assert [(d.code, d.tag, d.index) for d in state.diagnostics] == [("unknown-tag", "#FR#", 2)]
 
-def _oracle_demux_full(tokens, tags, utt_id):
-    """The previous `demux_full` of a sequence: a fold of `feed` over its tokens."""
+
+# The reference: `DemuxState` and `feed` as they were before routing moved
+# into one routine, kept verbatim apart from the names.  The live router must
+# match their fold on every input form.
+
+
+@dataclass
+class _RefState:
+    current_tag: Tag | None = None
+    current_known: bool = True
+    words: dict[str, list[str]] = field(default_factory=dict)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
+    token_index: int = 0
+    utt_id: str = ""
+
+    def channel_key(self) -> str:
+        if self.current_tag is None or not self.current_known:
+            return UNKNOWN_CHANNEL
+        return self.current_tag.surface
+
+
+def _ref_feed(state: _RefState, token: TagToken | WordToken | str, tags: TagSet) -> Tag | None:
+    idx = state.token_index
+    state.token_index += 1
+
+    tag: Tag | None = None
+    word: str | None = None
+    if isinstance(token, TagToken):
+        tag = token.tag
+    elif isinstance(token, WordToken):
+        word = token.word
+    else:
+        looked = tags.get(token)
+        if looked is not None:
+            tag = looked
+        else:
+            word = token
+
+    if tag is not None:
+        known = tag.surface in tags
+        if not known:
+            state.diagnostics.append(
+                Diagnostic(
+                    "unknown-tag",
+                    f"tag {tag.surface!r} is not in the tag set",
+                    utt_id=state.utt_id,
+                    tag=tag.surface,
+                    index=idx,
+                )
+            )
+        elif state.current_tag is not None and state.current_known and tag.surface == state.current_tag.surface:
+            state.diagnostics.append(
+                Diagnostic(
+                    "redundant-tag",
+                    f"tag {tag.surface!r} repeated without a channel switch",
+                    utt_id=state.utt_id,
+                    tag=tag.surface,
+                    index=idx,
+                )
+            )
+        state.current_tag = tag
+        state.current_known = known
+        if known:
+            state.words.setdefault(tag.surface, [])
+        return None
+
+    assert word is not None
+    if word == "":
+        state.diagnostics.append(
+            Diagnostic(
+                "empty-token",
+                "empty token (consecutive spaces in text input?)",
+                utt_id=state.utt_id,
+                index=idx,
+            )
+        )
+        return None
+    if state.current_tag is None:
+        state.diagnostics.append(
+            Diagnostic(
+                "untagged-word",
+                f"word {word!r} arrived before any tag",
+                utt_id=state.utt_id,
+                index=idx,
+            )
+        )
+    key = state.channel_key()
+    state.words.setdefault(key, []).append(word)
+    return state.current_tag if key != UNKNOWN_CHANNEL else None
+
+
+def _ref_fold(tokens, tags, utt_id):
+    """The reference fold; a bare Tag is fed as its TagToken, as a sequence takes it."""
+    state = _RefState(utt_id=utt_id)
+    routed = [_ref_feed(state, TagToken(t) if isinstance(t, Tag) else t, tags) for t in tokens]
+    return state, routed
+
+
+def _check_against_reference(stream, tokens, tags, utt_id):
+    """`demux_full` of `stream` and the fold of `feed` over `tokens` both equal the reference fold."""
+    ref, ref_routed = _ref_fold(tokens, tags, utt_id)
+    whole = demux_full(stream, tags, utt_id=utt_id)
+    assert list(whole.words.items()) == list(ref.words.items())  # channel order too
+    assert whole.diagnostics == ref.diagnostics
+    for name in ("current_tag", "current_known", "token_index"):
+        assert getattr(whole, name) == getattr(ref, name), name
     state = DemuxState(utt_id=utt_id)
-    routed = [feed(state, token, tags) for token in tokens]
-    return state.words, state.diagnostics, routed
+    assert [feed(state, t, tags) for t in tokens] == ref_routed
+    assert state == whole
+    return ref_routed
 
 
 def _run_tags(items, tags):
@@ -174,22 +290,53 @@ def _sequences(draw):
     return SerializedSequence("u7", tokens, SerializationMethod("inter_time"))
 
 
+_DECLARED = st.lists(st.sampled_from([ASR, ES, DE, _ES_PT]), min_size=1, max_size=3, unique_by=lambda t: t.surface)
+_TEXT_TOKENS = ["#ASR#", "#ES#", "#DE#", "#XX#", "<unknown>", "a", "b", ""]
+
+
 class TestColumnarDemuxMatchesFeedFold:
-    @given(
-        _sequences(),
-        st.lists(st.sampled_from([ASR, ES, DE, _ES_PT]), min_size=1, max_size=3, unique_by=lambda t: t.surface),
-        st.sampled_from(["", "given-id"]),
-    )
+    @given(_sequences(), _DECLARED, st.sampled_from(["", "given-id"]))
     @settings(max_examples=400)
     def test_words_diagnostics_and_routing(self, seq, declared, utt_id):
         tags = TagSet(tuple(declared))
-        result = demux_full(seq, tags, utt_id=utt_id)
-        words, diagnostics, routed = _oracle_demux_full(seq.tokens, tags, utt_id or seq.utt_id)
-        assert list(result.words.items()) == list(words.items())  # channel order too
-        assert result.diagnostics == diagnostics
+        routed = _check_against_reference(seq, seq.tokens, tags, utt_id or seq.utt_id)
+        if utt_id:
+            assert demux_full(seq, tags, utt_id=utt_id).utt_id == utt_id
         assert routed == _run_tags(seq.items, tags)
         # A routed word reports the sequence's own Tag object.
         assert all(t is None or any(t is x for x in seq.items) for t in routed)
+
+    @given(
+        st.lists(
+            st.sampled_from([TagToken(ASR), TagToken(DE), ASR, ES, _ES_PT, WordToken("a"), WordToken("#ES#")] + _TEXT_TOKENS),
+            max_size=25,
+        ),
+        _DECLARED,
+    )
+    @settings(max_examples=400)
+    def test_token_lists_match_the_reference(self, tokens, declared):
+        _check_against_reference(tokens, tokens, TagSet(tuple(declared)), "u")
+
+    @given(st.lists(st.sampled_from(_TEXT_TOKENS), max_size=25), _DECLARED)
+    @settings(max_examples=400)
+    def test_text_lines_match_the_reference(self, tokens, declared):
+        line = " ".join(tokens)
+        _check_against_reference(line, line.split(" ") if line else [], TagSet(tuple(declared)), "line000001")
+
+    @given(st.lists(st.sampled_from([TagToken(ASR), ES, WordToken("a")] + _TEXT_TOKENS), max_size=25), st.integers(0, 25))
+    @settings(max_examples=300)
+    def test_prefix_then_rest_equals_whole(self, tokens, cut):
+        tags = TagSet((ASR, ES, DE))
+        whole = demux_full(tokens, tags, utt_id="u")
+        by_feed = DemuxState(utt_id="u")
+        for t in tokens[:cut]:
+            feed(by_feed, t, tags)
+        resumed = demux_full(tokens[:cut], tags, utt_id="u")
+        for t in tokens[cut:]:
+            feed(by_feed, t, tags)
+            feed(resumed, t, tags)
+        assert by_feed == whole
+        assert resumed == whole
 
     def test_unknown_tag_run_goes_to_the_unknown_bucket(self):
         seq = SerializedSequence(
