@@ -30,7 +30,6 @@ _EXPORTS = {
             "Utterance",
             "TagToken",
             "WordToken",
-            "SerializedToken",
             "SerializationMethod",
             "SerializedSequence",
             "GroupingConfig",
@@ -41,7 +40,10 @@ _EXPORTS = {
         ),
         "serialize": ("assign_group", "inter_time", "inter_gamma", "serialize_utterance", "render_text"),
         "demux": ("DemuxState", "feed", "demux_full"),
-        "metrics": ("wer", "bleu_corpus", "laal", "count_switches", "switch_reduction", "evaluate_corpus"),
+        "metrics": (
+            "wer", "bleu_corpus", "laal", "laal_report",
+            "count_switches", "switch_reduction", "switch_report", "evaluate_corpus",
+        ),
         "simulate": ("SynthConfig", "ReplayPolicy", "synth_corpus", "replay", "latency_study"),
     }.items()
     for name in names

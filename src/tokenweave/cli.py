@@ -126,29 +126,19 @@ def cmd_demux(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 
 
 def cmd_stats(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
-    from .metrics import _switch_reduction, count_switches
+    from .metrics import switch_report
 
     if args.base == "-" and args.variant == "-":
         raise ValueError("--base and --variant cannot both be - (stdin): stdin holds one input")
-    # Each record's tags are its own, and only its (utt_id, switches) pair is kept.
-    base_counts = [(s.utt_id, count_switches(s)) for s in formats.read_serialized(args.base, None, diags)]
-    variant_counts = [(s.utt_id, count_switches(s)) for s in formats.read_serialized(args.variant, None, diags)]
-    reduction = _switch_reduction(base_counts, variant_counts)
-    result = {
-        "utterances": len(base_counts),
-        "base_switches": sum(n for _, n in base_counts),
-        "variant_switches": sum(n for _, n in variant_counts),
-        "reduction": reduction,
-    }
+    # Read without a tag set, each record's tags are its own.
+    base, variant = (formats.read_serialized(path, None, diags) for path in (args.base, args.variant))
+    report = switch_report(base, variant)
     if args.table:
-        _print(
-            format_table(
-                ["utterances", "base switches", "variant switches", "reduction"],
-                [[str(result["utterances"]), str(result["base_switches"]), str(result["variant_switches"]), f"{reduction:.6f}"]],
-            )
-        )
+        headers = ["utterances", "base switches", "variant switches", "reduction"]
+        row = [str(report["utterances"]), str(report["base_switches"]), str(report["variant_switches"])]
+        _print(format_table(headers, [[*row, f"{report['reduction']:.6f}"]]))
     else:
-        _print(formats._dumps(result))
+        _print(formats._dumps(report))
 
 
 # ---------------------------------------------------------------------------
@@ -189,28 +179,14 @@ def cmd_eval(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 
 
 def cmd_laal(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
-    from .metrics import laal
+    from .metrics import laal_report
 
-    by_tag: dict[str, list[float]] = {}
-    traces = 0
-    for tr in formats.read_traces(args.traces, diags):
-        by_tag.setdefault(tr.tag, []).append(laal(tr))
-        traces += 1
-    channels = [
-        {"tag": tag, "mean_laal_ms": sum(vals) / len(vals), "traces": len(vals)}
-        for tag, vals in sorted(by_tag.items())
-    ]
-    all_vals = [v for vals in by_tag.values() for v in vals]
-    result = {
-        "traces": traces,
-        "channels": channels,
-        "overall_mean_laal_ms": sum(all_vals) / len(all_vals) if all_vals else 0.0,
-    }
+    report = laal_report(formats.read_traces(args.traces, diags))
     if args.table:
-        rows = [[c["tag"], f"{c['mean_laal_ms']:.1f}", str(c["traces"])] for c in channels]
+        rows = [[c["tag"], f"{c['mean_laal_ms']:.1f}", str(c["traces"])] for c in report["channels"]]
         _print(format_table(["tag", "mean LAAL (ms)", "traces"], rows))
     else:
-        _print(formats._dumps(result))
+        _print(formats._dumps(report))
 
 
 # ---------------------------------------------------------------------------

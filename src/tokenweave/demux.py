@@ -121,16 +121,19 @@ def demux_full(stream: SerializedSequence | str | list, tags: TagSet, utt_id: st
 
     `stream` may be a serialized sequence (its `utt_id` is the default), a
     list of tokens as :func:`feed` takes them, or a plain-text line
-    (tokenized by splitting on single spaces; runs of spaces produce
-    empty-token diagnostics).  The result equals a fold of :func:`feed` over
-    the stream.  Channels appear in `words` exactly when their tag appeared
-    in the stream, even if no words followed.
+    (tokenized by splitting on single spaces, then on any other whitespace
+    inside a token, such as a tab or a carriage return; runs of spaces and
+    tokens of other whitespace only produce empty-token diagnostics, whose
+    indices count the tokens after both splits).  The result equals a fold
+    of :func:`feed` over the stream.  Channels appear in `words` exactly
+    when their tag appeared in the stream, even if no words followed.
     """
     if isinstance(stream, SerializedSequence):
         items, utt_id = stream.items, utt_id or stream.utt_id
     elif isinstance(stream, str):
         surface_tag = tags._by_surface.get
-        items = [surface_tag(t, t) for t in stream.split(" ")] if stream else []
+        tokens = [t for token in stream.split(" ") for t in token.split() or [""]]
+        items = [surface_tag(t, t) for t in tokens] if stream else []
     else:
         items = [_item(token, tags) for token in stream]
     state = DemuxState(utt_id=utt_id)

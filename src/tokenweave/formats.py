@@ -96,13 +96,17 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
             fh.write("\n")
 
 
+# Why a line or document nested past the recursion limit is refused.
+_TOO_DEEP = "nested too deeply"
+
+
 def read_json(path: str, what: str = "JSON"):
     """Parse a whole file as one JSON document; errors name the path and `what` it should be."""
     text = "".join(line for _, line in _read_lines(path))
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid {what}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: invalid {what}: {_TOO_DEEP if isinstance(exc, RecursionError) else exc}") from exc
 
 
 _JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
@@ -146,12 +150,12 @@ def _read_jsonl(path: str, parse, diags: list[Diagnostic], key=None) -> Iterator
     """The record loop of every JSONL reader: yield records in line order, append diagnostics to `diags`.
 
     Each non-blank line of `path` is decoded and goes through `parse`.  A
-    line that does not decode (not JSON, or an escaped lone surrogate), or
-    whose `parse` raises a ValueError, KeyError or TypeError, is a
-    ``bad-record`` diagnostic; an :class:`_Invalid` carries its own
-    diagnostics instead.  With `key`, a record whose key was already read is
-    a ``duplicate-utt-id`` diagnostic: the first one wins.  Only the current
-    record and the set of keys seen are held.
+    line that does not decode (not JSON, nested too deeply, or an escaped
+    lone surrogate), or whose `parse` raises a ValueError, KeyError or
+    TypeError, is a ``bad-record`` diagnostic; an :class:`_Invalid` carries
+    its own diagnostics instead.  With `key`, a record whose key was already
+    read is a ``duplicate-utt-id`` diagnostic: the first one wins.  Only the
+    current record and the set of keys seen are held.
     """
     seen: set[str] = set()
     for lineno, line in _read_lines(path):
@@ -168,9 +172,11 @@ def _read_jsonl(path: str, parse, diags: list[Diagnostic], key=None) -> Iterator
                 for p in exc.problems
             )
             continue
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             if isinstance(exc, UnicodeEncodeError):
                 exc = "escaped lone surrogate: the text has no UTF-8 form"
+            elif isinstance(exc, RecursionError):
+                exc = _TOO_DEEP
             diags.append(Diagnostic("bad-record", f"{path}:{lineno}: {exc}", index=lineno))
             continue
         if key is not None:
@@ -337,9 +343,7 @@ def channels_to_json(utt_id: str, channels: dict[str, tuple[str, ...] | list[str
     return {
         "v": SCHEMA_VERSION,
         "utt_id": utt_id,
-        "channels": [
-            {"tag": tag, "words": list(words)} for tag, words in channels.items()
-        ],
+        "channels": [{"tag": tag, "words": words} for tag, words in channels.items()],
     }
 
 

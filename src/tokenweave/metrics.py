@@ -34,8 +34,10 @@ __all__ = [
     "wer",
     "bleu_corpus",
     "laal",
+    "laal_report",
     "count_switches",
     "switch_reduction",
+    "switch_report",
     "evaluate_corpus",
 ]
 
@@ -44,7 +46,7 @@ BLEU_MAX_ORDER = 4
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
-def normalize_words(words: list[str]) -> list[str]:
+def normalize_words(words: Iterable[str]) -> list[str]:
     """Lowercase and strip ASCII punctuation; drops words that empty out."""
     out = []
     for w in words:
@@ -54,20 +56,17 @@ def normalize_words(words: list[str]) -> list[str]:
     return out
 
 
-def wer(reference: list[str], hypothesis: list[str], normalize: bool = False) -> float:
+def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> float:
     """Word error rate: edit distance over words divided by reference length.
 
     Raises ValueError on an empty reference (undefined denominator).
     """
-    if normalize:
-        reference = normalize_words(reference)
-        hypothesis = normalize_words(hypothesis)
     if not reference:
         raise ValueError("WER is undefined for an empty reference")
     return edit_distance(reference, hypothesis) / len(reference)
 
 
-def _bleu_stats(reference: list[str], hypothesis: list[str]) -> Counter:
+def _bleu_stats(reference: Sequence[str], hypothesis: Sequence[str]) -> Counter:
     """BLEU sufficient statistics of one segment; a corpus's are their sum.
 
     ``"ref_len"``, ``"hyp_len"`` and, per order n, the hypothesis n-grams
@@ -151,35 +150,56 @@ def laal(trace: EmissionTrace) -> float:
     return sum(delays[i - 1] - (i - 1) * d_star for i in range(1, tau + 1)) / tau
 
 
+def laal_report(traces: Iterable[EmissionTrace]) -> dict:
+    """Mean LAAL per tag, in sorted tag order, and overall: the JSON report `laal` prints.
+
+    Only the LAAL values are held.  A tag's are summed in trace order; the
+    overall sum takes the tags in order of first appearance.
+    """
+    by_tag: dict[str, list[float]] = {}
+    for tr in traces:
+        by_tag.setdefault(tr.tag, []).append(laal(tr))
+    all_vals = list(chain.from_iterable(by_tag.values()))
+    return {
+        "traces": len(all_vals),
+        "channels": [
+            {"tag": tag, "mean_laal_ms": sum(vals) / len(vals), "traces": len(vals)}
+            for tag, vals in sorted(by_tag.items())
+        ],
+        "overall_mean_laal_ms": sum(all_vals) / len(all_vals) if all_vals else 0.0,
+    }
+
+
 def count_switches(s: SerializedSequence) -> int:
     """Number of tag tokens in a sequence (each one is a channel switch)."""
     return sum(isinstance(x, Tag) for x in s.items)
 
 
-def switch_reduction(
-    base: list[SerializedSequence],
-    variant: list[SerializedSequence],
-) -> float:
-    """Relative drop in tag-token count between two serializations of a corpus.
+def switch_report(base: Iterable[SerializedSequence], variant: Iterable[SerializedSequence]) -> dict:
+    """Tag-token counts of two serializations of a corpus and their relative drop: the JSON report `stats` prints.
 
-    Requires the same utterance ids on both sides; raises when the base has
-    no tags at all (undefined ratio).
+    `base` is read whole before `variant`, holding one ``(utt_id, switches)``
+    pair per sequence.  Requires the same utterance ids on both sides;
+    raises when the base has no tags at all (undefined ratio).
     """
-    return _switch_reduction(
-        [(s.utt_id, count_switches(s)) for s in base],
-        [(s.utt_id, count_switches(s)) for s in variant],
-    )
-
-
-def _switch_reduction(base: list[tuple[str, int]], variant: list[tuple[str, int]]) -> float:
-    """`switch_reduction` of ``(utt_id, switch count)`` pairs counted once by the caller."""
-    if sorted(u for u, _ in base) != sorted(u for u, _ in variant):
+    base_counts = [(s.utt_id, count_switches(s)) for s in base]
+    variant_counts = [(s.utt_id, count_switches(s)) for s in variant]
+    if sorted(u for u, _ in base_counts) != sorted(u for u, _ in variant_counts):
         raise ValueError("base and variant corpora carry different utterance ids")
-    base_total = sum(n for _, n in base)
-    variant_total = sum(n for _, n in variant)
+    base_total, variant_total = sum(n for _, n in base_counts), sum(n for _, n in variant_counts)
     if base_total == 0:
         raise ValueError("base corpus has zero tag tokens; reduction is undefined")
-    return 1.0 - variant_total / base_total
+    return {
+        "utterances": len(base_counts),
+        "base_switches": base_total,
+        "variant_switches": variant_total,
+        "reduction": 1.0 - variant_total / base_total,
+    }
+
+
+def switch_reduction(base: Iterable[SerializedSequence], variant: Iterable[SerializedSequence]) -> float:
+    """Relative drop in tag-token count between two serializations of a corpus: `switch_report`'s ``reduction``."""
+    return switch_report(base, variant)["reduction"]
 
 
 def evaluate_corpus(
@@ -235,8 +255,8 @@ def evaluate_corpus(
                 raise ValueError(
                     f"tag {s!r} is {modality.value} in utterance {u.utt_id!r} but {acc[0].value} before it"
                 )
-            ref_words = list(ch.texts)
-            hyp_words = list(hyp_channels.get(s, []))
+            ref_words = ch.texts
+            hyp_words = hyp_channels.get(s, ())
             if normalize:
                 ref_words = normalize_words(ref_words)
                 hyp_words = normalize_words(hyp_words)

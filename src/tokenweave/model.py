@@ -29,7 +29,6 @@ __all__ = [
     "Utterance",
     "TagToken",
     "WordToken",
-    "SerializedToken",
     "SerializationMethod",
     "SerializedSequence",
     "GroupingConfig",
@@ -64,10 +63,12 @@ def _check_positive_int(value, what: str) -> None:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
-def _check_int(value, what: str) -> int:
-    """`value` if it is an int and not a bool, else a ValueError naming `what`; nothing is coerced."""
+def _check_int(value, what: str, least: int | None = None) -> int:
+    """`value` if it is an int, not a bool, and at least `least` if given; else a ValueError naming `what`."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
     return value
 
 
@@ -252,9 +253,6 @@ class WordToken:
         _check_token_text(self.word, "word")
 
 
-SerializedToken = TagToken | WordToken
-
-
 @dataclass(frozen=True, slots=True)
 class SerializationMethod:
     """Provenance of a serialized sequence: which policy built it.
@@ -385,7 +383,7 @@ class SerializedSequence:
         return len(self.items)
 
     @property
-    def tokens(self) -> tuple[SerializedToken, ...]:
+    def tokens(self) -> tuple[TagToken | WordToken, ...]:
         """One TagToken or WordToken per position, built from the columns on each read."""
         return tuple(
             TagToken(x) if isinstance(x, Tag) else WordToken(x, t)
@@ -485,8 +483,7 @@ class EmissionTrace:
     def __post_init__(self) -> None:
         entries = tuple((o, d) for o, d in self.entries)
         object.__setattr__(self, "entries", entries)
-        if _check_int(self.ref_len, "ref_len") < 0:
-            raise ValueError(f"ref_len must be >= 0, got {self.ref_len}")
+        _check_int(self.ref_len, "ref_len", 0)
         # In bulk; on failure, entry by entry for the message.
         if not set(map(type, chain.from_iterable(entries))) <= {int}:
             for i, (o, d) in enumerate(entries):
@@ -499,8 +496,7 @@ class EmissionTrace:
             prev = d
         if not entries:
             raise ValueError(f"empty trace for {self.utt_id!r}/{self.tag!r}")
-        if _check_int(self.source_duration_ms, "source_duration_ms") < 1:
-            raise ValueError(f"source_duration_ms must be >= 1, got {self.source_duration_ms}")
+        _check_int(self.source_duration_ms, "source_duration_ms", 1)
         # Delays are non-decreasing, so the first and last bound them all.
         if max(self.source_duration_ms, -entries[0][1], entries[-1][1]) > sys.float_info.max:
             raise ValueError(f"times beyond {sys.float_info.max:g} ms cannot be scored")

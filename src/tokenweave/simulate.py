@@ -89,12 +89,9 @@ class SynthConfig:
         object.__setattr__(self, "channels", tuple(self.channels))
         if self.word_rate_ms[1] < 1:
             raise ValueError("word_rate_ms upper bound must be >= 1")
-        if _check_int(self.reorder_window_ms, "reorder_window_ms") < 0:
-            raise ValueError(f"reorder_window_ms must be >= 0, got {self.reorder_window_ms}")
-        if _check_int(self.num_utterances, "num_utterances") < 0:
-            raise ValueError(f"num_utterances must be >= 0, got {self.num_utterances}")
-        if _check_int(self.vocab_size, "vocab_size") < 1:
-            raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
+        _check_int(self.reorder_window_ms, "reorder_window_ms", 0)
+        _check_int(self.num_utterances, "num_utterances", 0)
+        _check_int(self.vocab_size, "vocab_size", 1)
         if not self.channels:
             raise ValueError("channel plan is empty")
         # Reuse TagSet validation for surface uniqueness.
@@ -226,8 +223,7 @@ class ReplayPolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("origin_time", "group_boundary", "auto"):
             raise ValueError(f"unknown replay mode {self.mode!r}")
-        if _check_int(self.overhead_ms, "overhead_ms") < 0:
-            raise ValueError(f"overhead_ms must be >= 0, got {self.overhead_ms}")
+        _check_int(self.overhead_ms, "overhead_ms", 0)
 
 
 def replay(

@@ -324,6 +324,40 @@ class TestDemuxAndEval:
         assert records["line000001"]["#ASR#"] == ("I", "am", "happy.")
         assert records["line000001"] == records["line000003"]
 
+    def test_demux_text_splits_a_token_on_other_whitespace(self, tmp_path, demo_files, capsys):
+        # A tab is no word character: "a<TAB>b" is two words, as a corpus or a build would hold them.
+        _, tags = demo_files
+        text = tmp_path / "stream.txt"
+        text.write_text("#ES# a\tb #ASR# c\n")
+        rc = main(["demux", "--tags", tags, "--input", str(text), "--output", "-", "--text"])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        assert captured.out == (
+            '{"v":1,"utt_id":"line000001","channels":[{"tag":"#ES#","words":["a","b"]},{"tag":"#ASR#","words":["c"]}]}\n'
+        )
+
+    def test_demux_text_from_stdin_drops_a_carriage_return(self, tmp_path, demo_files, capsys, monkeypatch):
+        # A file is read with universal newlines; stdin keeps the "\r" of a CRLF line.
+        _, tags = demo_files
+        monkeypatch.setattr(sys, "stdin", io.StringIO("#ASR# hi\r\n"))
+        out = tmp_path / "ch.jsonl"
+        rc = main(["demux", "--tags", tags, "--input", "-", "--output", str(out), "--text"])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        assert out.read_text() == '{"v":1,"utt_id":"line000001","channels":[{"tag":"#ASR#","words":["hi"]}]}\n'
+
+    def test_demux_text_whitespace_token_is_an_empty_token(self, tmp_path, demo_files, capsys):
+        # Indices count the tokens after the split on other whitespace.
+        _, tags = demo_files
+        text = tmp_path / "stream.txt"
+        text.write_text("#ASR# a\tb \t c\n")
+        rc = main(["demux", "--tags", tags, "--input", str(text), "--output", "-", "--text"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert json.loads(captured.out)["channels"] == [{"tag": "#ASR#", "words": ["a", "b", "c"]}]
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"code": "empty-token", "message": "empty token (consecutive spaces in text input?)", "utt_id": "line000001", "index": 3}
+        ]
+
     def test_demux_diagnostics_exit_1(self, tmp_path, demo_files, capsys):
         _, tags = demo_files
         text = tmp_path / "stream.txt"
@@ -1144,6 +1178,45 @@ def test_escaped_lone_surrogate_is_a_bad_record(tmp_path, demo_files, capsys):
     diags = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [(d["code"], d["index"]) for d in diags] == [("bad-record", 2)]
     assert [json.loads(line)["utt_id"] for line in out.read_text().splitlines()] == ["demo-001"]
+
+
+# About 1,000 levels reach the JSON decoder's recursion limit on CPython 3.10
+# and 3.11, where it is the interpreter's; the second depth is far past any.
+_DEPTHS = [1_000, 100_000]
+
+
+@pytest.mark.parametrize("depth", _DEPTHS)
+@pytest.mark.parametrize(
+    "command, target",
+    [("build", "corpus"), ("demux", "built"), ("stats", "built"), ("eval", "corpus"), ("eval", "hyps"), ("laal", "traces")],
+)
+def test_deeply_nested_line_is_a_bad_record(pipeline_inputs, tmp_path, capsys, command, target, depth):
+    files = {**pipeline_inputs, "out": str(tmp_path / "out.jsonl"), target: str(tmp_path / "deep.jsonl")}
+    lines = Path(pipeline_inputs[target]).read_text(encoding="utf-8").splitlines()
+    Path(files[target]).write_text("\n".join([lines[0], "[" * depth + "]" * depth, *lines[1:]]) + "\n", encoding="utf-8")
+    rc = main(_ARGV[command](files))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"code": "bad-record", "message": f"{files[target]}:2: nested too deeply", "index": 2}
+    ]
+
+
+@pytest.mark.parametrize("depth", _DEPTHS)
+@pytest.mark.parametrize("command", ["tags", "synth", "study"])
+def test_deeply_nested_document_is_fatal(tmp_path, demo_files, capsys, command, depth):
+    corpus, _ = demo_files
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * depth + "]" * depth)
+    out = str(tmp_path / "out")
+    argv = {
+        "tags": ["build", "--method", "inter-time", "--tags", str(deep), "--input", corpus, "--output", out],
+        "synth": ["synth", "--config", str(deep), "--seed", "1", "--output", out],
+        "study": ["study", "--config", str(deep), "--output", out],
+    }[command]
+    assert main(argv) == 2
+    what = "tag set" if command == "tags" else "JSON"
+    assert capsys.readouterr().err == f"error: {deep}: invalid {what}: nested too deeply\n"
 
 
 class TestStreaming:

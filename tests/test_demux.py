@@ -294,6 +294,22 @@ _DECLARED = st.lists(st.sampled_from([ASR, ES, DE, _ES_PT]), min_size=1, max_siz
 _TEXT_TOKENS = ["#ASR#", "#ES#", "#DE#", "#XX#", "<unknown>", "a", "b", ""]
 
 
+@st.composite
+def _spaced_text(draw):
+    """A text line whose space-separated tokens hold other whitespace, and the tokens demux reads in it."""
+    pieces, tokens = [], []
+    for words in draw(st.lists(st.lists(st.sampled_from(_TEXT_TOKENS[:-1]), max_size=3), max_size=8)):
+        # Other whitespace before, between (at least one) and after the words.
+        gaps = [
+            draw(st.text(st.sampled_from("\t\r\x0b\u3000"), min_size=1 if 0 < i < len(words) else 0, max_size=2))
+            for i in range(len(words) + 1)
+        ]
+        pieces.append(gaps[0] + "".join(w + gap for w, gap in zip(words, gaps[1:])))
+        tokens += words or [""]
+    line = " ".join(pieces)
+    return line, tokens if line else []
+
+
 class TestColumnarDemuxMatchesFeedFold:
     @given(_sequences(), _DECLARED, st.sampled_from(["", "given-id"]))
     @settings(max_examples=400)
@@ -322,6 +338,13 @@ class TestColumnarDemuxMatchesFeedFold:
     def test_text_lines_match_the_reference(self, tokens, declared):
         line = " ".join(tokens)
         _check_against_reference(line, line.split(" ") if line else [], TagSet(tuple(declared)), "line000001")
+
+    @given(_spaced_text(), _DECLARED)
+    @settings(max_examples=400)
+    def test_other_whitespace_splits_a_text_token(self, line_and_tokens, declared):
+        # A token that holds a tab or the like is its words; one of that whitespace only is empty.
+        line, tokens = line_and_tokens
+        _check_against_reference(line, tokens, TagSet(tuple(declared)), "line000001")
 
     @given(st.lists(st.sampled_from([TagToken(ASR), ES, WordToken("a")] + _TEXT_TOKENS), max_size=25), st.integers(0, 25))
     @settings(max_examples=300)

@@ -22,7 +22,11 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 from tokenweave.cli import main
+from tokenweave.formats import _dumps as _canonical, read_serialized, read_traces
+from tokenweave.metrics import laal_report, switch_report
 
 MANIFEST = Path(__file__).parent / "golden" / "pipeline.json"
 SEEDS = (1, 7)
@@ -211,12 +215,41 @@ def run_all(workdir: Path) -> dict:
     return manifest
 
 
-def test_pipeline_outputs_match_the_manifest(tmp_path):
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The working directory of one `run_all` and the manifest it produced."""
+    workdir = tmp_path_factory.mktemp("golden")
+    return workdir, run_all(workdir)
+
+
+def test_pipeline_outputs_match_the_manifest(golden_run):
     expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    got = run_all(tmp_path)
+    _, got = golden_run
     assert list(got) == list(expected)
     for stage in expected:
         assert got[stage] == expected[stage], stage
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_stats_and_laal_print_the_library_reports(golden_run):
+    # On the inputs each stage read, the library call gives the stdout line, or the error line.
+    workdir, got = golden_run
+    for seed in SEEDS:
+        d = workdir / f"seed{seed}"
+        for p in ("", "bad-"):
+            stats = got[f"seed{seed}/{p}stats"]
+            base, variant = (read_serialized(str(d / f"{p}{name}.jsonl"), None, []) for name in ("plain", "grouped"))
+            if stats["exit"] == 2:
+                with pytest.raises(ValueError) as exc:
+                    switch_report(base, variant)
+                assert stats["stderr"].endswith(f"\nerror: {exc.value}\n")
+            else:
+                assert _sha256(_canonical(switch_report(base, variant)) + "\n") == stats["sha256"]["stdout"]
+            report = laal_report(read_traces(str(d / f"{p}traces.jsonl"), []))
+            assert _sha256(_canonical(report) + "\n") == got[f"seed{seed}/{p}laal"]["sha256"]["stdout"]
 
 
 if __name__ == "__main__":

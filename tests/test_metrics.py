@@ -26,7 +26,9 @@ from tokenweave import (
     evaluate_corpus,
     inter_time,
     laal,
+    laal_report,
     switch_reduction,
+    switch_report,
     wer,
 )
 from tokenweave.formats import read_channels, write_channels
@@ -71,11 +73,13 @@ class TestWer:
             wer([], [])
 
     def test_normalization(self):
-        assert wer(["The", "cat"], ["the", "cat"], normalize=True) == 0.0
-        assert wer(["Hello,", "world!"], ["hello", "world"], normalize=True) == 0.0
+        # WER takes words as given; normalizing them first is the caller's step.
+        assert wer(["The", "cat"], ["the", "cat"]) == 0.5
+        assert wer(normalize_words(["The", "cat"]), normalize_words(["the", "cat"])) == 0.0
+        assert wer(normalize_words(["Hello,", "world!"]), normalize_words(["hello", "world"])) == 0.0
         # Normalization that empties the reference surfaces as an error too.
         with pytest.raises(ValueError):
-            wer(["..."], ["a"], normalize=True)
+            wer(normalize_words(["..."]), normalize_words(["a"]))
 
     @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=8),
            st.lists(st.sampled_from("abc"), max_size=8))
@@ -412,6 +416,29 @@ class TestLaal:
         assert lower < base
 
 
+class TestLaalReport:
+    def test_empty(self):
+        assert laal_report([]) == {"traces": 0, "channels": [], "overall_mean_laal_ms": 0.0}
+
+    def test_tags_sorted_and_overall_summed_by_tag_in_order_of_appearance(self):
+        # A one-entry trace's LAAL is its delay.  In trace order the overall
+        # sum would be (1e16 + 1) - 1e16 = 0.0; tag by tag it is (1e16 - 1e16) + 1.
+        traces = [
+            EmissionTrace("u1", "#ES#", ((0, 10**16),), source_duration_ms=1, ref_len=1),
+            EmissionTrace("u1", "#ASR#", ((0, 1),), source_duration_ms=1, ref_len=1),
+            EmissionTrace("u2", "#ES#", ((0, -(10**16)),), source_duration_ms=1, ref_len=1),
+        ]
+        assert [laal(tr) for tr in traces] == [1e16, 1.0, -1e16]
+        assert laal_report(iter(traces)) == {
+            "traces": 3,
+            "channels": [
+                {"tag": "#ASR#", "mean_laal_ms": 1.0, "traces": 1},
+                {"tag": "#ES#", "mean_laal_ms": 0.0, "traces": 2},
+            ],
+            "overall_mean_laal_ms": 1.0 / 3,
+        }
+
+
 class TestSwitchCounting:
     def test_demo_counts(self, demo_utterance, demo_tags):
         assert count_switches(inter_time(demo_utterance, tags=demo_tags)) == 8
@@ -445,6 +472,20 @@ class TestSwitchCounting:
         other = SerializedSequence("someone-else", base[0].tokens, base[0].method)
         with pytest.raises(ValueError, match="utterance ids"):
             switch_reduction(base, [other])
+
+    def test_report_counts_each_side_once(self, demo_utterance, demo_tags):
+        base = [inter_time(demo_utterance, tags=demo_tags)]
+        variant = [inter_time(demo_utterance, GroupingConfig(500), demo_tags)]
+        report = switch_report(iter(base), iter(variant))
+        assert report == {"utterances": 1, "base_switches": 8, "variant_switches": 6, "reduction": 0.25}
+        assert switch_reduction(base, variant) == report["reduction"]
+
+    def test_report_checks_ids_before_the_base_total(self):
+        # Both faults at once: the id mismatch is reported.
+        empty = SerializedSequence("u", (), SerializationMethod("inter_time"))
+        other = SerializedSequence("v", (), SerializationMethod("inter_time"))
+        with pytest.raises(ValueError, match="^base and variant corpora carry different utterance ids$"):
+            switch_report([empty], [other])
 
 
 class TestEvaluateCorpus:

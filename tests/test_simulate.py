@@ -120,6 +120,23 @@ class TestSynthCorpus:
             _config(**overrides)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"reorder_window_ms": -1}, "reorder_window_ms must be >= 0, got -1"),
+            ({"num_utterances": -1}, "num_utterances must be >= 0, got -1"),
+            ({"vocab_size": 0}, "vocab_size must be >= 1, got 0"),
+            # With several out of bounds, the first of these three is named.
+            ({"reorder_window_ms": -1, "num_utterances": -1, "vocab_size": 0}, "reorder_window_ms must be >= 0, got -1"),
+            ({"num_utterances": -1, "vocab_size": 0}, "num_utterances must be >= 0, got -1"),
+            ({"vocab_size": 0, "channels": ()}, "vocab_size must be >= 1, got 0"),
+        ],
+    )
+    def test_config_bounds_are_checked_in_order(self, overrides, message):
+        with pytest.raises(ValueError) as info:
+            _config(**overrides)
+        assert str(info.value) == message
+
     def test_config_json_round_trip(self):
         cfg = _config()
         assert synth_config_from_json(synth_config_to_json(cfg)) == cfg
@@ -207,6 +224,10 @@ class TestReplay:
             for tr in replay(seq, ReplayPolicy(overhead_ms=3), source).values():
                 numbers = [tr.source_duration_ms, tr.ref_len, *(x for entry in tr.entries for x in entry)]
                 assert {type(x) for x in numbers} == {int}
+
+    def test_policy_overhead_bound_message(self):
+        with pytest.raises(ValueError, match=r"^overhead_ms must be >= 0, got -1$"):
+            ReplayPolicy(overhead_ms=-1)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
