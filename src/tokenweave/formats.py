@@ -223,11 +223,12 @@ def utterance_from_json(obj: dict) -> Utterance:
         tag = Tag(ch["tag"], Modality(ch["modality"]), ch["lang"])
         words = ch["words"]
         try:
-            channel = Channel._from_columns(tag, tuple([w["t"] for w in words]), tuple([w["w"] for w in words]))
+            channels.append(Channel._from_columns(tag, tuple([w["t"] for w in words]), tuple([w["w"] for w in words])))
         except (KeyError, TypeError):
             # Word by word, so that the first faulty word raises its own error.
-            channel = Channel(tag, [TimedWord(w["t"], w["w"]) for w in words])
-        channels.append(channel)
+            for w in words:
+                TimedWord(w["t"], w["w"])
+            raise
     return Utterance(
         utt_id=_expect_json(obj["utt_id"], "utt_id", str),
         duration_ms=obj["duration_ms"],

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import string
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
 from .kernels import edit_distance
@@ -74,9 +74,9 @@ def _bleu_stats(reference: Sequence[str], hypothesis: Sequence[str]) -> Counter:
     """
     stats = Counter(ref_len=len(reference), hyp_len=len(hypothesis))
     for n in range(1, min(len(hypothesis), BLEU_MAX_ORDER) + 1):
-        ref_count = Counter(zip(*(reference[i:] for i in range(n)))).get
+        ref_count = Counter(zip(*(islice(reference, i, None) for i in range(n)))).get
         matches = 0
-        for gram, c in Counter(zip(*(hypothesis[i:] for i in range(n)))).items():
+        for gram, c in Counter(zip(*(islice(hypothesis, i, None) for i in range(n)))).items():
             r = ref_count(gram)
             if r:
                 matches += c if c < r else r

@@ -58,6 +58,14 @@ def _check_token_text(value: str, what: str) -> None:
         raise ValueError(f"{what} must not contain whitespace: {value!r}")
 
 
+def _all_token_text(words) -> bool:
+    """Whether every word is a non-empty string without whitespace: iff the join/split round trip is exact."""
+    try:
+        return " ".join(words).split() == list(words)
+    except TypeError:
+        return False
+
+
 def _check_positive_int(value, what: str) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
@@ -180,14 +188,9 @@ class Channel:
         return ch
 
     def _fill(self, tag, times, texts) -> None:
-        # The checks of TimedWord, in bulk: for strings the join/split round
-        # trip is exact iff every word is non-empty and has no whitespace.
-        # On failure, TimedWord finds the first bad word and its message.
-        try:
-            ok = " ".join(texts).split() == list(texts)
-        except TypeError:
-            ok = False
-        if not (ok and set(map(type, times)) <= {int} and min(times, default=0) >= 0):
+        # The checks of TimedWord, in bulk.  On failure, TimedWord finds the
+        # first bad word and its message.
+        if not (_all_token_text(texts) and set(map(type, times)) <= {int} and min(times, default=0) >= 0):
             for t, w in zip(times, texts):
                 TimedWord(t, w)
         object.__setattr__(self, "tag", tag)
@@ -360,15 +363,10 @@ class SerializedSequence:
     def _fill(self, utt_id, items, origin_times, method) -> None:
         if not isinstance(method, SerializationMethod):
             raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
-        # Word text first, in bulk: for strings the join/split round trip is
-        # exact iff every word is non-empty and has no whitespace.  On
-        # failure, the per-word check finds the first bad word and its message.
+        # Word text first, in bulk.  On failure, the per-word check finds the
+        # first bad word and its message.
         words = [x for x in items if not isinstance(x, Tag)]
-        try:
-            words_ok = " ".join(words).split() == words
-        except TypeError:
-            words_ok = False
-        if not words_ok:
+        if not _all_token_text(words):
             for w in words:
                 _check_token_text(w, "word")
         problems = check_sequence(items)

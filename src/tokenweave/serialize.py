@@ -22,6 +22,7 @@ from itertools import repeat
 from .model import (
     Channel,
     GroupingConfig,
+    Modality,
     SerializationMethod,
     SerializedSequence,
     Tag,
@@ -186,6 +187,6 @@ def serialize_utterance(
             f"inter_gamma needs exactly two channels, utterance {u.utt_id!r} has {len(u.channels)}"
         )
     first, second = u.channels
-    if first.tag.modality != second.tag.modality and second.tag.modality.value == "asr":
+    if first.tag.modality != second.tag.modality and second.tag.modality is Modality.TRANSCRIPTION:
         first, second = second, first
     return inter_gamma(first, second, method.gamma, utt_id=u.utt_id)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .formats import _check_version, _expect_int_pair, _expect_json, _tags_from_json, _tags_to_json
@@ -23,6 +24,7 @@ from .metrics import count_switches, laal
 from .model import (
     Channel,
     EmissionTrace,
+    Modality,
     SerializationMethod,
     SerializedSequence,
     Tag,
@@ -135,74 +137,50 @@ def replay_policy_from_json(obj: dict) -> ReplayPolicy:
     )
 
 
-def _gen_monotone_times(rng: random.Random, n: int, rate: tuple[int, int]) -> list[int]:
-    times = []
-    t = 0
-    for _ in range(n):
-        t += rng.randint(max(1, rate[0]), max(1, rate[1]))
-        times.append(t)
-    return times
-
-
 def synth_corpus(config: SynthConfig) -> Iterator[Utterance]:
     """Yield, one at a time, the utterances of a corpus that always passes utterance validation.
 
-    Transcription channels are monotone by construction; translation times
-    are derived from the first transcription channel (anchor), shifted by a
-    lag, jittered within the reordering window, and re-sorted ascending so
-    the channel stays a monotone emission trace.
+    The lead channels (the transcriptions, or every channel when none is one)
+    advance by random gaps, so they are monotone by construction.  Each other
+    channel's word k of n follows word min(k*m//n, m-1) of the first lead
+    channel's m, shifted by a lag, jittered within the reordering window, and
+    re-sorted ascending so the channel stays a monotone emission trace.
     """
     rng = random.Random(config.seed)
-    anchor_tag = next(
-        (t for t in config.channels if t.modality.value == "asr"), None
-    )
+    lead = [t.modality is Modality.TRANSCRIPTION for t in config.channels]
+    if not any(lead):
+        lead = [True] * len(lead)
+    rate = max(1, config.word_rate_ms[0]), config.word_rate_ms[1]
+    lag, window = config.translation_lag_ms, config.reorder_window_ms
 
     for idx in range(config.num_utterances):
-        counts = {t.surface: rng.randint(*config.words_per_channel) for t in config.channels}
-        times_by_tag: dict[str, list[int]] = {}
-
-        for tag in config.channels:
-            if tag.modality.value == "asr" or anchor_tag is None:
-                times_by_tag[tag.surface] = _gen_monotone_times(
-                    rng, counts[tag.surface], config.word_rate_ms
-                )
-        anchor_times = times_by_tag.get(anchor_tag.surface, []) if anchor_tag else []
-
-        for tag in config.channels:
-            if tag.surface in times_by_tag:
-                continue
-            n = counts[tag.surface]
-            times = []
-            m = len(anchor_times)
-            for k in range(n):
-                base = anchor_times[min(k * m // n, m - 1)] if m else 0
-                t = base + rng.randint(*config.translation_lag_ms)
-                if config.reorder_window_ms:
-                    t += rng.randint(-config.reorder_window_ms, config.reorder_window_ms)
-                times.append(max(0, t))
-            times.sort()
-            times_by_tag[tag.surface] = times
-
-        channels = []
-        for tag in config.channels:
-            times = tuple(times_by_tag[tag.surface])
-            texts = tuple([f"w{rng.randrange(config.vocab_size)}" for _ in times])
-            channels.append(Channel._from_columns(tag, times, texts))
-
-        asr_times = [
-            t
-            for tag in config.channels
-            if tag.modality.value == "asr"
-            for t in times_by_tag[tag.surface]
+        counts = [rng.randint(*config.words_per_channel) for _ in lead]
+        times = [
+            list(accumulate(rng.randint(*rate) for _ in range(n))) if is_lead else []
+            for n, is_lead in zip(counts, lead)
         ]
-        span = max(asr_times, default=0) or max(
-            (t for ts in times_by_tag.values() for t in ts), default=0
+        # An empty anchor reads as a single word at 0.
+        anchor = times[lead.index(True)] or [0]
+        m = len(anchor)
+        for n, ts, is_lead in zip(counts, times, lead):
+            if not is_lead:
+                for k in range(n):
+                    t = anchor[min(k * m // n, m - 1)] + rng.randint(*lag)
+                    if window:
+                        t += rng.randint(-window, window)
+                    ts.append(max(0, t))
+                ts.sort()
+        channels = tuple(
+            Channel._from_columns(tag, tuple(ts), tuple([f"w{rng.randrange(config.vocab_size)}" for _ in ts]))
+            for tag, ts in zip(config.channels, times)
         )
-        duration = max(1, span + config.word_rate_ms[1])
+        # Every list is ascending, so its last time is its latest.
+        latest = [ts[-1] if ts else 0 for ts in times]
+        span = max(t for t, is_lead in zip(latest, lead) if is_lead) or max(latest)
         yield Utterance(
             utt_id=f"s{config.seed}-u{idx:05d}",
-            duration_ms=duration,
-            channels=tuple(channels),
+            duration_ms=max(1, span + config.word_rate_ms[1]),
+            channels=channels,
         )
 
 

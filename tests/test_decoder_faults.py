@@ -5,6 +5,8 @@ words, so one wrong or missing tag token misroutes a whole run of words.
 Each test builds a synthetic corpus, renders each utterance's grouped build
 as the text a decoder emits, puts one fault into it, demultiplexes it with
 `demux_full` and predicts the outcome from the clean stream's runs alone.
+The same faults in a build's JSON record often break a sequence invariant;
+which records `read_serialized` then skips is predicted from the runs too.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from tokenweave import (
     inter_time,
     render_text,
 )
+from tokenweave.formats import _dumps, read_serialized, serialized_to_json
 from tokenweave.kernels import edit_distance
 from tokenweave.simulate import synth_corpus
 from conftest import ASR, DE, ES
@@ -139,3 +142,61 @@ def test_undeclared_substitute_is_a_word_of_the_preceding_channel(built):
             result = demux_full(_text(runs[:i] + [("#XX#", runs[i][1])] + runs[i + 1 :]), TAGS, utt_id=u.utt_id)
             at = sum(len(words) for tag, words in runs[:i] if tag == gaining)
             assert result.words[gaining] == refs[gaining][:at] + ["#XX#"] + runs[i][1] + refs[gaining][at:]
+
+
+def _json_faults(u, runs):
+    """(record line, utt_id, predicted fault kind, predicted problem, text form) per one-tag fault of u's grouped build.
+
+    The faults are those of the text tests: delete run i's tag (with its
+    origin time), or substitute another declared tag for it.  The kind and
+    problem are None for a record that stays valid.  Each faulty record gets
+    its own utt_id.
+    """
+    rec = serialized_to_json(inter_time(u, GroupingConfig(500), TAGS))
+    at = [k for k, t in enumerate(rec["origin_times"]) if t is None]
+    assert [rec["tokens"][k] for k in at] == [tag for tag, _ in runs]
+    out = []
+    for i, (tag, words) in enumerate(runs):
+        before = runs[i - 1][0] if i > 0 else None
+        after = runs[i + 1][0] if i + 1 < len(runs) else None
+        for sub in [None] + [s for s in SURFACES if s != tag]:
+            tokens, times = list(rec["tokens"]), list(rec["origin_times"])
+            kind = problem = None
+            if sub is None:
+                del tokens[at[i]], times[at[i]]
+                if i == 0:
+                    kind, problem = "leading-word", f"word {words[0]!r} at index 0 precedes any tag"
+                elif after == before:
+                    kind, problem = "merged-run", f"tag {before!r} repeated without a switch at index {at[i + 1] - 1}"
+            else:
+                tokens[at[i]] = sub
+                if sub in (before, after):
+                    where = at[i] if sub == before else at[i + 1]
+                    kind, problem = "repeated-neighbour", f"tag {sub!r} repeated without a switch at index {where}"
+            utt_id = f"{u.utt_id}-{len(out)}"
+            line = _dumps({**rec, "utt_id": utt_id, "tokens": tokens, "origin_times": times})
+            out.append((line, utt_id, kind, problem, _text(runs[:i] + [(sub, words)] + runs[i + 1 :])))
+    return out
+
+
+@pytest.mark.parametrize("tags", [TAGS, None], ids=["tag-set", "own-tags"])
+def test_json_faults_skip_exactly_the_predicted_records(built, tmp_path, tags):
+    faults = [f for u, runs in built for f in _json_faults(u, runs)]
+    assert {kind for _, _, kind, _, _ in faults} == {None, "leading-word", "merged-run", "repeated-neighbour"}
+    path = tmp_path / "faulty.jsonl"
+    path.write_text("".join(line + "\n" for line, *_ in faults), encoding="utf-8")
+    diags: list = []
+    seqs = list(read_serialized(str(path), tags, diags))
+    assert [(d.code, d.index, d.message) for d in diags] == [
+        ("bad-record", lineno, f"{path}:{lineno}: invalid serialized sequence {utt_id!r}: {problem}")
+        for lineno, (_, utt_id, kind, problem, _) in enumerate(faults, start=1)
+        if kind
+    ]
+    kept = [(utt_id, text) for _, utt_id, kind, _, text in faults if kind is None]
+    assert [s.utt_id for s in seqs] == [utt_id for utt_id, _ in kept]
+    assert len(kept) > 200
+    # Every record that is kept demuxes as its text form does, with no diagnostic.
+    for seq, (utt_id, text) in zip(seqs, kept):
+        from_json, from_text = demux_full(seq, TAGS), demux_full(text, TAGS, utt_id=utt_id)
+        assert from_json.words == from_text.words
+        assert from_json.diagnostics == from_text.diagnostics == []

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from tokenweave import (
     GroupingConfig,
+    Modality,
     ReplayPolicy,
     SerializationMethod,
     SerializedSequence,
     SynthConfig,
+    Tag,
     TagSet,
     TagToken,
     WordToken,
@@ -17,7 +21,7 @@ from tokenweave import (
     synth_corpus,
     validate_utterance,
 )
-from tokenweave.formats import utterance_to_json
+from tokenweave.formats import _dumps, utterance_to_json
 from tokenweave.simulate import (
     method_label,
     replay_policy_from_json,
@@ -40,6 +44,22 @@ def _config(**overrides) -> SynthConfig:
     )
     base.update(overrides)
     return SynthConfig(**base)
+
+
+EN2 = Tag("#EN2#", Modality.TRANSCRIPTION, "en")
+
+# Overrides of `_config` that reach every branch of `synth_corpus`, each with
+# the SHA-256 of the corpus file `synth` writes for it.  The golden manifest
+# only holds plans led by a transcription channel.
+PINNED_SYNTH = {
+    "no-transcription": ({"channels": (ES, DE)}, "c68d37e539b7fee03de7b71663bd2173298c521167083fe00978db299fad783c"),
+    "two-transcriptions": ({"channels": (ASR, ES, EN2, DE)}, "2573444234e7634ccd4cd21b48d98a3b13c3857cefb7668fe02c1305267e061d"),
+    "translation-first": ({"channels": (ES, ASR, DE)}, "7f73b667729273289bc76690d79e3567dd21c942052e39b22a0bf1b67f8f4846"),
+    "words-from-0": ({"words_per_channel": (0, 2), "num_utterances": 60}, "c322ba46e1fbb6d507c8bec6aeeaf3cd1d1fdba18168aca3982b9d83e05fe3fc"),
+    "rate-from-0": ({"word_rate_ms": (0, 3)}, "363db0082ec0b1974e8849b161944b4a8cb0ca96ebf60696b4b73de9cfa2b0f9"),
+    "window-0": ({"reorder_window_ms": 0}, "7a819f5359ddff0788cf23cdf78692e3a95773a29744908044ebe87fde7dce56"),
+    "window-400": ({"reorder_window_ms": 400}, "3483553fd6862a7d32e8b5fcad2d97c978cc1be3adf2e86c678d5e5921e7ce11"),
+}
 
 
 class TestSynthCorpus:
@@ -78,6 +98,12 @@ class TestSynthCorpus:
             for ch in u.channels:
                 times = [tw.time for tw in ch.words]
                 assert times == sorted(times)
+
+    @pytest.mark.parametrize("name", PINNED_SYNTH)
+    def test_corpus_bytes_are_pinned(self, name):
+        overrides, digest = PINNED_SYNTH[name]
+        lines = "".join(_dumps(utterance_to_json(u)) + "\n" for u in synth_corpus(_config(**overrides)))
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
     def test_utt_ids_are_unique_and_seed_scoped(self):
         ids = [u.utt_id for u in synth_corpus(_config())]
