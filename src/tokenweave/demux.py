@@ -3,7 +3,7 @@
 The consumer-side inverse of the serializer.  A :class:`DemuxState` tracks
 the current channel; words are routed to the channel named by the most
 recent tag.  One routine, :func:`_route`, makes that decision: :func:`feed`
-hands it one token and :func:`demux_full` a whole stream.  Malformed
+hands it one item and :func:`demux_full` a whole stream.  Malformed
 streams never abort: unroutable words land in a reserved unknown bucket and
 every anomaly is recorded as a diagnostic, so all decodable content
 survives.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Diagnostic, SerializedSequence, Tag, TagSet, TagToken, UNKNOWN_CHANNEL, WordToken
+from .model import Diagnostic, SerializedSequence, Tag, TagSet, UNKNOWN_CHANNEL
 
 __all__ = ["DemuxState", "feed", "demux_full"]
 
@@ -34,18 +34,6 @@ class DemuxState:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     token_index: int = 0
     utt_id: str = ""
-
-
-def _item(token, tags: TagSet):
-    """A token as an item: a `TagToken` or a bare `Tag` is its Tag, a `WordToken` its word.
-
-    A string is the declared Tag whose surface it is, or else a word.
-    """
-    if isinstance(token, TagToken):
-        return token.tag
-    if isinstance(token, WordToken):
-        return token.word
-    return token if isinstance(token, Tag) else tags.get(token) or token
 
 
 def _route(state: DemuxState, items, tags: TagSet) -> None:
@@ -101,32 +89,35 @@ def _route(state: DemuxState, items, tags: TagSet) -> None:
     state.current_tag, state.current_known, state.token_index = tag, known, base + n
 
 
-def feed(state: DemuxState, token: TagToken | WordToken | Tag | str, tags: TagSet) -> Tag | None:
-    """Consume one token, updating `state`; returns the tag a word was routed to.
+def feed(state: DemuxState, token: Tag | str, tags: TagSet) -> Tag | None:
+    """Consume one item, updating `state`; returns the tag a word was routed to.
 
-    Accepts model tokens, a bare `Tag`, or raw strings (a string matching a
-    tag surface in `tags` counts as that tag), and routes it by
-    :func:`_route`.  Returns None for a tag, an empty token and a word in
-    the unknown bucket.
+    An item is a :class:`Tag`, or a string: the declared Tag whose surface
+    it is in `tags`, or else a word.  Anything else is a TypeError.  The
+    item is routed by :func:`_route`.  Returns None for a tag, an empty
+    token and a word in the unknown bucket.
     """
-    item = _item(token, tags)
-    _route(state, (item,), tags)
-    if isinstance(item, Tag) or item == "" or not state.current_known:
+    if isinstance(token, str):
+        token = tags._by_surface.get(token, token)
+    elif not isinstance(token, Tag):
+        raise TypeError(f"feed takes a Tag or a str, got {type(token).__name__}")
+    _route(state, (token,), tags)
+    if isinstance(token, Tag) or token == "" or not state.current_known:
         return None
     return state.current_tag
 
 
-def demux_full(stream: SerializedSequence | str | list, tags: TagSet, utt_id: str = "") -> DemuxState:
+def demux_full(stream: SerializedSequence | str, tags: TagSet, utt_id: str = "") -> DemuxState:
     """Batch parse: route a whole stream and return its final :class:`DemuxState`.
 
-    `stream` may be a serialized sequence (its `utt_id` is the default), a
-    list of tokens as :func:`feed` takes them, or a plain-text line
-    (tokenized by splitting on single spaces, then on any other whitespace
-    inside a token, such as a tab or a carriage return; runs of spaces and
-    tokens of other whitespace only produce empty-token diagnostics, whose
-    indices count the tokens after both splits).  The result equals a fold
-    of :func:`feed` over the stream.  Channels appear in `words` exactly
-    when their tag appeared in the stream, even if no words followed.
+    `stream` is a serialized sequence (its `utt_id` is the default) or a
+    plain-text line.  A line is tokenized by splitting on single spaces,
+    then on any other whitespace inside a token, such as a tab or a
+    carriage return; runs of spaces and tokens of other whitespace only
+    produce empty-token diagnostics, whose indices count the tokens after
+    both splits.  For a line the result equals a fold of :func:`feed` over
+    those tokens.  Channels appear in `words` exactly when their tag
+    appeared in the stream, even if no words followed.
     """
     if isinstance(stream, SerializedSequence):
         items, utt_id = stream.items, utt_id or stream.utt_id
@@ -135,7 +126,7 @@ def demux_full(stream: SerializedSequence | str | list, tags: TagSet, utt_id: st
         tokens = [t for token in stream.split(" ") for t in token.split() or [""]]
         items = [surface_tag(t, t) for t in tokens] if stream else []
     else:
-        items = [_item(token, tags) for token in stream]
+        raise TypeError(f"demux_full takes a SerializedSequence or a str, got {type(stream).__name__}")
     state = DemuxState(utt_id=utt_id)
     _route(state, items, tags)
     return state

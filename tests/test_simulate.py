@@ -13,8 +13,6 @@ from tokenweave import (
     SynthConfig,
     Tag,
     TagSet,
-    TagToken,
-    WordToken,
     inter_time,
     latency_study,
     replay,
@@ -200,24 +198,16 @@ class TestReplay:
             replay(seq, ReplayPolicy(mode="group_boundary"), 1200)
 
     def test_missing_origin_time_is_an_error(self, demo_tags):
-        seq = SerializedSequence(
-            "u",
-            (TagToken(ASR), WordToken("a")),
-            SerializationMethod("inter_time"),
-        )
+        seq = SerializedSequence("u", (ASR, "a"), (None, None), SerializationMethod("inter_time"))
         with pytest.raises(ValueError, match="origin time"):
             replay(seq, ReplayPolicy(), 1000)
 
     def test_empty_sequence_yields_no_traces(self):
-        seq = SerializedSequence("u", (), SerializationMethod("inter_time"))
+        seq = SerializedSequence("u", (), (), SerializationMethod("inter_time"))
         assert replay(seq, ReplayPolicy(), 1000) == {}
 
     def test_tag_without_words_yields_no_trace(self):
-        seq = SerializedSequence(
-            "u",
-            (TagToken(ASR), WordToken("a", 10), TagToken(ES)),
-            SerializationMethod("inter_time"),
-        )
+        seq = SerializedSequence("u", (ASR, "a", ES), (None, 10, None), SerializationMethod("inter_time"))
         traces = replay(seq, ReplayPolicy(), 1000)
         assert list(traces) == ["#ASR#"]
         assert traces["#ASR#"].entries == ((1, 10),)
