@@ -105,7 +105,7 @@ def cmd_demux(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 
     if args.text:
         lines = formats._read_lines(args.input)
-        streams = ((f"line{n:06d}", line.rstrip("\n")) for n, line in lines if line.strip())
+        streams = ((f"line{n:06d}", line) for n, line in lines if line.strip())
     else:
         streams = ((s.utt_id, s) for s in formats.read_serialized(args.input, tags, diags))
 

@@ -319,17 +319,16 @@ class SerializedSequence:
     holds the shared :class:`Tag` at each tag position and the word string
     at each word position (a ``Tag`` versus a ``str`` is what tells the two
     apart, so a word that spells a tag surface stays a word), and
-    `origin_times` holds each word's origin time.  Both are tuples of one
-    entry per position, and `origin_times` must already be None at tag
-    positions.  `tokens` builds :class:`TagToken`/:class:`WordToken` views
-    of the columns on each read.
+    `origin_times` holds each word's origin time and None at each tag.  Both
+    are tuples of one entry per position.  `tokens` builds
+    :class:`TagToken`/:class:`WordToken` views of the columns on each read.
 
     Invariants (enforced at construction): `method` is a
     :class:`SerializationMethod`, the columns are of equal length, every
-    word is a non-empty string without whitespace, a non-empty sequence
-    starts with a tag, tags only appear on channel switches (never twice in
-    a row, never equal to the previous tag), and every word follows some
-    tag.
+    tag's origin time is None, every word is a non-empty string without
+    whitespace, a non-empty sequence starts with a tag, tags only appear on
+    channel switches (never twice in a row, never equal to the previous
+    tag), and every word follows some tag.
     """
 
     utt_id: str
@@ -343,12 +342,15 @@ class SerializedSequence:
             raise ValueError(f"method must be a SerializationMethod, got {type(self.method).__name__}")
         if len(self.origin_times) != len(items):
             raise ValueError(f"origin_times length {len(self.origin_times)} != items length {len(items)}")
-        # Word text first, in bulk.  On failure, the per-word check finds the
-        # first bad word and its message.
-        words = [x for x in items if not isinstance(x, Tag)]
+        # Word text first, in bulk; a timed tag joins the words to fail it.  On
+        # failure, the per-position check finds the first fault and its message.
+        words = [x for x, t in zip(items, self.origin_times) if t is not None or not isinstance(x, Tag)]
         if not _all_token_text(words):
-            for w in words:
-                _check_token_text(w, "word")
+            for i, (x, t) in enumerate(zip(items, self.origin_times)):
+                if not isinstance(x, Tag):
+                    _check_token_text(x, "word")
+                elif t is not None:
+                    raise ValueError(f"origin time {t!r} at tag position {i}")
         problems = check_sequence(items)
         if problems:
             raise ValueError(f"invalid serialized sequence {self.utt_id!r}: {problems[0]}")

@@ -345,17 +345,25 @@ class TestDemuxAndEval:
         assert (rc, capsys.readouterr().err) == (0, "")
         assert out.read_text() == '{"v":1,"utt_id":"line000001","channels":[{"tag":"#ASR#","words":["hi"]}]}\n'
 
-    def test_demux_text_whitespace_token_is_an_empty_token(self, tmp_path, demo_files, capsys):
+    @pytest.mark.parametrize(
+        "content, words, index",
+        [
+            ("#ASR# a\tb \t c\n", ["a", "b", "c"], 3),
+            # The line is read with its newline, which the tokenizer splits off the last token.
+            ("#ASR# hi \n", ["hi"], 2),
+        ],
+    )
+    def test_demux_text_whitespace_token_is_an_empty_token(self, tmp_path, demo_files, capsys, content, words, index):
         # Indices count the tokens after the split on other whitespace.
         _, tags = demo_files
         text = tmp_path / "stream.txt"
-        text.write_text("#ASR# a\tb \t c\n")
+        text.write_text(content)
         rc = main(["demux", "--tags", tags, "--input", str(text), "--output", "-", "--text"])
         captured = capsys.readouterr()
         assert rc == 1
-        assert json.loads(captured.out)["channels"] == [{"tag": "#ASR#", "words": ["a", "b", "c"]}]
+        assert json.loads(captured.out)["channels"] == [{"tag": "#ASR#", "words": words}]
         assert [json.loads(line) for line in captured.err.splitlines()] == [
-            {"code": "empty-token", "message": "empty token (consecutive spaces in text input?)", "utt_id": "line000001", "index": 3}
+            {"code": "empty-token", "message": "empty token (consecutive spaces in text input?)", "utt_id": "line000001", "index": index}
         ]
 
     def test_demux_diagnostics_exit_1(self, tmp_path, demo_files, capsys):

@@ -144,6 +144,17 @@ class TestRobustness:
         assert state.words == {"#ASR#": ["a"], UNKNOWN_CHANNEL: ["b"]}
         assert [(d.code, d.tag, d.index) for d in state.diagnostics] == [("unknown-tag", "#FR#", 2)]
 
+    def test_fed_text_is_read_as_a_line_is(self, demo_tags):
+        # Other whitespace splits a word, a declared surface is a tag, and a space is two empty tokens.
+        state = DemuxState()
+        feed(state, ASR, demo_tags)
+        assert feed(state, "a\tb", demo_tags) == ASR
+        assert feed(state, "#ASR# c", demo_tags) == ASR
+        assert feed(state, " ", demo_tags) is None
+        assert state.words == {"#ASR#": ["a", "b", "c"]}
+        assert [(d.code, d.index) for d in state.diagnostics] == [("redundant-tag", 3), ("empty-token", 5), ("empty-token", 6)]
+        assert state == demux_full("#ASR# a\tb #ASR# c  ", demo_tags)
+
     @pytest.mark.parametrize("token", [None, 7, b"a", TagToken(ASR), WordToken("a")])
     def test_feed_refuses_what_is_not_an_item(self, demo_tags, token):
         state = DemuxState()
@@ -272,11 +283,15 @@ def _check_against_reference(state, tokens, tags):
 
 
 def _check_line(line, tokens, tags, utt_id):
-    """`demux_full` of `line` and the fold of `feed` over its `tokens` both equal the reference fold."""
+    """`demux_full` of `line`, the fold of `feed` over its `tokens` and, for a non-empty line, `feed` of the line all equal the reference fold."""
     whole = demux_full(line, tags, utt_id=utt_id)
     state, routed = _fold(tokens, tags, utt_id)
     assert state == whole
     assert routed == _check_against_reference(whole, tokens, tags)
+    if line:
+        by_line = DemuxState(utt_id=utt_id)
+        assert feed(by_line, line, tags) == routed[-1]
+        assert by_line == whole
 
 
 def _run_tags(items, tags):

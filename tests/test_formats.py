@@ -582,6 +582,18 @@ def _records(draw):
     return record
 
 
+@st.composite
+def _columns(draw):
+    """Build-record columns, runs of a tag and its words, and a method; some break the constructor's rules."""
+    items: list = []
+    origin_times: list = []
+    word_time = st.integers(0, 3000) | st.none() if draw(st.booleans()) else st.integers(0, 3000)
+    for tag, words in draw(st.lists(st.tuples(st.sampled_from([ASR, ES, DE]), st.lists(_WORDS, max_size=4)), max_size=6)):
+        items += [tag, *words]
+        origin_times += [draw(st.sampled_from([None, None, None, 0, 1500]))] + [draw(word_time) for _ in words]
+    return tuple(items), tuple(origin_times), SerializationMethod.from_json(draw(st.sampled_from(_METHODS)))
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -638,6 +650,23 @@ class TestColumnarStreamMatchesObjectOracle:
         seqs, diags = _read(read_serialized, str(path), _STREAM_TAGS)
         assert seqs == []
         assert [(d.code, d.message) for d in diags] == [("bad-record", f"{path}:1: {message}")]
+
+    @given(_columns(), st.sampled_from(["u1", "utt é"]))
+    @settings(max_examples=400)
+    def test_read_inverts_write_for_every_constructed_record(self, columns, utt_id):
+        items, origin_times, method = columns
+        try:
+            seq = SerializedSequence(utt_id, items, origin_times, method)
+        except ValueError:
+            return  # columns the constructor refuses are no record
+        record = json.loads(_dumps(serialized_to_json(seq)))
+        assert serialized_from_json(record, _STREAM_TAGS) == seq
+        if None not in compress(origin_times, [not isinstance(x, Tag) for x in items]):
+            # With every word timed, the record's own tags are its tag positions.
+            own = serialized_from_json(record, None)
+            flat = [(type(x), getattr(x, "surface", x)) for x in own.items]
+            assert flat == [(type(x), getattr(x, "surface", x)) for x in items]
+            assert own.origin_times == origin_times
 
     def test_origin_at_a_tag_position_is_dropped(self):
         record = {"v": 1, "utt_id": "u1", "method": {"name": "inter_time"}, "tokens": ["#ASR#", "a"], "origin_times": [9, 1]}

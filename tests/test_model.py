@@ -239,6 +239,20 @@ class TestSerializedSequence:
         with pytest.raises(ValueError, match=f"^{message}$"):
             SerializedSequence("u", items, origin_times, SerializationMethod("inter_time"))
 
+    @pytest.mark.parametrize(
+        "items, origin_times, message",
+        [
+            ((ASR, "a"), (5, 1), "origin time 5 at tag position 0"),
+            ((ASR, "a", ES, "b"), (None, 1, 0, 2), "origin time 0 at tag position 2"),
+            # The first fault by position names the message.
+            ((ASR, "a b", ES), (None, 1, 3), "word must not contain whitespace: 'a b'"),
+        ],
+    )
+    def test_origin_time_at_a_tag_position_rejected(self, items, origin_times, message):
+        # A timed tag would be written as a line that the own-tags reader rejects.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SerializedSequence("u", items, origin_times, SerializationMethod("inter_time"))
+
     def test_word_before_tag_rejected(self):
         with pytest.raises(ValueError, match="precedes any tag"):
             SerializedSequence("u", ("hi",), (None,), SerializationMethod("inter_time"))
