@@ -7,8 +7,8 @@ escaping.  Writing what was just read reproduces the file byte for byte.
 Record readers are generators that hold one record at a time.  An invalid
 line is skipped with a diagnostic carrying its 1-based line number, appended
 to the caller's list.  A path of ``"-"`` means stdin or stdout.  A serialized
-record's tags come from a tag set, or, read without one, from the record's
-own tokens at null origin times.
+record's tags are its tokens at null origin times that spell a tag surface:
+one declared in a tag set, or, read without one, any string that can be one.
 """
 
 from __future__ import annotations
@@ -100,13 +100,26 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
 _TOO_DEEP = "nested too deeply"
 
 
+def _decode(text: str):
+    """The JSON value `text` holds; a ValueError if it is not JSON, is nested too deeply or escapes a lone surrogate."""
+    try:
+        obj = json.loads(text)
+        if "\\u" in text:
+            _dumps(obj).encode("utf-8")
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
+    except UnicodeEncodeError:
+        raise ValueError("escaped lone surrogate: the text has no UTF-8 form") from None
+    return obj
+
+
 def read_json(path: str, what: str = "JSON"):
     """Parse a whole file as one JSON document; errors name the path and `what` it should be."""
     text = "".join(line for _, line in _read_lines(path))
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"{path}: invalid {what}: {_TOO_DEEP if isinstance(exc, RecursionError) else exc}") from exc
+        return _decode(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid {what}: {exc}") from exc
 
 
 _JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
@@ -162,10 +175,7 @@ def _read_jsonl(path: str, parse, diags: list[Diagnostic], key=None) -> Iterator
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            if "\\u" in line:
-                _dumps(obj).encode("utf-8")  # an escaped lone surrogate could not be written back
-            record = parse(obj)
+            record = parse(_decode(line))
         except _Invalid as exc:
             diags.extend(
                 Diagnostic(p.code, f"{path}:{lineno}: {p.message}", utt_id=p.utt_id, tag=p.tag, index=lineno)
@@ -173,11 +183,8 @@ def _read_jsonl(path: str, parse, diags: list[Diagnostic], key=None) -> Iterator
             )
             continue
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            if isinstance(exc, UnicodeEncodeError):
-                exc = "escaped lone surrogate: the text has no UTF-8 form"
-            elif isinstance(exc, RecursionError):
-                exc = _TOO_DEEP
-            diags.append(Diagnostic("bad-record", f"{path}:{lineno}: {exc}", index=lineno))
+            message = _TOO_DEEP if isinstance(exc, RecursionError) else exc
+            diags.append(Diagnostic("bad-record", f"{path}:{lineno}: {message}", index=lineno))
             continue
         if key is not None:
             utt_id = key(record)
@@ -274,23 +281,23 @@ def serialized_to_json(s: SerializedSequence) -> dict:
 
 
 def serialized_from_json(obj: dict, tags: TagSet | None, known: dict[str, Tag] | None = None) -> SerializedSequence:
-    """A serialized record whose tag surfaces are looked up in `tags`.
+    """A serialized record; a token is a tag iff its origin time is null and it spells a tag surface.
 
-    With `tags` None the record's tags are its own: its tokens at null origin
-    times that can be tag surfaces (non-empty strings without whitespace, not
-    the reserved unknown bucket).  `build` stamps an origin time on every
-    word; a record without `origin_times` has a null one at every token.  The
-    stream holds no modality or language, so such a tag is a transcription
-    tag of undetermined language ("und").  `known` keeps one Tag per surface
-    across calls.
+    A surface is one declared in `tags`, or, with `tags` None, any string
+    that can be one (non-empty, without whitespace, not the reserved unknown
+    bucket): a transcription tag of undetermined language ("und"), since the
+    stream holds no modality or language, with one Tag per surface kept in
+    `known` across calls.  Any other token is a word, so a timed token that
+    spells a surface is a word.  `build` stamps an origin time on every word;
+    a record without `origin_times` has a null one at every token.
     """
     _check_version(obj)
-    raw_tokens = _expect_json(obj["tokens"], "tokens", list)
+    tokens = _expect_json(obj["tokens"], "tokens", list)
     origin_times = obj.get("origin_times")
     if origin_times is None:
-        origin_times = [None] * len(raw_tokens)
-    if len(_expect_json(origin_times, "origin_times", list)) != len(raw_tokens):
-        raise ValueError(f"origin_times length {len(origin_times)} != tokens length {len(raw_tokens)}")
+        origin_times = [None] * len(tokens)
+    if len(_expect_json(origin_times, "origin_times", list)) != len(tokens):
+        raise ValueError(f"origin_times length {len(origin_times)} != tokens length {len(tokens)}")
     # In bulk, as Channel checks its times; on failure, entry by entry for the message.
     if not set(map(type, origin_times)) <= {int, type(None)} or min(filter(None, origin_times), default=0) < 0:
         for i, t in enumerate(origin_times):
@@ -301,32 +308,21 @@ def serialized_from_json(obj: dict, tags: TagSet | None, known: dict[str, Tag] |
     _expect_json(method["name"], "method name", str)
     method = SerializationMethod.from_json(method)
     if tags is not None:
-        by_surface = tags._by_surface
+        lookup = tags._by_surface
     else:
-        # The record's own tags: each distinct string at a null origin time is checked once.
-        known = {} if known is None else known
-        by_surface = {}
-        for s in {x for x in compress(raw_tokens, map(is_, origin_times, repeat(None))) if isinstance(x, str)}:
-            if s.split() == [s] and s != UNKNOWN_CHANNEL:
-                if s not in known:
-                    known[s] = Tag(s, Modality.TRANSCRIPTION, "und")
-                by_surface[s] = known[s]
-    # One lookup per token: a tag surface becomes its Tag, anything else
-    # stays as it is and must pass the word check.
-    try:
-        items = tuple([by_surface.get(text, text) for text in raw_tokens])
-    except TypeError:  # an unhashable token, which the word check rejects
-        items = tuple([by_surface.get(text, text) if isinstance(text, str) else text for text in raw_tokens])
-    # An origin time at a tag position is dropped.
-    origins = tuple([None if isinstance(x, Tag) else t for x, t in zip(items, origin_times)])
-    return SerializedSequence(utt_id, items, origins, method)
+        lookup = {} if known is None else known
+        for s in compress(tokens, map(is_, origin_times, repeat(None))):
+            if isinstance(s, str) and s not in lookup and s.split() == [s] and s != UNKNOWN_CHANNEL:
+                lookup[s] = Tag(s, Modality.TRANSCRIPTION, "und")
+    items = tuple([lookup.get(x, x) if t is None and isinstance(x, str) else x for x, t in zip(tokens, origin_times)])
+    return SerializedSequence(utt_id, items, tuple(origin_times), method)
 
 
 def read_serialized(path: str, tags: TagSet | None, diags: list[Diagnostic]) -> Iterator[SerializedSequence]:
-    """Yield JSONL serialized records, resolving tag surfaces via `tags`.
+    """Yield JSONL serialized records whose tags are their null-time tokens that spell a surface.
 
-    With `tags` None each record's tags are its own, as in
-    :func:`serialized_from_json`, and each surface gets one Tag for the file.
+    A surface is one declared in `tags`, or, with `tags` None, any string that
+    can be one, as in :func:`serialized_from_json`, with one Tag per surface for the file.
     """
     known: dict[str, Tag] = {}
     return _read_jsonl(path, lambda obj: serialized_from_json(obj, tags, known), diags, _utt_id)

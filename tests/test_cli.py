@@ -1227,6 +1227,34 @@ def test_deeply_nested_document_is_fatal(tmp_path, demo_files, capsys, command, 
     assert capsys.readouterr().err == f"error: {deep}: invalid {what}: nested too deeply\n"
 
 
+@pytest.mark.parametrize("command", ["tags", "synth", "study"])
+def test_escaped_lone_surrogate_in_a_document_is_fatal(tmp_path, demo_files, capsys, command):
+    # A surface "\ud800" has no UTF-8 form, so the output could not hold it.
+    corpus, tags = demo_files
+    surface = {"surface": "\ud800", "modality": "st", "lang": "xx"}
+    tag_set = json.loads(Path(tags).read_text())
+    synth = {**synth_config_to_json(BIG_CONFIG), "num_utterances": 2}
+    synth["channels"] = [*synth["channels"], surface]
+    document = {
+        "tags": {**tag_set, "tags": [*tag_set["tags"], surface]},
+        "synth": synth,
+        "study": {"synth": synth, "methods": [{"name": "inter_time"}]},
+    }[command]
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))  # ensure_ascii: the surrogate is escaped
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    argv = {
+        "tags": ["build", "--method", "inter-time", "--tags", str(path), "--input", corpus, "--output", str(out)],
+        "synth": ["synth", "--config", str(path), "--output", str(out)],
+        "study": ["study", "--config", str(path), "--output", str(out)],
+    }[command]
+    assert main(argv) == 2
+    what = "tag set" if command == "tags" else "JSON"
+    assert capsys.readouterr().err == f"error: {path}: invalid {what}: escaped lone surrogate: the text has no UTF-8 form\n"
+    assert out.read_text() == "kept\n"
+
+
 class TestStreaming:
     """build, demux, synth, laal and eval hold one record; study holds its LAAL values."""
 

@@ -12,7 +12,7 @@ from itertools import compress, repeat
 from operator import attrgetter, is_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tokenweave import (
@@ -458,7 +458,7 @@ def _oracle_from_json(obj, tags):
         )
     toks = []
     for text, origin in zip(raw_tokens, origin_times):
-        if text in tags:
+        if origin is None and text in tags:
             toks.append(TagToken(tags.get(text)))
         else:
             toks.append(WordToken(text, origin_time=origin))
@@ -584,11 +584,15 @@ def _records(draw):
 
 @st.composite
 def _columns(draw):
-    """Build-record columns, runs of a tag and its words, and a method; some break the constructor's rules."""
+    """Build-record columns, runs of a tag and its words, and a method; some break the constructor's rules.
+
+    A word may spell a declared surface.
+    """
     items: list = []
     origin_times: list = []
     word_time = st.integers(0, 3000) | st.none() if draw(st.booleans()) else st.integers(0, 3000)
-    for tag, words in draw(st.lists(st.tuples(st.sampled_from([ASR, ES, DE]), st.lists(_WORDS, max_size=4)), max_size=6)):
+    run_words = st.lists(_WORDS | st.sampled_from(_SURFACES), max_size=4)
+    for tag, words in draw(st.lists(st.tuples(st.sampled_from([ASR, ES, DE]), run_words), max_size=6)):
         items += [tag, *words]
         origin_times += [draw(st.sampled_from([None, None, None, 0, 1500]))] + [draw(word_time) for _ in words]
     return tuple(items), tuple(origin_times), SerializationMethod.from_json(draw(st.sampled_from(_METHODS)))
@@ -599,6 +603,11 @@ def _outcome(fn, *args):
         return fn(*args)
     except (ValueError, KeyError, TypeError) as exc:
         return (type(exc), str(exc))
+
+
+def _flat(items) -> list:
+    """`items` by kind and surface, so that a tag read with a tag set equals one read from the record itself."""
+    return [(type(x), getattr(x, "surface", x)) for x in items]
 
 
 class TestColumnarStreamMatchesObjectOracle:
@@ -660,19 +669,39 @@ class TestColumnarStreamMatchesObjectOracle:
         except ValueError:
             return  # columns the constructor refuses are no record
         record = json.loads(_dumps(serialized_to_json(seq)))
-        assert serialized_from_json(record, _STREAM_TAGS) == seq
-        if None not in compress(origin_times, [not isinstance(x, Tag) for x in items]):
+        if all(t is not None for x, t in zip(items, origin_times) if isinstance(x, str) and x in _SURFACES):
+            # With every word that spells a declared surface timed, the tags are the tag positions.
+            assert serialized_from_json(record, _STREAM_TAGS) == seq
+        if None not in compress(origin_times, [isinstance(x, str) for x in items]):
             # With every word timed, the record's own tags are its tag positions.
             own = serialized_from_json(record, None)
-            flat = [(type(x), getattr(x, "surface", x)) for x in own.items]
-            assert flat == [(type(x), getattr(x, "surface", x)) for x in items]
+            assert _flat(own.items) == _flat(items)
             assert own.origin_times == origin_times
 
-    def test_origin_at_a_tag_position_is_dropped(self):
-        record = {"v": 1, "utt_id": "u1", "method": {"name": "inter_time"}, "tokens": ["#ASR#", "a"], "origin_times": [9, 1]}
-        seq = serialized_from_json(record, _STREAM_TAGS)
-        assert seq.origin_times == (None, 1)
-        assert serialized_to_json(seq)["origin_times"] == [None, 1]
+    @pytest.mark.parametrize("tags", [_STREAM_TAGS, None], ids=["tag set", "own tags"])
+    def test_a_token_is_a_tag_iff_its_origin_is_null_and_it_spells_a_surface(self, tags):
+        method = {"name": "inter_time"}
+        record = {"v": 1, "utt_id": "u1", "method": method, "tokens": ["#ASR#", "a", "#ES#", "b"], "origin_times": [None, 1, 7, 2]}
+        seq = serialized_from_json(record, tags)
+        assert _flat(seq.items) == _flat((ASR, "a", "#ES#", "b"))
+        assert seq.origin_times == (None, 1, 7, 2)
+        assert serialized_to_json(seq) == record
+        record = {"v": 1, "utt_id": "u1", "method": method, "tokens": ["#ASR#", "a"], "origin_times": [9, 1]}
+        with pytest.raises(ValueError, match="^invalid serialized sequence 'u1': word '#ASR#' at index 0 precedes any tag$"):
+            serialized_from_json(record, tags)
+
+    @given(_records())
+    @settings(max_examples=500)
+    def test_both_reading_modes_agree_when_every_null_time_token_is_a_declared_surface(self, record):
+        tokens = record["tokens"]
+        origins = record.get("origin_times") or [None] * len(tokens)
+        assume(all(t in _SURFACES for t, o in zip(tokens, origins) if o is None))
+        with_tags = _outcome(serialized_from_json, copy.deepcopy(record), _STREAM_TAGS)
+        own = _outcome(serialized_from_json, record, None)
+        if isinstance(with_tags, SerializedSequence) and isinstance(own, SerializedSequence):
+            assert (_flat(own.items), own.origin_times) == (_flat(with_tags.items), with_tags.origin_times)
+        else:
+            assert own == with_tags  # same exception type, same message
 
 
 # ---------------------------------------------------------------------------
