@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 the run completed but diagnostics were emitted
 (bad input lines were skipped, or input words went unscored), 2 fatal error
 (usage, unreadable file, domain violation).  Diagnostics go to standard
 error, one canonical JSON object per line; primary results go to the
-requested output path, with "-" meaning stdin/stdout.
+requested output path, with "-" meaning stdin/stdout.  Every stream holds
+UTF-8 text, as a file does (see :func:`formats._utf8`); standard error
+escapes what has no UTF-8 form, such as an undecodable byte of a path.
 """
 
 from __future__ import annotations
@@ -28,12 +30,6 @@ def _emit_diags(diags: list[Diagnostic]) -> None:
         print(formats._dumps(d.to_json()), file=sys.stderr)
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 def format_table(headers: list[str], rows: list[list[str]]) -> str:
     """Left-aligned plain-text table with a dashed header rule."""
     widths = [len(h) for h in headers]
@@ -53,6 +49,13 @@ def format_table(headers: list[str], rows: list[list[str]]) -> str:
 # build
 
 
+def _refuse_stdin_twice(inputs: dict[str, str], why: str = "stdin holds one input") -> None:
+    """A ValueError, raised before any input is read, if two of `inputs` (name: path) are - (stdin)."""
+    names = [name for name, path in inputs.items() if path == "-"]
+    if len(names) > 1:
+        raise ValueError(f"{names[0]} and {names[1]} cannot both be - (stdin): {why}")
+
+
 def _refuse_input_as_output(output: str, *inputs: str) -> None:
     """A ValueError if `output` is the same file as an input: it would be truncated before it is read."""
     if output == "-" or not os.path.exists(output):
@@ -65,6 +68,7 @@ def _refuse_input_as_output(output: str, *inputs: str) -> None:
 def cmd_build(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     from .serialize import serialize_utterance
 
+    _refuse_stdin_twice({"--tags": args.tags, "--input": args.input})
     tags = formats.read_tag_set(args.tags)
     method = SerializationMethod(args.method.replace("-", "_"), gamma=args.gamma, group_ms=args.group_ms)
     _refuse_input_as_output(args.output, args.input)
@@ -98,6 +102,7 @@ def cmd_build(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 def cmd_demux(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     from .demux import demux_full
 
+    _refuse_stdin_twice({"--tags": args.tags, "--input": args.input})
     tags = formats.read_tag_set(args.tags)
     _refuse_input_as_output(args.output, args.input)
     # Reader diagnostics are reported before demux diagnostics.
@@ -128,17 +133,16 @@ def cmd_demux(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 def cmd_stats(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     from .metrics import switch_report
 
-    if args.base == "-" and args.variant == "-":
-        raise ValueError("--base and --variant cannot both be - (stdin): stdin holds one input")
+    _refuse_stdin_twice({"--base": args.base, "--variant": args.variant})
     # Read without a tag set, each record's tags are its own.
     base, variant = (formats.read_serialized(path, None, diags) for path in (args.base, args.variant))
     report = switch_report(base, variant)
     if args.table:
         headers = ["utterances", "base switches", "variant switches", "reduction"]
         row = [str(report["utterances"]), str(report["base_switches"]), str(report["variant_switches"])]
-        _print(format_table(headers, [[*row, f"{report['reduction']:.6f}"]]))
+        formats._write_lines("-", [format_table(headers, [[*row, f"{report['reduction']:.6f}"]])])
     else:
-        _print(formats._dumps(report))
+        formats._write_lines("-", [formats._dumps(report)])
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +157,7 @@ def _cell(obj: dict, key: str, spec: str) -> str:
 def cmd_eval(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     from .metrics import evaluate_corpus
 
-    if args.refs == "-" and args.hyps == "-":
-        raise ValueError("--refs and --hyps cannot both be - (stdin): the two are read side by side")
+    _refuse_stdin_twice({"--refs": args.refs, "--hyps": args.hyps}, "the two are read side by side")
     # Both inputs stream through one scoring pass.  Reference, hypothesis and
     # unscored-words diagnostics are reported in that order.
     hyp_diags: list[Diagnostic] = []
@@ -173,9 +176,9 @@ def cmd_eval(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
         ]
         overall = ["(all)", "", _cell(report, "overall_wer", ".4f"), _cell(report, "overall_bleu", ".2f")]
         rows.append([*overall, str(report["utterances"])])
-        _print(format_table(["tag", "modality", "WER", "BLEU", "n"], rows))
+        formats._write_lines("-", [format_table(["tag", "modality", "WER", "BLEU", "n"], rows)])
     else:
-        _print(formats._dumps(report))
+        formats._write_lines("-", [formats._dumps(report)])
 
 
 def cmd_laal(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
@@ -184,22 +187,26 @@ def cmd_laal(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     report = laal_report(formats.read_traces(args.traces, diags))
     if args.table:
         rows = [[c["tag"], f"{c['mean_laal_ms']:.1f}", str(c["traces"])] for c in report["channels"]]
-        _print(format_table(["tag", "mean LAAL (ms)", "traces"], rows))
+        formats._write_lines("-", [format_table(["tag", "mean LAAL (ms)", "traces"], rows)])
     else:
-        _print(formats._dumps(report))
+        formats._write_lines("-", [formats._dumps(report)])
 
 
 # ---------------------------------------------------------------------------
 # synth / study
 
 
-def _section(path: str, name: str, obj, kind: type):
-    """`obj` if it has the JSON type `kind`, else a ValueError naming `path` and `name`."""
-    return formats._expect_json(obj, f"{path}: {name}", kind)
+def _section(path: str, name: str, obj, kind: type, fields: tuple[str, ...] | None = None):
+    """`obj` if it has the JSON type `kind` and no field beyond `fields`, else a ValueError naming `path` and `name`."""
+    obj = formats._expect_json(obj, f"{path}: {name}", kind)
+    for field in obj if fields is not None else ():
+        if field not in fields:
+            raise ValueError(f"{path}: {name} has an unknown field {field!r}; its fields are {', '.join(fields)}")
+    return obj
 
 
-def _read_config(path: str) -> dict:
-    return _section(path, "config", formats.read_json(path), dict)
+def _read_config(path: str, fields: tuple[str, ...] | None = None) -> dict:
+    return _section(path, "config", formats.read_json(path), dict, fields)
 
 
 def cmd_synth(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
@@ -217,7 +224,10 @@ def cmd_synth(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     from .simulate import latency_study, replay_policy_from_json, synth_config_from_json, synth_corpus
 
-    obj = _read_config(args.config)
+    obj = _read_config(args.config, ("corpus", "synth", "methods", "replay", "tags"))
+    _refuse_stdin_twice(
+        {"--config": args.config, 'the config\'s "corpus"': obj.get("corpus"), 'the config\'s "tags"': obj.get("tags")}
+    )
 
     if "corpus" in obj and "synth" in obj:
         raise ValueError("study config must have exactly one of \"corpus\" or \"synth\"")
@@ -231,7 +241,7 @@ def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 
     methods = []
     for i, m in enumerate(_section(args.config, "methods", obj.get("methods", []), list)):
-        m = _section(args.config, f"methods[{i}]", m, dict)
+        m = _section(args.config, f"methods[{i}]", m, dict, ("name", "gamma", "group_ms"))
         name = _section(args.config, f"methods[{i}].name", m.get("name"), str)
         try:
             methods.append(SerializationMethod.from_json({**m, "name": name.replace("-", "_")}))
@@ -240,7 +250,8 @@ def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     if not methods:
         raise ValueError("study config lists no methods")
 
-    policy = replay_policy_from_json(_section(args.config, "replay", obj.get("replay", {}), dict))
+    replay = _section(args.config, "replay", obj.get("replay", {}), dict, ("mode", "overhead_ms"))
+    policy = replay_policy_from_json(replay)
     tags = formats.read_tag_set(_section(args.config, "tags", obj["tags"], str)) if "tags" in obj else None
 
     with closing(corpus):
@@ -254,7 +265,7 @@ def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
             rows.append(
                 [entry["label"], ch["tag"], f"{ch['mean_laal_ms']:.1f}", f"{entry['mean_switches']:.2f}"]
             )
-    _print(format_table(["method", "tag", "mean LAAL (ms)", "mean switches"], rows))
+    formats._write_lines("-", [format_table(["method", "tag", "mean LAAL (ms)", "mean switches"], rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     On a fatal error the diagnostics collected so far, which often explain
     it, are written before the `error:` line, and the exit code is 2.
     """
+    formats._utf8(sys.stderr, "backslashreplace")
     args = build_parser().parse_args(argv)
     diags: list[Diagnostic] = []
     try:

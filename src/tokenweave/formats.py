@@ -6,13 +6,16 @@ escaping.  Writing what was just read reproduces the file byte for byte.
 
 Record readers are generators that hold one record at a time.  An invalid
 line is skipped with a diagnostic carrying its 1-based line number, appended
-to the caller's list.  A path of ``"-"`` means stdin or stdout.  A serialized
+to the caller's list.  A path of ``"-"`` means stdin or stdout, which are read
+and written by a file's text rule: strict UTF-8 with universal newlines,
+whatever encoding the interpreter gave the standard streams.  A serialized
 record's tags are its tokens at null origin times that spell a tag surface:
 one declared in a tag set, or, read without one, any string that can be one.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from contextlib import nullcontext
@@ -63,10 +66,21 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def _utf8(stream: IO[str], errors: str = "strict") -> IO[str]:
+    """`stream` set to UTF-8 with universal newlines and `errors`, as :func:`open` sets a file.
+
+    An encoding layer is set in place and stays open; a stream that holds
+    text without one, such as an ``io.StringIO``, is returned as it is.
+    """
+    if isinstance(stream, io.TextIOWrapper):
+        stream.reconfigure(encoding="utf-8", errors=errors, newline=None)
+    return stream
+
+
 def _open(path: str, mode: str) -> ContextManager[IO[str]]:
-    """`path` opened as UTF-8 text in `mode` ("r" or "w"); "-" is stdin or stdout, which stays open."""
+    """`path` opened as UTF-8 text in `mode` ("r" or "w"); "-" is stdin or stdout, set alike, which stays open."""
     if path == "-":
-        return nullcontext(sys.stdin if mode == "r" else sys.stdout)
+        return nullcontext(_utf8(sys.stdin if mode == "r" else sys.stdout))
     return open(path, mode, encoding="utf-8")
 
 

@@ -337,9 +337,9 @@ class TestDemuxAndEval:
         )
 
     def test_demux_text_from_stdin_drops_a_carriage_return(self, tmp_path, demo_files, capsys, monkeypatch):
-        # A file is read with universal newlines; stdin keeps the "\r" of a CRLF line.
+        # Stdin is read with universal newlines, as a file is, whatever newline rule it was opened with.
         _, tags = demo_files
-        monkeypatch.setattr(sys, "stdin", io.StringIO("#ASR# hi\r\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"#ASR# hi\r\n"), encoding="utf-8", newline="\n"))
         out = tmp_path / "ch.jsonl"
         rc = main(["demux", "--tags", tags, "--input", "-", "--output", str(out), "--text"])
         assert (rc, capsys.readouterr().err) == (0, "")
@@ -524,12 +524,51 @@ class TestDemuxAndEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(refs) in err and str(hyps) not in err
 
-    def test_refs_and_hyps_both_from_stdin_is_refused_before_reading(self, capsys, monkeypatch):
-        stdin = io.StringIO("not json\n")
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["eval", "--refs", "-", "--hyps", "-"], None, "--refs and --hyps cannot both be - (stdin): the two are read side by side"),
+            (
+                ["build", "--method", "inter-time", "--tags", "-", "--input", "-", "--output", "{out}"],
+                None,
+                "--tags and --input cannot both be - (stdin): stdin holds one input",
+            ),
+            (
+                ["demux", "--tags", "-", "--input", "-", "--output", "{out}"],
+                None,
+                "--tags and --input cannot both be - (stdin): stdin holds one input",
+            ),
+            (
+                ["study", "--config", "{config}", "--output", "{out}"],
+                {"corpus": "-", "tags": "-"},
+                'the config\'s "corpus" and the config\'s "tags" cannot both be - (stdin): stdin holds one input',
+            ),
+            (
+                ["study", "--config", "-", "--output", "{out}"],
+                {"corpus": "-"},
+                '--config and the config\'s "corpus" cannot both be - (stdin): stdin holds one input',
+            ),
+            (
+                ["study", "--config", "-", "--output", "{out}"],
+                {"synth": {}, "tags": "-"},
+                '--config and the config\'s "tags" cannot both be - (stdin): stdin holds one input',
+            ),
+        ],
+        ids=["eval", "build", "demux", "study-corpus-and-tags", "study-config-and-corpus", "study-config-and-tags"],
+    )
+    def test_refs_and_hyps_both_from_stdin_is_refused_before_reading(self, tmp_path, capsys, monkeypatch, argv, config, message):
+        # Stdin holds one input.  A config read from stdin is read whole; nothing else is read and no output is opened.
+        out, config_path = tmp_path / "out.jsonl", tmp_path / "study.json"
+        text = "not json\n"
+        if config is not None:
+            text = json.dumps({**config, "methods": [{"name": "inter_time"}]})
+            config_path.write_text(text)
+        stdin = io.StringIO(text)
         monkeypatch.setattr(sys, "stdin", stdin)
-        rc = main(["eval", "--refs", "-", "--hyps", "-"])
-        assert (rc, stdin.tell()) == (2, 0)
-        assert capsys.readouterr().err == "error: --refs and --hyps cannot both be - (stdin): the two are read side by side\n"
+        rc = main([a.format(out=out, config=config_path) for a in argv])
+        assert (rc, stdin.tell()) == (2, len(text) if argv[:3] == ["study", "--config", "-"] else 0)
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_tag_that_changes_modality_is_fatal(self, tmp_path, capsys):
         corpus, hyps = str(tmp_path / "corpus.jsonl"), str(tmp_path / "hyps.jsonl")
@@ -884,6 +923,13 @@ class TestStudy:
         [
             ({"methods": []}, "no methods"),
             ({"synth": None, "corpus": None}, "exactly one"),
+            # A misspelt field would otherwise be ignored, and the study run without it.
+            ({"seed": 3}, "config has an unknown field 'seed'; its fields are corpus, synth, methods, replay, tags"),
+            (
+                {"methods": [{"name": "inter_time", "group-ms": 500}]},
+                "methods[0] has an unknown field 'group-ms'; its fields are name, gamma, group_ms",
+            ),
+            ({"replay": {"overhead": 5}}, "replay has an unknown field 'overhead'; its fields are mode, overhead_ms"),
         ],
     )
     def test_config_errors(self, tmp_path, capsys, overrides, message):
@@ -895,8 +941,9 @@ class TestStudy:
         else:
             config = self._study_config(tmp_path, **overrides)
         rc = main(["study", "--config", config, "--output", "-"])
-        assert rc == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert message in captured.err
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -1461,3 +1508,83 @@ class TestEntryPoints:
         rc = main(["laal", "--traces", str(tmp_path / "missing.jsonl")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _tokenweave(*argv, stdin: bytes = b"", **env: str) -> subprocess.CompletedProcess:
+    """`python -m tokenweave` run on `argv` with `stdin`, its output in bytes; `env` is added to a default environment."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    return subprocess.run([sys.executable, "-m", "tokenweave", *argv], input=stdin, capture_output=True, env={**base, **env})
+
+
+class TestStdStreams:
+    """`-` is read and written as a file is, and diagnostics are UTF-8, whatever the interpreter gave the streams."""
+
+    CORPUS = '{"v":1,"utt_id":"u1","duration_ms":1000,"channels":[{"tag":"#ASR#","modality":"asr","lang":"en","words":[{"t":0,"w":"Ångström"}]}]}\n'
+
+    @pytest.fixture
+    def files(self, tmp_path, demo_tags):
+        corpus, tags = tmp_path / "corpus.jsonl", tmp_path / "tags.json"
+        corpus.write_text(self.CORPUS, encoding="utf-8")
+        write_tag_set(demo_tags, str(tags))
+        return str(corpus), str(tags)
+
+    def test_valid_utf8_reads_as_in_a_file_under_a_latin1_locale(self, tmp_path, files):
+        # Read as latin-1, the byte 0x85 of "Å" is NEL, which splits the word.
+        corpus, tags = files
+        built = tmp_path / "built.jsonl"
+        build = ["build", "--method", "inter-time", "--tags", tags]
+        assert _tokenweave(*build, "--input", corpus, "--output", str(built)).returncode == 0
+        piped = _tokenweave(*build, "--input", "-", "--output", "-", stdin=Path(corpus).read_bytes(), PYTHONIOENCODING="latin-1")
+        assert (piped.returncode, piped.stderr, piped.stdout) == (0, b"", built.read_bytes())
+        hyps = tmp_path / "hyps.jsonl"
+        assert main(["demux", "--tags", tags, "--input", str(built), "--output", str(hyps)]) == 0
+        scored = _tokenweave("eval", "--refs", corpus, "--hyps", "-", stdin=hyps.read_bytes(), PYTHONIOENCODING="latin-1")
+        assert (scored.returncode, scored.stderr) == (0, b"")
+        assert json.loads(scored.stdout)["overall_wer"] == 0.0
+
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_stdin_that_is_not_utf8_is_fatal(self, tmp_path, files, to_stdout):
+        _, tags = files
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"kept\n")
+        proc = _tokenweave(
+            "build", "--method", "inter-time", "--tags", tags, "--input", "-", "--output", "-" if to_stdout else str(out),
+            stdin=self.CORPUS.encode().replace(b"u1", b"u\xff"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: -: not valid UTF-8: ") and proc.stderr.count(b"\n") == 1
+        assert (proc.stdout, out.read_bytes()) == (b"", b"kept\n")
+
+    def test_diagnostics_are_json_under_an_ascii_locale(self, tmp_path, files):
+        corpus, tags = files
+        twice = tmp_path / "twice-Å.jsonl"
+        twice.write_text(self.CORPUS.replace("u1", "Å") * 2, encoding="utf-8")
+        argv = ["build", "--method", "inter-time", "--tags", tags, "--input", str(twice), "--output", str(tmp_path / "out")]
+        default, ascii_ = _tokenweave(*argv), _tokenweave(*argv, PYTHONIOENCODING="ascii")
+        assert default.returncode == ascii_.returncode == 1
+        assert ascii_.stderr == default.stderr
+        (line,) = [json.loads(line) for line in ascii_.stderr.decode("utf-8").splitlines()]
+        assert (line["code"], line["utt_id"]) == ("duplicate-utt-id", "Å")
+
+    def test_crlf_and_lone_cr_on_stdin_end_lines_as_in_a_file(self, tmp_path, files):
+        _, tags = files
+        text = b"#ASR# hi\r\n#ASR# a\rb\r\n"
+        path = tmp_path / "lines.txt"
+        path.write_bytes(text)
+        demux = ["demux", "--text", "--tags", tags, "--output", "-"]
+        from_file, piped = _tokenweave(*demux, "--input", str(path)), _tokenweave(*demux, "--input", "-", stdin=text)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (from_file.returncode, from_file.stdout, from_file.stderr)
+        assert [json.loads(line)["utt_id"] for line in piped.stdout.splitlines()] == ["line000001", "line000002", "line000003"]
+
+    def test_a_path_that_is_not_utf8_is_escaped_in_json(self, tmp_path):
+        # The interpreter decodes such a path with surrogateescape; the diagnostic escapes the surrogate.
+        path = os.path.join(os.fsencode(tmp_path), b"b\xffd.jsonl")
+        try:
+            with open(path, "wb") as fh:
+                fh.write(b"not json\n")
+        except OSError:
+            pytest.skip("the filesystem refuses a name that is not UTF-8")
+        proc = _tokenweave("laal", "--traces", path)
+        assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+        (line,) = [json.loads(line) for line in proc.stderr.splitlines()]
+        assert line["message"].startswith(os.fsdecode(path) + ":1: ")

@@ -43,6 +43,8 @@ from tokenweave.formats import (
     _dumps,
     _read_jsonl,
     _read_lines,
+    _utf8,
+    _write_lines,
     channels_from_json,
     read_channels,
     read_corpus,
@@ -329,6 +331,26 @@ class TestStdStreams:
         out = capsys.readouterr().out
         assert json.loads(out)["tags"][0]["surface"] == "#ASR#"
 
+    def test_dash_is_read_and_written_as_a_file_is(self, monkeypatch):
+        # Whatever encoding, error handler and newline rule the streams were opened with.
+        stdin = io.TextIOWrapper(io.BytesIO("Å\r\nb\rc\n".encode()), encoding="latin-1", newline="\n")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii", errors="backslashreplace", newline="\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert list(_read_lines("-")) == [(1, "Å\n"), (2, "b\n"), (3, "c\n")]
+        _write_lines("-", ["Å"])
+        stdout.flush()
+        assert stdout.buffer.getvalue() == "Å\n".encode()
+        assert (stdin.closed, stdout.closed) == (False, False)
+        with pytest.raises(UnicodeEncodeError):
+            _write_lines("-", ["\udcff"])
+
+    def test_a_stream_without_an_encoding_layer_is_used_as_it_is(self, monkeypatch):
+        stdin = io.StringIO("a\r\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert list(_read_lines("-")) == [(1, "a\r\n")]
+        assert _utf8(stdin) is stdin
+
 
 # ---------------------------------------------------------------------------
 # One contract for the four JSONL record readers.
@@ -396,7 +418,8 @@ class TestReaderContract:
         data = (_dumps(_contract_record(kind, "u1")) + "\n").encode() + b"\xff\n"
         if stdin:
             path = "-"
-            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            # As the interpreter opens stdin in the POSIX locale, which would pass the byte on.
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
         else:
             path = str(tmp_path / "bad.jsonl")
             (tmp_path / "bad.jsonl").write_bytes(data)
