@@ -258,6 +258,8 @@ def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
         report = latency_study(corpus, methods, policy, tags)
 
     formats._write_lines(args.output, [formats._dumps(report)])
+    if args.output == "-":
+        return  # stdout holds the report, and only the report
 
     rows = []
     for entry in report["methods"]:

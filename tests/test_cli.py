@@ -918,6 +918,16 @@ class TestStudy:
         assert "mean switches" in table
         assert "inter_gamma(0.5)" in table
 
+    def test_report_to_stdout_is_the_file_report_alone(self, tmp_path):
+        config = self._study_config(tmp_path)
+        out = tmp_path / "report.json"
+        assert _tokenweave("study", "--config", config, "--output", str(out)).returncode == 0
+        proc = _tokenweave("study", "--config", config, "--output", "-")
+        assert proc.returncode == 0
+        assert len(proc.stdout.splitlines()) == 1
+        assert proc.stdout == out.read_bytes()
+        json.loads(proc.stdout)
+
     @pytest.mark.parametrize(
         "overrides, message",
         [

@@ -457,6 +457,16 @@ class TestInterGamma:
         assert routed["#ASR#"] == asr_words
         assert routed["#ES#"] == st_words
 
+    @given(
+        st.lists(st.sampled_from(["x", "y", "z"]), max_size=12),
+        st.lists(st.sampled_from(["p", "q", "r"]), max_size=12),
+        st.one_of(st.sampled_from([0, 1, 0.1, 1 / 3, 0.9]), st.floats(min_value=0.0, max_value=1.0)),
+    )
+    @settings(max_examples=300)
+    def test_count_ratio_key_matches_the_merge_loop(self, asr_words, st_words, gamma):
+        a, b = _two_channels(asr_words, st_words)
+        assert inter_gamma(a, b, gamma, "u") == oracle_inter_gamma(a, b, gamma, "u")
+
 
 class TestSerializeUtteranceDispatch:
     def test_unknown_method(self, demo_utterance, demo_tags):
@@ -471,6 +481,11 @@ class TestSerializeUtteranceDispatch:
         with pytest.raises(ValueError, match="requires a gamma"):
             two = Utterance("u", 100, demo_utterance.channels[:2])
             serialize_utterance(two, SerializationMethod("inter_gamma"), demo_tags)
+
+    @pytest.mark.parametrize("method", STUDY_METHODS)
+    def test_sequence_keeps_the_callers_method_record(self, demo_utterance, demo_tags, method):
+        u = demo_utterance if method.name == "inter_time" else Utterance("u", 2000, demo_utterance.channels[:2])
+        assert serialize_utterance(u, method, demo_tags).method is method
 
     def test_transcription_takes_first_role_regardless_of_order(self, demo_tags):
         st_ch = Channel(ES, (TimedWord(10, "s1"),))
