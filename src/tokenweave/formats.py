@@ -393,21 +393,24 @@ def trace_to_json(tr: EmissionTrace) -> dict:
         "tag": tr.tag,
         "source_duration_ms": tr.source_duration_ms,
         "ref_len": tr.ref_len,
-        "entries": [[ordinal, delay] for ordinal, delay in tr.entries],
+        "entries": [[ordinal, delay] for ordinal, delay in zip(tr.ordinals, tr.delays)],
     }
 
 
 def trace_from_json(obj: dict) -> EmissionTrace:
     _check_version(obj)
-    return EmissionTrace(
-        utt_id=_expect_json(obj["utt_id"], "utt_id", str),
-        tag=_expect_json(obj["tag"], "tag", str),
-        entries=tuple(
-            _expect_int_pair(e, f"entries[{i}]", "[ordinal, delay]")
-            for i, e in enumerate(_expect_json(obj["entries"], "entries", list))
-        ),
-        source_duration_ms=_expect_json(obj["source_duration_ms"], "source_duration_ms", int),
-        ref_len=_expect_json(obj["ref_len"], "ref_len", int),
+    utt_id, tag = _expect_json(obj["utt_id"], "utt_id", str), _expect_json(obj["tag"], "tag", str)
+    entries = [
+        _expect_int_pair(e, f"entries[{i}]", "[ordinal, delay]")
+        for i, e in enumerate(_expect_json(obj["entries"], "entries", list))
+    ]
+    return EmissionTrace._from_columns(
+        utt_id,
+        tag,
+        tuple([o for o, _ in entries]),
+        tuple([d for _, d in entries]),
+        _expect_json(obj["source_duration_ms"], "source_duration_ms", int),
+        _expect_json(obj["ref_len"], "ref_len", int),
     )
 
 

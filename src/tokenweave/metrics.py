@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import string
+from bisect import bisect_left
 from collections import Counter
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .kernels import edit_distance
@@ -136,18 +138,16 @@ def laal(trace: EmissionTrace) -> float:
     Delays are compared against an ideal policy that spreads the source
     duration uniformly over max(reference length, emitted length); averaging
     stops at the first token whose delay reaches the source duration (or at
-    the last token if none does).
+    the last token if none does).  That token is found by bisection, which
+    relies on the trace's constructor keeping delays non-decreasing.
     """
-    h = trace.hyp_len
+    delays = trace.delays
+    h = len(delays)
     t_src = trace.source_duration_ms
     d_star = t_src / max(trace.ref_len, h)
-    delays = trace.delays
-    tau = h
-    for i, d in enumerate(delays, start=1):
-        if d >= t_src:
-            tau = i
-            break
-    return sum(delays[i - 1] - (i - 1) * d_star for i in range(1, tau + 1)) / tau
+    tau = min(bisect_left(delays, t_src) + 1, h)
+    # The i-th term is delays[i] - i * d_star, the operands of the defining sum.
+    return sum(map(sub, delays[:tau], map(mul, range(tau), repeat(d_star)))) / tau
 
 
 def laal_report(traces: Iterable[EmissionTrace]) -> dict:
@@ -172,7 +172,7 @@ def laal_report(traces: Iterable[EmissionTrace]) -> dict:
 
 def count_switches(s: SerializedSequence) -> int:
     """Number of tag tokens in a sequence (each one is a channel switch)."""
-    return sum(isinstance(x, Tag) for x in s.items)
+    return sum(map(isinstance, s.items, repeat(Tag)))
 
 
 def switch_report(base: Iterable[SerializedSequence], variant: Iterable[SerializedSequence]) -> dict:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
+from operator import le
 from typing import Iterable
 
 __all__ = [
@@ -432,16 +432,18 @@ class Diagnostic:
         return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EmissionTrace:
     """Per-token emission delays for one channel of one utterance.
+
+    Stored as two parallel columns, `ordinals` and `delays`; `entries` is a view of them.
 
     Attributes:
         utt_id: Utterance identifier.
         tag: Channel tag surface the delays belong to.
-        entries: Ordered ``(token_ordinal, delay_ms)`` pairs, at least one;
-            delays are measured from utterance start and must be
-            non-decreasing.
+        ordinals: Token ordinal of each emitted word.
+        delays: Emission delay of each word, at least one; measured from
+            utterance start and non-decreasing.
         source_duration_ms: Length of the source audio, at least 1 ms.
         ref_len: Reference length of the channel (word count), non-negative.
 
@@ -452,38 +454,54 @@ class EmissionTrace:
 
     utt_id: str
     tag: str
-    entries: tuple[tuple[int, int], ...]
+    ordinals: tuple[int, ...]
+    delays: tuple[int, ...]
     source_duration_ms: int
     ref_len: int
 
-    def __post_init__(self) -> None:
-        entries = tuple((o, d) for o, d in self.entries)
-        object.__setattr__(self, "entries", entries)
-        _check_int(self.ref_len, "ref_len", 0)
+    def __init__(self, utt_id: str, tag: str, entries, source_duration_ms: int, ref_len: int) -> None:
+        """Build from ``(token_ordinal, delay_ms)`` pairs."""
+        entries = [(o, d) for o, d in entries]
+        self._fill(utt_id, tag, tuple([o for o, _ in entries]), tuple([d for _, d in entries]), source_duration_ms, ref_len)
+
+    @classmethod
+    def _from_columns(cls, utt_id, tag, ordinals, delays, source_duration_ms, ref_len) -> "EmissionTrace":
+        """Build from two tuples of equal length."""
+        tr = object.__new__(cls)
+        tr._fill(utt_id, tag, ordinals, delays, source_duration_ms, ref_len)
+        return tr
+
+    def _fill(self, utt_id, tag, ordinals, delays, source_duration_ms, ref_len) -> None:
+        _check_int(ref_len, "ref_len", 0)
         # In bulk; on failure, entry by entry for the message.
-        if not set(map(type, chain.from_iterable(entries))) <= {int}:
-            for i, (o, d) in enumerate(entries):
+        if not {*map(type, ordinals), *map(type, delays)} <= {int}:
+            for i, (o, d) in enumerate(zip(ordinals, delays)):
                 _check_int(o, f"entries[{i}] ordinal")
                 _check_int(d, f"entries[{i}] delay")
-        prev = None
-        for _, d in entries:
-            if prev is not None and d < prev:
-                raise ValueError(f"delays must be non-decreasing, got {d} after {prev}")
-            prev = d
-        if not entries:
-            raise ValueError(f"empty trace for {self.utt_id!r}/{self.tag!r}")
-        _check_int(self.source_duration_ms, "source_duration_ms", 1)
+        if not all(map(le, delays, delays[1:])):
+            prev, d = next((prev, d) for prev, d in zip(delays, delays[1:]) if d < prev)
+            raise ValueError(f"delays must be non-decreasing, got {d} after {prev}")
+        if not delays:
+            raise ValueError(f"empty trace for {utt_id!r}/{tag!r}")
+        _check_int(source_duration_ms, "source_duration_ms", 1)
         # Delays are non-decreasing, so the first and last bound them all.
-        if max(self.source_duration_ms, -entries[0][1], entries[-1][1]) > sys.float_info.max:
+        if max(source_duration_ms, -delays[0], delays[-1]) > sys.float_info.max:
             raise ValueError(f"times beyond {sys.float_info.max:g} ms cannot be scored")
+        object.__setattr__(self, "utt_id", utt_id)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "ordinals", ordinals)
+        object.__setattr__(self, "delays", delays)
+        object.__setattr__(self, "source_duration_ms", source_duration_ms)
+        object.__setattr__(self, "ref_len", ref_len)
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """The ``(token_ordinal, delay_ms)`` pairs, built from the columns on each read."""
+        return tuple(zip(self.ordinals, self.delays))
 
     @property
     def hyp_len(self) -> int:
-        return len(self.entries)
-
-    @property
-    def delays(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.entries)
+        return len(self.delays)
 
 
 def validate_utterance(u: Utterance, tags: Iterable[Tag]) -> list[Diagnostic]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from .formats import _check_version, _expect_int_pair, _expect_json, _tags_from_json, _tags_to_json
@@ -226,33 +226,31 @@ def replay(
     grouped = mode == "group_boundary"
     overhead = policy.overhead_ms
 
-    # A valid sequence opens with a tag, so `current` is bound before any word.
-    delays: dict[str, list[tuple[int, int]]] = {}
-    for ordinal, (item, origin) in enumerate(zip(s.items, s.origin_times)):
-        if isinstance(item, Tag):
-            current = delays.setdefault(item.surface, [])
-            continue
-        if origin is None:
-            raise ValueError(
-                f"word {item!r} in {s.utt_id!r} has no origin time; cannot replay"
-            )
-        base = assign_group(origin, step) if grouped else origin
-        current.append((ordinal, base + overhead * ordinal))
+    # A valid sequence opens with a tag, so the columns are bound before any word.
+    columns: dict[str, tuple[list[int], list[int]]] = {}
+    try:
+        for ordinal, (item, origin) in enumerate(zip(s.items, s.origin_times)):
+            if origin is None:
+                if not isinstance(item, Tag):
+                    raise ValueError(f"word {item!r} in {s.utt_id!r} has no origin time; cannot replay")
+                ordinals, delays = columns.setdefault(item.surface, ([], []))
+                continue
+            ordinals.append(ordinal)
+            delays.append((assign_group(origin, step) if grouped else origin) + overhead * ordinal)
+    except TypeError:
+        # Ordinals, step and overhead are ints, so only a word's origin time can break the sum.
+        i, t = next((i, t) for i, t in enumerate(s.origin_times) if t is not None and not isinstance(t, int))
+        raise ValueError(f"word {s.items[i]!r} at index {i} in {s.utt_id!r} has origin time {t!r}; cannot replay") from None
 
     if source_duration_ms is None:
-        latest = max((d for ds in delays.values() for _, d in ds), default=0)
-        source_duration_ms = max(1, latest)
+        source_duration_ms = max(1, max(chain.from_iterable(d for _, d in columns.values()), default=0))
 
     return {
-        surface: EmissionTrace(
-            utt_id=s.utt_id,
-            tag=surface,
-            entries=tuple(entries),
-            source_duration_ms=source_duration_ms,
-            ref_len=len(entries),
+        surface: EmissionTrace._from_columns(
+            s.utt_id, surface, tuple(ordinals), tuple(delays), source_duration_ms, len(delays)
         )
-        for surface, entries in delays.items()
-        if entries
+        for surface, (ordinals, delays) in columns.items()
+        if delays
     }
 
 

@@ -27,6 +27,7 @@ from tokenweave import (
     inter_time,
     laal,
     laal_report,
+    serialize_utterance,
     switch_reduction,
     switch_report,
     wer,
@@ -416,6 +417,50 @@ class TestLaal:
         assert lower < base
 
 
+def _laal_loop(trace: EmissionTrace) -> float:
+    """The linear-scan LAAL that the bisecting one replaced, kept as its reference."""
+    h = trace.hyp_len
+    t_src = trace.source_duration_ms
+    d_star = t_src / max(trace.ref_len, h)
+    delays = trace.delays
+    tau = h
+    for i, d in enumerate(delays, start=1):
+        if d >= t_src:
+            tau = i
+            break
+    return sum(delays[i - 1] - (i - 1) * d_star for i in range(1, tau + 1)) / tau
+
+
+class TestLaalMatchesLoopOracle:
+    @pytest.mark.parametrize(
+        "delays, duration, ref_len",
+        [
+            pytest.param([1000, 1500, 1700], 1000, 3, id="duration-reached-first"),
+            pytest.param([100, 500, 1000], 1000, 3, id="duration-reached-last"),
+            pytest.param([1000, 1000, 1000], 1000, 2, id="duration-reached-by-every-delay"),
+            pytest.param([100, 200, 300], 1000, 5, id="duration-never-reached"),
+            pytest.param([-500, -100, 50], 300, 7, id="negative-delays"),
+            pytest.param([-(10**20), 3], 7, 1, id="negative-huge-delay"),
+            pytest.param([5, 10**20], 7, 0, id="huge-delay"),
+            pytest.param([1, 2, 10**20], 10**20, 3, id="huge-duration-reached-last"),
+            pytest.param([333, 667, 1001, 1333], 1000, 3, id="inexact-d-star"),
+        ],
+    )
+    def test_cases_are_bit_identical(self, delays, duration, ref_len):
+        tr = _trace(delays, duration, ref_len)
+        assert laal(tr) == _laal_loop(tr)
+
+    @given(
+        st.lists(st.integers(-(10**6), 10**7) | st.sampled_from([10**20, -(10**20)]), min_size=1, max_size=30),
+        st.integers(1, 10**7),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=500)
+    def test_any_trace_is_bit_identical(self, delays, duration, ref_len):
+        tr = _trace(sorted(delays), duration, ref_len)
+        assert laal(tr) == _laal_loop(tr)
+
+
 class TestLaalReport:
     def test_empty(self):
         assert laal_report([]) == {"traces": 0, "channels": [], "overall_mean_laal_ms": 0.0}
@@ -440,6 +485,20 @@ class TestLaalReport:
 
 
 class TestSwitchCounting:
+    def test_count_is_the_isinstance_sum(self, two_channel_corpus):
+        methods = [
+            SerializationMethod("inter_time"),
+            SerializationMethod("inter_time", group_ms=500),
+            SerializationMethod("inter_gamma", gamma=0.5),
+        ]
+        for u in two_channel_corpus:
+            for m in methods:
+                seq = serialize_utterance(u, m)
+                assert count_switches(seq) == sum(isinstance(x, Tag) for x in seq.items)
+        # A word that spells a tag surface is a word, not a switch.
+        seq = SerializedSequence("u", (ASR, "#ES#", ES, "x"), (None, 1, None, 2), SerializationMethod("inter_time"))
+        assert count_switches(seq) == 2
+
     def test_demo_counts(self, demo_utterance, demo_tags):
         assert count_switches(inter_time(demo_utterance, tags=demo_tags)) == 8
         assert count_switches(inter_time(demo_utterance, GroupingConfig(500), demo_tags)) == 6

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import sys
+from itertools import chain
+from operator import itemgetter
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenweave import (
     UNKNOWN_CHANNEL,
     Channel,
+    EmissionTrace,
     GroupingConfig,
     Modality,
     SerializationMethod,
@@ -23,6 +27,7 @@ from tokenweave import (
     check_sequence,
     validate_utterance,
 )
+from tokenweave.model import _check_int
 from conftest import ASR, DE, ES
 
 
@@ -350,3 +355,108 @@ def test_channel_accepts_any_valid_words(pairs):
 def test_timed_word_round_trips_fields(time, word):
     tw = TimedWord(time, word)
     assert (tw.time, tw.word) == (time, word)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _PairTrace:
+    """The pair-based EmissionTrace that the columnar one replaced, kept as its reference."""
+
+    utt_id: str
+    tag: str
+    entries: tuple
+    source_duration_ms: int
+    ref_len: int
+
+    def __post_init__(self) -> None:
+        entries = tuple((o, d) for o, d in self.entries)
+        object.__setattr__(self, "entries", entries)
+        _check_int(self.ref_len, "ref_len", 0)
+        if not set(map(type, chain.from_iterable(entries))) <= {int}:
+            for i, (o, d) in enumerate(entries):
+                _check_int(o, f"entries[{i}] ordinal")
+                _check_int(d, f"entries[{i}] delay")
+        prev = None
+        for _, d in entries:
+            if prev is not None and d < prev:
+                raise ValueError(f"delays must be non-decreasing, got {d} after {prev}")
+            prev = d
+        if not entries:
+            raise ValueError(f"empty trace for {self.utt_id!r}/{self.tag!r}")
+        _check_int(self.source_duration_ms, "source_duration_ms", 1)
+        if max(self.source_duration_ms, -entries[0][1], entries[-1][1]) > sys.float_info.max:
+            raise ValueError(f"times beyond {sys.float_info.max:g} ms cannot be scored")
+
+    @property
+    def hyp_len(self) -> int:
+        return len(self.entries)
+
+    @property
+    def delays(self) -> tuple:
+        return tuple(d for _, d in self.entries)
+
+
+def _mostly(good, bad, one_in=5):
+    """Draws from `bad` once in `one_in` draws, else from `good`."""
+    return st.integers(1, one_in).flatmap(lambda k: bad if k == 1 else good)
+
+
+_ODD = st.sampled_from([10**20, 10**400, -(10**400), True, False, 1.0, 2.5, float("nan"), "1", "", None])
+_INT_PAIRS = st.lists(
+    st.tuples(st.integers(0, 100), _mostly(st.integers(-(10**6), 10**6), st.sampled_from([10**20, 10**400, -(10**400)]), 20)),
+    max_size=8,
+)
+_TRACE_ENTRIES = _mostly(
+    _INT_PAIRS.map(lambda entries: sorted(entries, key=itemgetter(1))),
+    st.one_of(
+        _INT_PAIRS,  # delays in any order
+        st.lists(st.tuples(_mostly(st.integers(-5, 5), _ODD), _mostly(st.integers(-5, 5), _ODD)).map(list), max_size=5),
+        st.lists(st.lists(st.integers(0, 5), max_size=3), max_size=3),  # not pairs
+    ),
+    2,
+)
+_DURATION = _mostly(st.integers(-1, 10**7), _ODD)
+_REF_LEN = _mostly(st.integers(-1, 20), _ODD)
+
+
+def _build(make):
+    """`(object, None)` if `make()` returns, else `(None, (exception type, message))`."""
+    try:
+        return make(), None
+    except (ValueError, TypeError) as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestEmissionTraceMatchesPairOracle:
+    @given(_TRACE_ENTRIES, _DURATION, _REF_LEN)
+    @settings(max_examples=500)
+    @example([], 10, 1)
+    @example([(0, 5), (1, 4)], 10, 1)
+    @example([(0, 10**400)], 10, 1)
+    @example([(0, -(10**400)), (1, 5)], 10, 1)
+    @example([[0, 5], [2, 10**20]], 7, 0)
+    def test_same_trace_or_same_error(self, entries, duration, ref_len):
+        got, error = _build(lambda: EmissionTrace("u", "#ES#", entries, duration, ref_len))
+        want, want_error = _build(lambda: _PairTrace("u", "#ES#", entries, duration, ref_len))
+        assert error == want_error
+        pairs = all(isinstance(e, (tuple, list)) and len(e) == 2 for e in entries)
+        if pairs:
+            # Both routes run one check: the columns fail as the pairs do.
+            columns = _build(
+                lambda: EmissionTrace._from_columns(
+                    "u", "#ES#", tuple(o for o, _ in entries), tuple(d for _, d in entries), duration, ref_len
+                )
+            )
+            assert columns[1] == error
+        if error is None:
+            assert (got.entries, got.delays, got.hyp_len) == (want.entries, want.delays, want.hyp_len)
+            assert (got.utt_id, got.tag, got.source_duration_ms, got.ref_len) == ("u", "#ES#", duration, ref_len)
+            assert got.ordinals == tuple(o for o, _ in want.entries)
+            assert columns[0] == got and hash(columns[0]) == hash(got)
+            assert pickle.loads(pickle.dumps(got)) == got
+
+    def test_columns_are_stored_and_entries_is_a_view(self):
+        tr = EmissionTrace._from_columns("u", "#ES#", (0, 2), (5, 9), 10, 2)
+        assert (tr.ordinals, tr.delays, tr.entries, tr.hyp_len) == ((0, 2), (5, 9), ((0, 5), (2, 9)), 2)
+        assert tr == EmissionTrace("u", "#ES#", [[0, 5], [2, 9]], 10, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.delays = (1, 2)

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from tokenweave import (
+    EmissionTrace,
     GroupingConfig,
     Modality,
     ReplayPolicy,
@@ -16,9 +17,11 @@ from tokenweave import (
     inter_time,
     latency_study,
     replay,
+    serialize_utterance,
     synth_corpus,
     validate_utterance,
 )
+from tokenweave.serialize import assign_group
 from tokenweave.formats import _dumps, utterance_to_json
 from tokenweave.simulate import (
     method_label,
@@ -202,6 +205,23 @@ class TestReplay:
         with pytest.raises(ValueError, match="origin time"):
             replay(seq, ReplayPolicy(), 1000)
 
+    @pytest.mark.parametrize(
+        "origin_times, group_ms, message",
+        [
+            ((None, 5, "x"), None, "word 'b' at index 2 in 'u' has origin time 'x'; cannot replay"),
+            ((None, 5, "x"), 500, "word 'b' at index 2 in 'u' has origin time 'x'; cannot replay"),
+            ((None, [5], 7), None, "word 'a' at index 1 in 'u' has origin time [5]; cannot replay"),
+            # The first origin time that is not an int is named, though only the string breaks the sum.
+            ((None, 2.5, "x"), None, "word 'a' at index 1 in 'u' has origin time 2.5; cannot replay"),
+        ],
+    )
+    def test_origin_time_that_is_not_a_number_is_a_value_error(self, origin_times, group_ms, message):
+        # A library caller can build this; no reader or serializer does.
+        seq = SerializedSequence("u", (ASR, "a", "b"), origin_times, SerializationMethod("inter_time", group_ms=group_ms))
+        with pytest.raises(ValueError) as exc:
+            replay(seq, ReplayPolicy(), 1000)
+        assert str(exc.value) == message
+
     def test_empty_sequence_yields_no_traces(self):
         seq = SerializedSequence("u", (), (), SerializationMethod("inter_time"))
         assert replay(seq, ReplayPolicy(), 1000) == {}
@@ -274,6 +294,69 @@ class TestReplay:
                     g - b for g, b in zip(grouped[surface].delays, sorted(base.delays))
                 ]
                 assert all(0 < d <= step for d in diffs)
+
+
+def _replay_pairs(s: SerializedSequence, policy: ReplayPolicy, source_duration_ms=None) -> dict:
+    """The pair-building replay that the columnar one replaced, kept as its reference."""
+    mode = policy.mode
+    if mode == "auto":
+        mode = "group_boundary" if s.method.group_ms else "origin_time"
+    if mode == "group_boundary" and not s.method.group_ms:
+        raise ValueError(f"sequence {s.utt_id!r} was not grouped; no boundary to replay")
+    step = s.method.group_ms
+    grouped = mode == "group_boundary"
+    overhead = policy.overhead_ms
+    delays: dict[str, list[tuple[int, int]]] = {}
+    for ordinal, (item, origin) in enumerate(zip(s.items, s.origin_times)):
+        if isinstance(item, Tag):
+            current = delays.setdefault(item.surface, [])
+            continue
+        if origin is None:
+            raise ValueError(f"word {item!r} in {s.utt_id!r} has no origin time; cannot replay")
+        base = assign_group(origin, step) if grouped else origin
+        current.append((ordinal, base + overhead * ordinal))
+    if source_duration_ms is None:
+        latest = max((d for ds in delays.values() for _, d in ds), default=0)
+        source_duration_ms = max(1, latest)
+    return {
+        surface: EmissionTrace(s.utt_id, surface, tuple(entries), source_duration_ms, len(entries))
+        for surface, entries in delays.items()
+        if entries
+    }
+
+
+# The study-sweep benchmark's methods.
+SWEEP_METHODS = [
+    SerializationMethod("inter_time"),
+    SerializationMethod("inter_time", group_ms=250),
+    SerializationMethod("inter_time", group_ms=500),
+    SerializationMethod("inter_time", group_ms=1000),
+    SerializationMethod("inter_gamma", gamma=0.0),
+    SerializationMethod("inter_gamma", gamma=0.5),
+    SerializationMethod("inter_gamma", gamma=1.0),
+]
+
+
+class TestReplayMatchesPairOracle:
+    @pytest.mark.parametrize("overhead_ms", [0, 5])
+    @pytest.mark.parametrize("mode", ["auto", "origin_time", "group_boundary"])
+    @pytest.mark.parametrize("method", SWEEP_METHODS, ids=method_label)
+    def test_same_traces_or_same_error(self, method, mode, overhead_ms):
+        policy = ReplayPolicy(mode, overhead_ms)
+        corpus = synth_corpus(_config(seed=7, num_utterances=60, channels=(ASR, ES), words_per_channel=(0, 40)))
+        for u in corpus:
+            seq = serialize_utterance(u, method)
+            for duration in (u.duration_ms, None):
+                if mode == "group_boundary" and not method.group_ms:
+                    with pytest.raises(ValueError) as want:
+                        _replay_pairs(seq, policy, duration)
+                    with pytest.raises(ValueError) as got:
+                        replay(seq, policy, duration)
+                    assert str(got.value) == str(want.value)
+                    continue
+                got = replay(seq, policy, duration)
+                want = _replay_pairs(seq, policy, duration)
+                assert got == want and list(got) == list(want)
 
 
 class TestLatencyStudy:
