@@ -12,29 +12,30 @@ survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .model import Diagnostic, SerializedSequence, Tag, TagSet, UNKNOWN_CHANNEL
+from .model import Diagnostic, SerializedSequence, Tag, TagSet, UNKNOWN_CHANNEL, _Record
 
 __all__ = ["DemuxState", "feed", "demux_full"]
 
 
-@dataclass(slots=True)
-class DemuxState:
+class DemuxState(_Record):
     """Accumulator for one stream; grows monotonically as tokens are fed.
 
     `words` maps each channel to its words, in order of the channel's first
     tag, and `diagnostics` holds everything the parse flagged.  One state
-    per stream.  Distinct states share nothing, so separate streams may be
-    demultiplexed concurrently.
+    per stream; unlike the other records, it is mutable and has no hash.
+    Distinct states share nothing, so separate streams may be demultiplexed concurrently.
     """
 
-    current_tag: Tag | None = None
-    current_known: bool = True
-    words: dict[str, list[str]] = field(default_factory=dict)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    token_index: int = 0
-    utt_id: str = ""
+    __slots__ = ("current_tag", "current_known", "words", "diagnostics", "token_index", "utt_id")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, current_tag=None, current_known=True, words=None, diagnostics=None, token_index=0, utt_id=""
+    ) -> None:
+        self.current_tag, self.current_known = current_tag, current_known
+        self.words = {} if words is None else words
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.token_index, self.utt_id = token_index, utt_id
 
 
 def _route(state: DemuxState, items, tags: TagSet) -> None:

@@ -400,15 +400,18 @@ def trace_to_json(tr: EmissionTrace) -> dict:
 def trace_from_json(obj: dict) -> EmissionTrace:
     _check_version(obj)
     utt_id, tag = _expect_json(obj["utt_id"], "utt_id", str), _expect_json(obj["tag"], "tag", str)
-    entries = [
-        _expect_int_pair(e, f"entries[{i}]", "[ordinal, delay]")
-        for i, e in enumerate(_expect_json(obj["entries"], "entries", list))
-    ]
+    entries = _expect_json(obj["entries"], "entries", list)
+    # The columns in bulk; on failure, entry by entry for the message.
+    columns = None
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+        columns = tuple(map(itemgetter(0), entries)), tuple(map(itemgetter(1), entries))
+    if columns is None or not {*map(type, columns[0]), *map(type, columns[1])} <= {int}:
+        pairs = [_expect_int_pair(e, f"entries[{i}]", "[ordinal, delay]") for i, e in enumerate(entries)]
+        columns = tuple([o for o, _ in pairs]), tuple([d for _, d in pairs])
     return EmissionTrace._from_columns(
         utt_id,
         tag,
-        tuple([o for o, _ in entries]),
-        tuple([d for _, d in entries]),
+        *columns,
         _expect_json(obj["source_duration_ms"], "source_duration_ms", int),
         _expect_json(obj["ref_len"], "ref_len", int),
     )

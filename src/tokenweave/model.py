@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass, field
-from operator import le
+from operator import attrgetter, le
 from typing import Iterable
 
 __all__ = [
@@ -80,8 +79,56 @@ def _check_int(value, what: str, least: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class TimedWord:
+_set = object.__setattr__
+
+
+def _rebuild(cls, values):
+    """A `cls` record with `values` in its slots, in slot order: what unpickling calls."""
+    self = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _set(self, name, value)
+    return self
+
+
+class _Record:
+    """Base of the record classes: equality, hash, repr and pickling by the fields in `__slots__`.
+
+    A slot whose name starts with ``_`` is derived: it is pickled but takes
+    no part in equality, hash or repr.  Records are frozen: assigning or
+    deleting an attribute raises ``FrozenInstanceError``.  A subclass writes
+    its own ``__init__``, which fills the slots through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __reduce__(self):
+        return _rebuild, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    def __setattr__(self, name, value, verb="assign to"):
+        from dataclasses import FrozenInstanceError  # here only: a stage never loads the module
+
+        raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None, "delete")
+
+
+class TimedWord(_Record):
     """A single word and the millisecond offset at which it is emitted.
 
     Attributes:
@@ -89,17 +136,17 @@ class TimedWord:
         word: The word surface; non-empty, no whitespace characters.
     """
 
-    time: int
-    word: str
+    __slots__ = ("time", "word")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.time, int) or isinstance(self.time, bool) or self.time < 0:
-            raise ValueError(f"time must be a non-negative integer, got {self.time!r}")
-        _check_token_text(self.word, "word")
+    def __init__(self, time: int, word: str) -> None:
+        if not isinstance(time, int) or isinstance(time, bool) or time < 0:
+            raise ValueError(f"time must be a non-negative integer, got {time!r}")
+        _check_token_text(word, "word")
+        _set(self, "time", time)
+        _set(self, "word", word)
 
 
-@dataclass(frozen=True, slots=True)
-class Tag:
+class Tag(_Record):
     """A channel marker token.
 
     Attributes:
@@ -109,22 +156,22 @@ class Tag:
         language: BCP-47-style language code.
     """
 
-    surface: str
-    modality: Modality
-    language: str
+    __slots__ = ("surface", "modality", "language")
 
-    def __post_init__(self) -> None:
-        _check_token_text(self.surface, "tag surface")
-        if self.surface == UNKNOWN_CHANNEL:
+    def __init__(self, surface: str, modality: Modality, language: str) -> None:
+        _check_token_text(surface, "tag surface")
+        if surface == UNKNOWN_CHANNEL:
             raise ValueError(f"tag surface {UNKNOWN_CHANNEL!r} is reserved")
-        if not isinstance(self.modality, Modality):
-            raise ValueError(f"modality must be a Modality, got {self.modality!r}")
-        if not isinstance(self.language, str) or not self.language:
-            raise ValueError(f"language must be a non-empty string, got {self.language!r}")
+        if not isinstance(modality, Modality):
+            raise ValueError(f"modality must be a Modality, got {modality!r}")
+        if not isinstance(language, str) or not language:
+            raise ValueError(f"language must be a non-empty string, got {language!r}")
+        _set(self, "surface", surface)
+        _set(self, "modality", modality)
+        _set(self, "language", language)
 
 
-@dataclass(frozen=True, slots=True)
-class TagSet:
+class TagSet(_Record):
     """Ordered collection of tags; declaration order is tie-break priority.
 
     When two words from different channels share a timestamp, the channel
@@ -132,13 +179,12 @@ class TagSet:
     come first.
     """
 
-    tags: tuple[Tag, ...]
-    # surface -> tag, built once from `tags`.
-    _by_surface: dict[str, Tag] = field(init=False, compare=False, repr=False)
+    # `_by_surface` maps surface -> tag, built once from `tags`.
+    __slots__ = ("tags", "_by_surface")
 
-    def __post_init__(self) -> None:
-        tags = tuple(self.tags)
-        object.__setattr__(self, "tags", tags)
+    def __init__(self, tags) -> None:
+        tags = tuple(tags)
+        _set(self, "tags", tags)
         if not tags:
             raise ValueError("a TagSet needs at least one tag")
         for t in tags:
@@ -147,7 +193,7 @@ class TagSet:
         surfaces = [t.surface for t in tags]
         if len(set(surfaces)) != len(surfaces):
             raise ValueError(f"duplicate tag surfaces: {surfaces}")
-        object.__setattr__(self, "_by_surface", {t.surface: t for t in tags})
+        _set(self, "_by_surface", {t.surface: t for t in tags})
 
     def __iter__(self):
         return iter(self.tags)
@@ -160,8 +206,7 @@ class TagSet:
         return self._by_surface.get(surface) if isinstance(surface, str) else None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Channel:
+class Channel(_Record):
     """One tagged output stream: a tag plus its timed words.
 
     Stored as two parallel columns, `times` (ms) and `texts` (word
@@ -171,9 +216,7 @@ class Channel:
     constructible so that :func:`validate_utterance` can report it.
     """
 
-    tag: Tag
-    times: tuple[int, ...]
-    texts: tuple[str, ...]
+    __slots__ = ("tag", "times", "texts")
 
     def __init__(self, tag: Tag, words) -> None:
         """Build from TimedWord objects."""
@@ -193,9 +236,9 @@ class Channel:
         if not (_all_token_text(texts) and set(map(type, times)) <= {int} and min(times, default=0) >= 0):
             for t, w in zip(times, texts):
                 TimedWord(t, w)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "texts", texts)
+        _set(self, "tag", tag)
+        _set(self, "times", times)
+        _set(self, "texts", texts)
 
     @property
     def words(self) -> tuple[TimedWord, ...]:
@@ -206,8 +249,7 @@ class Channel:
         return len(self.times)
 
 
-@dataclass(frozen=True, slots=True)
-class Utterance:
+class Utterance(_Record):
     """All channels of one audio segment.
 
     Attributes:
@@ -218,13 +260,13 @@ class Utterance:
             (reported by the validator, not the constructor).
     """
 
-    utt_id: str
-    duration_ms: int
-    channels: tuple[Channel, ...]
+    __slots__ = ("utt_id", "duration_ms", "channels")
 
-    def __post_init__(self) -> None:
-        _check_positive_int(self.duration_ms, "duration_ms")
-        object.__setattr__(self, "channels", tuple(self.channels))
+    def __init__(self, utt_id: str, duration_ms: int, channels) -> None:
+        _check_positive_int(duration_ms, "duration_ms")
+        _set(self, "utt_id", utt_id)
+        _set(self, "duration_ms", duration_ms)
+        _set(self, "channels", tuple(channels))
 
     def channel(self, surface: str) -> Channel | None:
         for ch in self.channels:
@@ -233,15 +275,16 @@ class Utterance:
         return None
 
 
-@dataclass(frozen=True, slots=True)
-class TagToken:
+class TagToken(_Record):
     """A channel-switch marker in a serialized stream."""
 
-    tag: Tag
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: Tag) -> None:
+        _set(self, "tag", tag)
 
 
-@dataclass(frozen=True, slots=True)
-class WordToken:
+class WordToken(_Record):
     """A word in a serialized stream.
 
     origin_time is the pre-grouping emission timestamp, carried so latency
@@ -249,15 +292,15 @@ class WordToken:
     textual rendering.
     """
 
-    word: str
-    origin_time: int | None = None
+    __slots__ = ("word", "origin_time")
 
-    def __post_init__(self) -> None:
-        _check_token_text(self.word, "word")
+    def __init__(self, word: str, origin_time: int | None = None) -> None:
+        _check_token_text(word, "word")
+        _set(self, "word", word)
+        _set(self, "origin_time", origin_time)
 
 
-@dataclass(frozen=True, slots=True)
-class SerializationMethod:
+class SerializationMethod(_Record):
     """Provenance of a serialized sequence: which policy built it.
 
     Attributes:
@@ -273,26 +316,26 @@ class SerializationMethod:
     Values are stored as given, so a record writes back what it read.
     """
 
-    name: str
-    gamma: float | None = None
-    group_ms: int | None = None
+    __slots__ = ("name", "gamma", "group_ms")
 
-    def __post_init__(self) -> None:
-        if self.name == "inter_time":
-            if self.gamma is not None:
-                raise ValueError(f"inter_time takes no gamma, got {self.gamma!r}")
-            if self.group_ms is not None:
-                _check_positive_int(self.group_ms, "group_ms")
-        elif self.name == "inter_gamma":
-            if self.group_ms is not None:
-                raise ValueError(f"inter_gamma takes no group_ms, got {self.group_ms!r}")
-            if self.gamma is None:
+    def __init__(self, name: str, gamma: float | None = None, group_ms: int | None = None) -> None:
+        if name == "inter_time":
+            if gamma is not None:
+                raise ValueError(f"inter_time takes no gamma, got {gamma!r}")
+            if group_ms is not None:
+                _check_positive_int(group_ms, "group_ms")
+        elif name == "inter_gamma":
+            if group_ms is not None:
+                raise ValueError(f"inter_gamma takes no group_ms, got {group_ms!r}")
+            if gamma is None:
                 raise ValueError("inter_gamma requires a gamma value")
-            gamma = self.gamma
             if not isinstance(gamma, (int, float)) or isinstance(gamma, bool) or not 0 <= gamma <= 1:
                 raise ValueError(f"gamma must be a number within [0, 1], got {gamma!r}")
         else:
-            raise ValueError(f"unknown serialization method {self.name!r}")
+            raise ValueError(f"unknown serialization method {name!r}")
+        _set(self, "name", name)
+        _set(self, "gamma", gamma)
+        _set(self, "group_ms", group_ms)
 
     def to_json(self) -> dict:
         out: dict = {"name": self.name}
@@ -311,8 +354,7 @@ class SerializationMethod:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class SerializedSequence:
+class SerializedSequence(_Record):
     """The flattened token stream a joint model would train on or emit.
 
     Built from, and stored as, the two columns of its JSONL record: `items`
@@ -331,29 +373,29 @@ class SerializedSequence:
     tag), and every word follows some tag.
     """
 
-    utt_id: str
-    items: tuple[Tag | str, ...]
-    origin_times: tuple[int | None, ...]
-    method: SerializationMethod
+    __slots__ = ("utt_id", "items", "origin_times", "method")
 
-    def __post_init__(self) -> None:
-        items = self.items
-        if not isinstance(self.method, SerializationMethod):
-            raise ValueError(f"method must be a SerializationMethod, got {type(self.method).__name__}")
-        if len(self.origin_times) != len(items):
-            raise ValueError(f"origin_times length {len(self.origin_times)} != items length {len(items)}")
+    def __init__(self, utt_id: str, items, origin_times, method: SerializationMethod) -> None:
+        if not isinstance(method, SerializationMethod):
+            raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
+        if len(origin_times) != len(items):
+            raise ValueError(f"origin_times length {len(origin_times)} != items length {len(items)}")
         # Word text first, in bulk; a timed tag joins the words to fail it.  On
         # failure, the per-position check finds the first fault and its message.
-        words = [x for x, t in zip(items, self.origin_times) if t is not None or not isinstance(x, Tag)]
+        words = [x for x, t in zip(items, origin_times) if t is not None or not isinstance(x, Tag)]
         if not _all_token_text(words):
-            for i, (x, t) in enumerate(zip(items, self.origin_times)):
+            for i, (x, t) in enumerate(zip(items, origin_times)):
                 if not isinstance(x, Tag):
                     _check_token_text(x, "word")
                 elif t is not None:
                     raise ValueError(f"origin time {t!r} at tag position {i}")
         problems = check_sequence(items)
         if problems:
-            raise ValueError(f"invalid serialized sequence {self.utt_id!r}: {problems[0]}")
+            raise ValueError(f"invalid serialized sequence {utt_id!r}: {problems[0]}")
+        _set(self, "utt_id", utt_id)
+        _set(self, "items", items)
+        _set(self, "origin_times", origin_times)
+        _set(self, "method", method)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -392,19 +434,18 @@ def check_sequence(items) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True, slots=True)
-class GroupingConfig:
+class GroupingConfig(_Record):
     """Time-step grouping window; ``step_ms=None`` disables grouping."""
 
-    step_ms: int | None = None
+    __slots__ = ("step_ms",)
 
-    def __post_init__(self) -> None:
-        if self.step_ms is not None:
-            _check_positive_int(self.step_ms, "step_ms")
+    def __init__(self, step_ms: int | None = None) -> None:
+        if step_ms is not None:
+            _check_positive_int(step_ms, "step_ms")
+        _set(self, "step_ms", step_ms)
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(_Record):
     """One validation or parse finding.  Diagnostics are data, not failures.
 
     Attributes:
@@ -415,11 +456,14 @@ class Diagnostic:
         index: Offending position (word index, token index, or line number).
     """
 
-    code: str
-    message: str
-    utt_id: str | None = None
-    tag: str | None = None
-    index: int | None = None
+    __slots__ = ("code", "message", "utt_id", "tag", "index")
+
+    def __init__(self, code: str, message: str, utt_id=None, tag=None, index=None) -> None:
+        _set(self, "code", code)
+        _set(self, "message", message)
+        _set(self, "utt_id", utt_id)
+        _set(self, "tag", tag)
+        _set(self, "index", index)
 
     def to_json(self) -> dict:
         out: dict = {"code": self.code, "message": self.message}
@@ -432,8 +476,7 @@ class Diagnostic:
         return out
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class EmissionTrace:
+class EmissionTrace(_Record):
     """Per-token emission delays for one channel of one utterance.
 
     Stored as two parallel columns, `ordinals` and `delays`; `entries` is a view of them.
@@ -452,12 +495,7 @@ class EmissionTrace:
     construction also rejects times beyond the float range.
     """
 
-    utt_id: str
-    tag: str
-    ordinals: tuple[int, ...]
-    delays: tuple[int, ...]
-    source_duration_ms: int
-    ref_len: int
+    __slots__ = ("utt_id", "tag", "ordinals", "delays", "source_duration_ms", "ref_len")
 
     def __init__(self, utt_id: str, tag: str, entries, source_duration_ms: int, ref_len: int) -> None:
         """Build from ``(token_ordinal, delay_ms)`` pairs."""
@@ -487,12 +525,12 @@ class EmissionTrace:
         # Delays are non-decreasing, so the first and last bound them all.
         if max(source_duration_ms, -delays[0], delays[-1]) > sys.float_info.max:
             raise ValueError(f"times beyond {sys.float_info.max:g} ms cannot be scored")
-        object.__setattr__(self, "utt_id", utt_id)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "ordinals", ordinals)
-        object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "source_duration_ms", source_duration_ms)
-        object.__setattr__(self, "ref_len", ref_len)
+        _set(self, "utt_id", utt_id)
+        _set(self, "tag", tag)
+        _set(self, "ordinals", ordinals)
+        _set(self, "delays", delays)
+        _set(self, "source_duration_ms", source_duration_ms)
+        _set(self, "ref_len", ref_len)
 
     @property
     def entries(self) -> tuple[tuple[int, int], ...]:

@@ -15,7 +15,6 @@ emission model of the serialization policy itself, not of any decoder.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
@@ -31,6 +30,8 @@ from .model import (
     TagSet,
     Utterance,
     _check_int,
+    _Record,
+    _set,
 )
 from .serialize import assign_group, serialize_utterance
 
@@ -54,8 +55,7 @@ def _check_range(r: tuple[int, int], what: str) -> tuple[int, int]:
     return (lo, hi)
 
 
-@dataclass(frozen=True, slots=True)
-class SynthConfig:
+class SynthConfig(_Record):
     """Deterministic corpus generator settings.
 
     Attributes:
@@ -74,26 +74,25 @@ class SynthConfig:
     Every number must be an int (not a bool); nothing is coerced.
     """
 
-    seed: int
-    num_utterances: int
-    words_per_channel: tuple[int, int]
-    word_rate_ms: tuple[int, int]
-    translation_lag_ms: tuple[int, int]
-    reorder_window_ms: int
-    channels: tuple[Tag, ...]
-    vocab_size: int
+    __slots__ = (
+        "seed", "num_utterances", "words_per_channel", "word_rate_ms",
+        "translation_lag_ms", "reorder_window_ms", "channels", "vocab_size",
+    )
 
-    def __post_init__(self) -> None:
-        _check_int(self.seed, "seed")
-        object.__setattr__(self, "words_per_channel", _check_range(self.words_per_channel, "words_per_channel"))
-        object.__setattr__(self, "word_rate_ms", _check_range(self.word_rate_ms, "word_rate_ms"))
-        object.__setattr__(self, "translation_lag_ms", _check_range(self.translation_lag_ms, "translation_lag_ms"))
-        object.__setattr__(self, "channels", tuple(self.channels))
+    def __init__(
+        self, seed, num_utterances, words_per_channel, word_rate_ms,
+        translation_lag_ms, reorder_window_ms, channels, vocab_size,
+    ) -> None:
+        _set(self, "seed", _check_int(seed, "seed"))
+        _set(self, "words_per_channel", _check_range(words_per_channel, "words_per_channel"))
+        _set(self, "word_rate_ms", _check_range(word_rate_ms, "word_rate_ms"))
+        _set(self, "translation_lag_ms", _check_range(translation_lag_ms, "translation_lag_ms"))
+        _set(self, "channels", tuple(channels))
         if self.word_rate_ms[1] < 1:
             raise ValueError("word_rate_ms upper bound must be >= 1")
-        _check_int(self.reorder_window_ms, "reorder_window_ms", 0)
-        _check_int(self.num_utterances, "num_utterances", 0)
-        _check_int(self.vocab_size, "vocab_size", 1)
+        _set(self, "reorder_window_ms", _check_int(reorder_window_ms, "reorder_window_ms", 0))
+        _set(self, "num_utterances", _check_int(num_utterances, "num_utterances", 0))
+        _set(self, "vocab_size", _check_int(vocab_size, "vocab_size", 1))
         if not self.channels:
             raise ValueError("channel plan is empty")
         # Reuse TagSet validation for surface uniqueness.
@@ -184,8 +183,7 @@ def synth_corpus(config: SynthConfig) -> Iterator[Utterance]:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ReplayPolicy:
+class ReplayPolicy(_Record):
     """How replay assigns emission delays.
 
     mode "origin_time" charges each word its carried timestamp;
@@ -195,13 +193,13 @@ class ReplayPolicy:
     int, adds a fixed cost per emitted token (tags included), default 0.
     """
 
-    mode: str = "auto"
-    overhead_ms: int = 0
+    __slots__ = ("mode", "overhead_ms")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("origin_time", "group_boundary", "auto"):
-            raise ValueError(f"unknown replay mode {self.mode!r}")
-        _check_int(self.overhead_ms, "overhead_ms", 0)
+    def __init__(self, mode: str = "auto", overhead_ms: int = 0) -> None:
+        if mode not in ("origin_time", "group_boundary", "auto"):
+            raise ValueError(f"unknown replay mode {mode!r}")
+        _set(self, "mode", mode)
+        _set(self, "overhead_ms", _check_int(overhead_ms, "overhead_ms", 0))
 
 
 def replay(

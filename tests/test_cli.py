@@ -1494,6 +1494,35 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1].split() == sorted(self.FRONT + [f"tokenweave.{m}" for m in layers])
 
+    # Runs a command as PROBE does, but prints which of HEAVY the process loaded.
+    HEAVY = ("dataclasses", "inspect")
+    HEAVY_PROBE = PROBE.replace(
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'tokenweave'), file=sys.stderr)",
+        f"print(*[m for m in {HEAVY!r} if m in sys.modules], file=sys.stderr)",
+    )
+
+    @pytest.mark.parametrize("command", ["--help", "build", "demux", "stats", "eval", "laal", "synth", "study"])
+    def test_no_command_loads_dataclasses_or_inspect(self, tmp_path, pipeline_inputs, command):
+        # Only what a bare interpreter on this host already loads is forgiven.
+        bare = subprocess.run(
+            [sys.executable, "-c", f"import sys; print(*[m for m in {self.HEAVY!r} if m in sys.modules])"],
+            capture_output=True,
+            text=True,
+        )
+        f = dict(pipeline_inputs, out=str(tmp_path / "out"))
+        synth, study = tmp_path / "synth.json", tmp_path / "study.json"
+        synth.write_text(json.dumps({**synth_config_to_json(BIG_CONFIG), "num_utterances": 4}))
+        study.write_text(json.dumps({"corpus": f["corpus"], "tags": f["tags"], "methods": [{"name": "inter_time"}]}))
+        argv = {
+            "--help": ["--help"],
+            "synth": ["synth", "--config", str(synth), "--output", f["out"]],
+            "study": ["study", "--config", str(study), "--output", f["out"]],
+        }.get(command) or _ARGV[command](f)
+        assert self.HEAVY_PROBE != self.PROBE
+        proc = subprocess.run([sys.executable, "-c", self.HEAVY_PROBE, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stderr.splitlines()[-1].split()) <= set(bare.stdout.split())
+
     def test_package_import_loads_no_submodule(self):
         code = (
             "import sys, tokenweave; "

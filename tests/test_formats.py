@@ -9,7 +9,7 @@ import pickle
 import re
 import tempfile
 from itertools import compress, repeat
-from operator import attrgetter, is_
+from operator import attrgetter, is_, itemgetter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -41,6 +41,8 @@ from tokenweave import (
 from tokenweave.formats import (
     _check_version,
     _dumps,
+    _expect_int_pair,
+    _expect_json,
     _read_jsonl,
     _read_lines,
     _utf8,
@@ -53,6 +55,7 @@ from tokenweave.formats import (
     read_traces,
     serialized_from_json,
     serialized_to_json,
+    trace_from_json,
     utterance_from_json,
     utterance_to_json,
     write_channels,
@@ -283,6 +286,71 @@ class TestTraceRoundTrip:
         back, diags = _read(read_traces, str(path))
         assert back == [good]
         assert diags[0].code == "bad-record"
+
+
+def _oracle_trace_from_json(obj: dict) -> EmissionTrace:
+    """The trace reader that checked entries one at a time, kept as the reference."""
+    _check_version(obj)
+    utt_id, tag = _expect_json(obj["utt_id"], "utt_id", str), _expect_json(obj["tag"], "tag", str)
+    entries = [
+        _expect_int_pair(e, f"entries[{i}]", "[ordinal, delay]")
+        for i, e in enumerate(_expect_json(obj["entries"], "entries", list))
+    ]
+    return EmissionTrace._from_columns(
+        utt_id,
+        tag,
+        tuple([o for o, _ in entries]),
+        tuple([d for _, d in entries]),
+        _expect_json(obj["source_duration_ms"], "source_duration_ms", int),
+        _expect_json(obj["ref_len"], "ref_len", int),
+    )
+
+
+_JSON_ODD = st.sampled_from([True, False, 1.0, 2.5, "1", "", None, {}, [], 10**20])
+_INT_PAIR = st.lists(st.integers(0, 50), min_size=2, max_size=2)
+_TRACE_ENTRIES = st.one_of(
+    st.lists(_INT_PAIR, max_size=6).map(lambda entries: sorted(entries, key=itemgetter(1))),  # valid
+    st.lists(
+        st.one_of(
+            _INT_PAIR,
+            st.lists(st.one_of(st.integers(0, 50), _JSON_ODD), min_size=2, max_size=2),  # bools, floats, strings, null
+            st.lists(st.integers(0, 50), max_size=3),  # wrong lengths, mostly
+            _JSON_ODD,  # not a list
+        ),
+        max_size=6,
+    ),
+    _JSON_ODD,
+)
+
+
+class TestTraceReaderMatchesEntryOracle:
+    @given(_TRACE_ENTRIES, st.one_of(st.integers(0, 100), _JSON_ODD), st.one_of(st.integers(0, 6), _JSON_ODD))
+    @settings(max_examples=800)
+    def test_same_trace_or_same_error(self, entries, duration, ref_len):
+        record = {"v": 1, "utt_id": "u1", "tag": "#ES#", "entries": entries, "source_duration_ms": duration, "ref_len": ref_len}
+        expected = _outcome(_oracle_trace_from_json, copy.deepcopy(record))
+        got = _outcome(trace_from_json, record)
+        assert got == expected  # equal traces, or the same exception type and message
+        assert type(got) is type(expected)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0, 5], [1, True]],
+            [[0, 5], [1, 2.0]],
+            [[0, 5], [1, "6"]],
+            [[0, 5], [1, None]],
+            [[0, 5], [1]],
+            [[0, 5], [1, 6, 7]],
+            [[0, 5], None],
+            [[0, 5], "01"],
+            [[None, 5], [1, True]],
+            [[0, 5], [1, 6]],
+        ],
+    )
+    def test_first_bad_entry_is_named(self, entries):
+        record = {"v": 1, "utt_id": "u1", "tag": "#ES#", "entries": entries, "source_duration_ms": 10, "ref_len": 2}
+        assert _outcome(trace_from_json, record) == _outcome(_oracle_trace_from_json, copy.deepcopy(record))
 
 
 class TestTagSetSidecar:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import string
 import sys
 import tempfile
 from collections import Counter
@@ -34,7 +35,7 @@ from tokenweave import (
 )
 from tokenweave.formats import read_channels, write_channels
 from tokenweave.kernels import edit_distance
-from tokenweave.metrics import _bleu_from_stats, _bleu_stats, normalize_words
+from tokenweave.metrics import _PUNCT_TABLE, _bleu_from_stats, _bleu_stats, normalize_words
 from conftest import ASR, DE, ES, FR
 
 
@@ -88,6 +89,10 @@ class TestWer:
         assert wer(a, a) == 0.0
         if b:
             assert wer(a, b) * len(a) == pytest.approx(wer(b, a) * len(b))
+
+
+def test_punctuation_literal_is_string_punctuation():
+    assert _PUNCT_TABLE == str.maketrans("", "", string.punctuation)
 
 
 def test_normalize_words_strips_case_and_punctuation():

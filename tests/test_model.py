@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import pickle
 import sys
@@ -13,11 +14,14 @@ from hypothesis import strategies as st
 from tokenweave import (
     UNKNOWN_CHANNEL,
     Channel,
+    Diagnostic,
     EmissionTrace,
     GroupingConfig,
     Modality,
+    ReplayPolicy,
     SerializationMethod,
     SerializedSequence,
+    SynthConfig,
     Tag,
     TagSet,
     TagToken,
@@ -27,6 +31,7 @@ from tokenweave import (
     check_sequence,
     validate_utterance,
 )
+from tokenweave.demux import DemuxState
 from tokenweave.model import _check_int
 from conftest import ASR, DE, ES
 
@@ -460,3 +465,166 @@ class TestEmissionTraceMatchesPairOracle:
         assert tr == EmissionTrace("u", "#ES#", [[0, 5], [2, 9]], 10, 2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             tr.delays = (1, 2)
+
+
+# One case per record class: keyword arguments in signature order, the fields
+# in slot order, and another value for each argument that can change alone
+# (for the mutable DemuxState, for each field).
+_RECORD_CASES = [
+    (TimedWord, dict(time=5, word="x"), ("time", "word"), dict(time=6, word="y")),
+    (
+        Tag,
+        dict(surface="#FR#", modality=Modality.TRANSLATION, language="fr"),
+        ("surface", "modality", "language"),
+        dict(surface="#X#", modality=Modality.TRANSCRIPTION, language="de"),
+    ),
+    (TagSet, dict(tags=(ASR, ES)), ("tags",), dict(tags=(ASR, DE))),
+    (
+        Channel,
+        dict(tag=ASR, words=(TimedWord(0, "hi"), TimedWord(5, "there"))),
+        ("tag", "times", "texts"),
+        dict(tag=ES, words=(TimedWord(0, "hi"),)),
+    ),
+    (
+        Utterance,
+        dict(utt_id="u1", duration_ms=1000, channels=(Channel(ASR, [TimedWord(0, "hi")]),)),
+        ("utt_id", "duration_ms", "channels"),
+        dict(utt_id="u2", duration_ms=999, channels=()),
+    ),
+    (TagToken, dict(tag=ASR), ("tag",), dict(tag=ES)),
+    (WordToken, dict(word="hi", origin_time=5), ("word", "origin_time"), dict(word="ho", origin_time=None)),
+    (
+        SerializationMethod,
+        dict(name="inter_gamma", gamma=0.5, group_ms=None),
+        ("name", "gamma", "group_ms"),
+        dict(gamma=0.25),
+    ),
+    (
+        SerializedSequence,
+        dict(utt_id="u1", items=(ASR, "hi"), origin_times=(None, 0), method=SerializationMethod("inter_time")),
+        ("utt_id", "items", "origin_times", "method"),
+        dict(utt_id="u2", items=(ES, "hi"), origin_times=(None, 1), method=SerializationMethod("inter_time", group_ms=9)),
+    ),
+    (GroupingConfig, dict(step_ms=500), ("step_ms",), dict(step_ms=None)),
+    (
+        Diagnostic,
+        dict(code="c", message="m", utt_id="u1", tag="#ASR#", index=3),
+        ("code", "message", "utt_id", "tag", "index"),
+        dict(code="d", message="n", utt_id=None, tag=None, index=4),
+    ),
+    (
+        EmissionTrace,
+        dict(utt_id="u1", tag="#ES#", entries=((1, 5), (2, 9)), source_duration_ms=10, ref_len=2),
+        ("utt_id", "tag", "ordinals", "delays", "source_duration_ms", "ref_len"),
+        dict(utt_id="u2", tag="#DE#", entries=((1, 5),), source_duration_ms=11, ref_len=3),
+    ),
+    (
+        SynthConfig,
+        dict(
+            seed=1,
+            num_utterances=2,
+            words_per_channel=(1, 3),
+            word_rate_ms=(100, 200),
+            translation_lag_ms=(0, 50),
+            reorder_window_ms=0,
+            channels=(ASR, ES),
+            vocab_size=10,
+        ),
+        (
+            "seed",
+            "num_utterances",
+            "words_per_channel",
+            "word_rate_ms",
+            "translation_lag_ms",
+            "reorder_window_ms",
+            "channels",
+            "vocab_size",
+        ),
+        dict(
+            seed=2,
+            num_utterances=3,
+            words_per_channel=(1, 4),
+            word_rate_ms=(100, 300),
+            translation_lag_ms=(0, 60),
+            reorder_window_ms=5,
+            channels=(ASR, DE),
+            vocab_size=11,
+        ),
+    ),
+    (ReplayPolicy, dict(mode="origin_time", overhead_ms=5), ("mode", "overhead_ms"), dict(mode="auto", overhead_ms=0)),
+    (
+        DemuxState,
+        dict(current_tag=ASR, current_known=False, words={"#ASR#": ["hi"]}, diagnostics=[], token_index=2, utt_id="u1"),
+        ("current_tag", "current_known", "words", "diagnostics", "token_index", "utt_id"),
+        dict(
+            current_tag=ES,
+            current_known=True,
+            words={},
+            diagnostics=[Diagnostic("c", "m")],
+            token_index=3,
+            utt_id="u2",
+        ),
+    ),
+]
+
+
+class TestRecordContract:
+    """Every record class compares, hashes, prints and pickles by its fields, and refuses assignment."""
+
+    @pytest.fixture(params=_RECORD_CASES, ids=lambda case: case[0].__name__)
+    def case(self, request):
+        return request.param
+
+    def test_equal_records_have_equal_hashes(self, case):
+        cls, kwargs, _, _ = case
+        a, b = cls(**copy.deepcopy(kwargs)), cls(*copy.deepcopy(kwargs).values())
+        assert a == b and not a != b
+        if cls is DemuxState:
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+
+    def test_changing_one_argument_makes_records_unequal(self, case):
+        cls, kwargs, _, others = case
+        for name, value in others.items():
+            assert cls(**{**kwargs, name: value}) != cls(**kwargs), name
+
+    def test_other_classes_are_never_equal(self, case):
+        cls, kwargs, fields, _ = case
+        record = cls(**kwargs)
+        for other_cls, other_kwargs, _, _ in _RECORD_CASES:
+            if other_cls is not cls:
+                assert record != other_cls(**other_kwargs)
+        assert record != tuple(getattr(record, name) for name in fields)
+        assert record.__eq__(object()) is NotImplemented
+
+    def test_repr_names_the_fields_in_order(self, case):
+        cls, kwargs, fields, _ = case
+        record = cls(**kwargs)
+        shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+        assert repr(record) == f"{cls.__name__}({shown})"
+
+    def test_pickle_round_trips(self, case):
+        cls, kwargs, fields, _ = case
+        record = cls(**kwargs)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(record, protocol))
+            assert type(back) is cls and back == record and repr(back) == repr(record)
+            assert [getattr(back, name) for name in fields] == [getattr(record, name) for name in fields]
+
+    def test_fields_are_frozen_except_on_the_demux_state(self, case):
+        cls, kwargs, fields, others = case
+        record = cls(**kwargs)
+        for name in fields:
+            if cls is DemuxState:
+                setattr(record, name, others[name])
+                assert getattr(record, name) == others[name]
+                delattr(record, name)
+                assert not hasattr(record, name)
+                continue
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(record, name)
+            assert record == cls(**kwargs)
