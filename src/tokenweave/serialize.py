@@ -29,6 +29,7 @@ from .model import (
     Tag,
     TagSet,
     Utterance,
+    _rebuild,
 )
 
 __all__ = [
@@ -73,12 +74,20 @@ def _count_ratio(gamma: float):
     return lambda entry: weight[entry[3]] * (1 + entry[2])
 
 
+def _check_input(channels, method) -> None:
+    """A ValueError unless `method` is a SerializationMethod and each channel a Channel with a Tag: what :func:`_emit` trusts."""
+    if not isinstance(method, SerializationMethod):
+        raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
+    if not all(isinstance(ch, Channel) and isinstance(ch.tag, Tag) for ch in channels):
+        raise ValueError(f"every channel must be a Channel with a Tag, got {channels!r}")
+
+
 def _emit(keyed, channels, utt_id: str, method: SerializationMethod) -> SerializedSequence:
     """The sequence for ``(time, priority, rank, channel_index, word)`` entries in order.
 
     The tag of ``channels[channel_index]`` opens every run of words whose tag
-    surface differs from the previous word's; each word carries its time as
-    origin time.
+    surface differs from the previous word's, each word with its time as origin
+    time: valid by construction from checked channels, so not checked again.
     """
     tags = [ch.tag for ch in channels]
     surfaces = [t.surface for t in tags]
@@ -92,7 +101,7 @@ def _emit(keyed, channels, utt_id: str, method: SerializationMethod) -> Serializ
             origin_times.append(None)
         items.append(word)
         origin_times.append(time)
-    return SerializedSequence(utt_id, tuple(items), tuple(origin_times), method)
+    return _rebuild(SerializedSequence, (utt_id, tuple(items), tuple(origin_times), method))
 
 
 def inter_time(
@@ -117,6 +126,7 @@ def inter_gamma(
     roles are as given.  A bad `gamma` raises before any work.
     """
     method = SerializationMethod("inter_gamma", gamma=gamma)
+    _check_input((asr, st), method)
     keyed = _keyed((asr, st), {})
     keyed.sort(key=_count_ratio(gamma))
     return _emit(keyed, (asr, st), utt_id, method)
@@ -145,6 +155,7 @@ def serialize_utterance(
     ``(1 - gamma) * (1 + st_emitted) >= gamma * (1 + asr_emitted)`` does.
     """
     channels = u.channels
+    _check_input(channels, method)
     if method.name == "inter_gamma":
         if len(channels) != 2:
             raise ValueError(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tokenweave import (
     Channel,
     GroupingConfig,
+    Modality,
     ReplayPolicy,
     SerializationMethod,
     SerializedSequence,
@@ -19,6 +20,7 @@ from tokenweave import (
     Utterance,
     WordToken,
     assign_group,
+    check_sequence,
     count_switches,
     inter_gamma,
     inter_time,
@@ -506,3 +508,95 @@ def test_render_round_trips_through_split(u):
             t.tag.surface if isinstance(t, TagToken) else t.word for t in seq.tokens
         ]
         assert text.split(" ") == surfaces
+
+
+# ---------------------------------------------------------------------------
+# The serializers build their sequences without the constructor's checks:
+# every sequence they return must be one the constructor accepts unchanged.
+
+# A second tag with the surface of ASR: two channels may share a surface
+# without sharing a Tag.
+ASR_AS_ST = Tag("#ASR#", Modality.TRANSLATION, "xx")
+
+
+@st.composite
+def _any_utterances(draw):
+    """0-4 channels built through ``Channel(tag, words)``: tags may repeat or
+    share a surface, channels may be empty or non-monotone, and a word may
+    spell a tag surface."""
+    channel_tags = draw(st.lists(st.sampled_from([ASR, ES, DE, ASR_AS_ST]), max_size=4))
+    channels = []
+    for tag in channel_tags:
+        times = draw(st.lists(st.integers(0, 1200), max_size=8))
+        words = draw(st.lists(st.sampled_from(["a", "b.", "#ES#", "<unknown>"]), min_size=len(times), max_size=len(times)))
+        channels.append(Channel(tag, tuple(TimedWord(t, w) for t, w in zip(times, words))))
+    return Utterance("v", 2000, tuple(channels))
+
+
+def _assert_constructor_accepts(s):
+    assert SerializedSequence(s.utt_id, s.items, s.origin_times, s.method) == s
+    assert check_sequence(s.items) == []
+
+
+@given(
+    _any_utterances(),
+    st.sampled_from([None, TagSet((ASR, ES, DE)), TagSet((DE, ES)), TagSet((FR,))]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=200)
+def test_every_serialized_sequence_passes_the_constructor(u, tags, uniform_gamma):
+    for step in (None, 1, 250, 500, 1000):
+        _assert_constructor_accepts(serialize_utterance(u, SerializationMethod("inter_time", group_ms=step), tags))
+        _assert_constructor_accepts(inter_time(u, GroupingConfig(step), tags))
+    for gamma in (0, 0.5, 1, uniform_gamma):
+        if len(u.channels) == 2:
+            _assert_constructor_accepts(serialize_utterance(u, SerializationMethod("inter_gamma", gamma=gamma), tags))
+        if len(u.channels) >= 2:
+            _assert_constructor_accepts(inter_gamma(u.channels[0], u.channels[1], gamma, u.utt_id))
+
+
+class _DuckChannel:
+    """Has every attribute the serializers read, but is no Channel: nothing checked its words."""
+
+    tag = ASR
+    times = (0,)
+    texts = ("a b",)
+
+    def __len__(self):
+        return 1
+
+
+class _DuckMethod:
+    name = "inter_time"
+    gamma = None
+    group_ms = None
+
+
+STR_TAG = Channel("#ASR#", (TimedWord(0, "a"),))
+GOOD_ES = Channel(ES, (TimedWord(5, "b"),))
+EACH_BAD_CHANNEL = pytest.mark.parametrize("bad", [STR_TAG, _DuckChannel()], ids=["str-tag", "duck-channel"])
+
+
+class TestSerializersRefuseUncheckedInput:
+    @EACH_BAD_CHANNEL
+    @pytest.mark.parametrize("method", STUDY_METHODS[:2] + STUDY_METHODS[5:6], ids=["plain", "grouped", "gamma"])
+    def test_serialize_utterance(self, bad, method):
+        with pytest.raises(ValueError, match="must be a Channel with a Tag"):
+            serialize_utterance(Utterance("u", 100, (bad, GOOD_ES)), method)
+
+    @EACH_BAD_CHANNEL
+    def test_inter_time(self, bad):
+        with pytest.raises(ValueError, match="must be a Channel with a Tag"):
+            inter_time(Utterance("u", 100, (bad, GOOD_ES)))
+
+    @EACH_BAD_CHANNEL
+    def test_inter_gamma(self, bad):
+        with pytest.raises(ValueError, match="must be a Channel with a Tag"):
+            inter_gamma(bad, GOOD_ES, 0.5, "u")
+        with pytest.raises(ValueError, match="must be a Channel with a Tag"):
+            inter_gamma(GOOD_ES, bad, 0.5, "u")
+
+    def test_method_that_is_no_serialization_method(self):
+        u = Utterance("u", 100, (Channel(ASR, (TimedWord(0, "a"),)), GOOD_ES))
+        with pytest.raises(ValueError, match="method must be a SerializationMethod, got _DuckMethod"):
+            serialize_utterance(u, _DuckMethod())
