@@ -312,11 +312,6 @@ def serialized_from_json(obj: dict, tags: TagSet | None, known: dict[str, Tag] |
         origin_times = [None] * len(tokens)
     if len(_expect_json(origin_times, "origin_times", list)) != len(tokens):
         raise ValueError(f"origin_times length {len(origin_times)} != tokens length {len(tokens)}")
-    # In bulk, as Channel checks its times; on failure, entry by entry for the message.
-    if not set(map(type, origin_times)) <= {int, type(None)} or min(filter(None, origin_times), default=0) < 0:
-        for i, t in enumerate(origin_times):
-            if t is not None and _expect_json(t, f"origin_times[{i}]", int) < 0:
-                raise ValueError(f"origin_times[{i}] must be non-negative, got {t}")
     utt_id = _expect_json(obj["utt_id"], "utt_id", str)
     method = _expect_json(obj["method"], "method", dict)
     _expect_json(method["name"], "method name", str)

@@ -119,6 +119,13 @@ class _Record:
     def __reduce__(self):
         return _rebuild, (type(self), tuple(getattr(self, name) for name in self.__slots__))
 
+    @classmethod
+    def _from_columns(cls, *fields):
+        """A record filled by its class's ``_fill`` from the column form of its fields."""
+        self = object.__new__(cls)
+        self._fill(*fields)
+        return self
+
     def __setattr__(self, name, value, verb="assign to"):
         from dataclasses import FrozenInstanceError  # here only: a stage never loads the module
 
@@ -223,16 +230,10 @@ class Channel(_Record):
         words = tuple(words)
         self._fill(tag, tuple([w.time for w in words]), tuple([w.word for w in words]))
 
-    @classmethod
-    def _from_columns(cls, tag: Tag, times: tuple[int, ...], texts: tuple[str, ...]) -> "Channel":
-        """Build from columns of equal length."""
-        ch = object.__new__(cls)
-        ch._fill(tag, times, texts)
-        return ch
-
     def _fill(self, tag, times, texts) -> None:
-        # The checks of TimedWord, in bulk.  On failure, TimedWord finds the
-        # first bad word and its message.
+        if not isinstance(tag, Tag):
+            raise ValueError(f"a channel's tag must be a Tag, got {tag!r}")
+        # TimedWord's checks in bulk; on failure, TimedWord finds the bad word.
         if not (_all_token_text(texts) and set(map(type, times)) <= {int} and min(times, default=0) >= 0):
             for t, w in zip(times, texts):
                 TimedWord(t, w)
@@ -347,11 +348,7 @@ class SerializationMethod(_Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "SerializationMethod":
-        return cls(
-            name=obj["name"],
-            gamma=obj.get("gamma"),
-            group_ms=obj.get("group_ms"),
-        )
+        return cls(name=obj["name"], gamma=obj.get("gamma"), group_ms=obj.get("group_ms"))
 
 
 class SerializedSequence(_Record):
@@ -367,10 +364,10 @@ class SerializedSequence(_Record):
 
     Invariants (enforced at construction): `method` is a
     :class:`SerializationMethod`, the columns are of equal length, every
-    tag's origin time is None, every word is a non-empty string without
-    whitespace, a non-empty sequence starts with a tag, tags only appear on
-    channel switches (never twice in a row, never equal to the previous
-    tag), and every word follows some tag.
+    origin time is an int ≥ 0 or None and every tag's is None, every word
+    is a non-empty string without whitespace, a non-empty sequence starts
+    with a tag, tags only appear on channel switches (never twice in a row,
+    never equal to the previous tag), and every word follows some tag.
     """
 
     __slots__ = ("utt_id", "items", "origin_times", "method")
@@ -380,7 +377,13 @@ class SerializedSequence(_Record):
             raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
         if len(origin_times) != len(items):
             raise ValueError(f"origin_times length {len(origin_times)} != items length {len(items)}")
-        # Word text first, in bulk; a timed tag joins the words to fail it.  On
+        # Origin times in bulk; on failure, the first bad one for its message.
+        if not set(map(type, origin_times)) <= {int, type(None)} or min(filter(None, origin_times), default=0) < 0:
+            for i, t in enumerate(origin_times):
+                if t is not None and (type(t) is not int or t < 0):
+                    fault = f"non-negative, got {t}" if type(t) is int else f"a JSON integer, got {type(t).__name__}"
+                    raise ValueError(f"origin_times[{i}] must be {fault}")
+        # Then word text, in bulk; a timed tag joins the words to fail it.  On
         # failure, the per-position check finds the first fault and its message.
         words = [x for x, t in zip(items, origin_times) if t is not None or not isinstance(x, Tag)]
         if not _all_token_text(words):
@@ -500,22 +503,17 @@ class EmissionTrace(_Record):
     def __init__(self, utt_id: str, tag: str, entries, source_duration_ms: int, ref_len: int) -> None:
         """Build from ``(token_ordinal, delay_ms)`` pairs."""
         entries = [(o, d) for o, d in entries]
-        self._fill(utt_id, tag, tuple([o for o, _ in entries]), tuple([d for _, d in entries]), source_duration_ms, ref_len)
-
-    @classmethod
-    def _from_columns(cls, utt_id, tag, ordinals, delays, source_duration_ms, ref_len) -> "EmissionTrace":
-        """Build from two tuples of equal length."""
-        tr = object.__new__(cls)
-        tr._fill(utt_id, tag, ordinals, delays, source_duration_ms, ref_len)
-        return tr
-
-    def _fill(self, utt_id, tag, ordinals, delays, source_duration_ms, ref_len) -> None:
-        _check_int(ref_len, "ref_len", 0)
-        # In bulk; on failure, entry by entry for the message.
+        ordinals, delays = tuple([o for o, _ in entries]), tuple([d for _, d in entries])
         if not {*map(type, ordinals), *map(type, delays)} <= {int}:
-            for i, (o, d) in enumerate(zip(ordinals, delays)):
+            _check_int(ref_len, "ref_len", 0)  # first, as in `_fill`
+            for i, (o, d) in enumerate(entries):
                 _check_int(o, f"entries[{i}] ordinal")
                 _check_int(d, f"entries[{i}] delay")
+        self._fill(utt_id, tag, ordinals, delays, source_duration_ms, ref_len)
+
+    # Takes int columns: `__init__` checks them, the trace reader checks them and replay makes them.
+    def _fill(self, utt_id, tag, ordinals, delays, source_duration_ms, ref_len) -> None:
+        _check_int(ref_len, "ref_len", 0)
         if not all(map(le, delays, delays[1:])):
             prev, d = next((prev, d) for prev, d in zip(delays, delays[1:]) if d < prev)
             raise ValueError(f"delays must be non-decreasing, got {d} after {prev}")

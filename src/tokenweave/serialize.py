@@ -75,11 +75,11 @@ def _count_ratio(gamma: float):
 
 
 def _check_input(channels, method) -> None:
-    """A ValueError unless `method` is a SerializationMethod and each channel a Channel with a Tag: what :func:`_emit` trusts."""
+    """A ValueError unless `method` is a SerializationMethod and each channel a Channel: what :func:`_emit` trusts."""
     if not isinstance(method, SerializationMethod):
         raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
-    if not all(isinstance(ch, Channel) and isinstance(ch.tag, Tag) for ch in channels):
-        raise ValueError(f"every channel must be a Channel with a Tag, got {channels!r}")
+    if not all(isinstance(ch, Channel) for ch in channels):
+        raise ValueError(f"every channel must be a Channel, got {channels!r}")
 
 
 def _emit(keyed, channels, utt_id: str, method: SerializationMethod) -> SerializedSequence:

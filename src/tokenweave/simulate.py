@@ -226,19 +226,14 @@ def replay(
 
     # A valid sequence opens with a tag, so the columns are bound before any word.
     columns: dict[str, tuple[list[int], list[int]]] = {}
-    try:
-        for ordinal, (item, origin) in enumerate(zip(s.items, s.origin_times)):
-            if origin is None:
-                if not isinstance(item, Tag):
-                    raise ValueError(f"word {item!r} in {s.utt_id!r} has no origin time; cannot replay")
-                ordinals, delays = columns.setdefault(item.surface, ([], []))
-                continue
-            ordinals.append(ordinal)
-            delays.append((assign_group(origin, step) if grouped else origin) + overhead * ordinal)
-    except TypeError:
-        # Ordinals, step and overhead are ints, so only a word's origin time can break the sum.
-        i, t = next((i, t) for i, t in enumerate(s.origin_times) if t is not None and not isinstance(t, int))
-        raise ValueError(f"word {s.items[i]!r} at index {i} in {s.utt_id!r} has origin time {t!r}; cannot replay") from None
+    for ordinal, (item, origin) in enumerate(zip(s.items, s.origin_times)):
+        if origin is None:
+            if not isinstance(item, Tag):
+                raise ValueError(f"word {item!r} in {s.utt_id!r} has no origin time; cannot replay")
+            ordinals, delays = columns.setdefault(item.surface, ([], []))
+            continue
+        ordinals.append(ordinal)
+        delays.append((assign_group(origin, step) if grouped else origin) + overhead * ordinal)
 
     if source_duration_ms is None:
         source_duration_ms = max(1, max(chain.from_iterable(d for _, d in columns.values()), default=0))

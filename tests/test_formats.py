@@ -332,6 +332,9 @@ class TestTraceReaderMatchesEntryOracle:
         got = _outcome(trace_from_json, record)
         assert got == expected  # equal traces, or the same exception type and message
         assert type(got) is type(expected)
+        if isinstance(got, EmissionTrace):
+            # The reader checks the columns' int types for `_from_columns`: the row constructor builds the same trace.
+            assert EmissionTrace(got.utt_id, got.tag, got.entries, got.source_duration_ms, got.ref_len) == got
 
     @pytest.mark.parametrize(
         "entries",
@@ -673,19 +676,31 @@ def _records(draw):
     return record
 
 
+# Origin times of the wrong kind: what a JSON record can hold that is no int >= 0 or null.
+_BAD_ORIGIN_TIMES = st.sampled_from(["5", "", 2.5, 0.0, True, False, -1, -3000, [5], {}])
+
+
+def _bad_origin_time(t) -> bool:
+    return t is not None and (type(t) is not int or t < 0)
+
+
 @st.composite
 def _columns(draw):
     """Build-record columns, runs of a tag and its words, and a method; some break the constructor's rules.
 
-    A word may spell a declared surface.
+    A word may spell a declared surface.  In about one draw in four, an origin
+    time may be of the wrong kind, at a word or at a tag.
     """
     items: list = []
     origin_times: list = []
     word_time = st.integers(0, 3000) | st.none() if draw(st.booleans()) else st.integers(0, 3000)
+    tag_time = st.sampled_from([None, None, None, 0, 1500])
+    if draw(st.integers(0, 3)) == 0:
+        word_time, tag_time = word_time | _BAD_ORIGIN_TIMES, tag_time | _BAD_ORIGIN_TIMES
     run_words = st.lists(_WORDS | st.sampled_from(_SURFACES), max_size=4)
     for tag, words in draw(st.lists(st.tuples(st.sampled_from([ASR, ES, DE]), run_words), max_size=6)):
         items += [tag, *words]
-        origin_times += [draw(st.sampled_from([None, None, None, 0, 1500]))] + [draw(word_time) for _ in words]
+        origin_times += [draw(tag_time)] + [draw(word_time) for _ in words]
     return tuple(items), tuple(origin_times), SerializationMethod.from_json(draw(st.sampled_from(_METHODS)))
 
 
@@ -768,6 +783,23 @@ class TestColumnarStreamMatchesObjectOracle:
             own = serialized_from_json(record, None)
             assert _flat(own.items) == _flat(items)
             assert own.origin_times == origin_times
+
+    @given(_columns(), st.sampled_from(["u1", "utt é"]))
+    @settings(max_examples=400)
+    def test_constructor_and_reader_refuse_the_same_origin_times(self, columns, utt_id):
+        items, origin_times, method = columns
+        tokens = [x.surface if isinstance(x, Tag) else x for x in items]
+        record = {"v": 1, "utt_id": utt_id, "method": method.to_json(), "tokens": tokens, "origin_times": list(origin_times)}
+        record = json.loads(json.dumps(record))  # what a file holds
+        built = _outcome(SerializedSequence, utt_id, items, origin_times, method)
+
+        def origin_fault(outcome):
+            return outcome if isinstance(outcome, tuple) and outcome[1].startswith("origin_times[") else None
+
+        # The first bad origin time by position is refused, by both, with one message.
+        assert (origin_fault(built) is not None) == any(map(_bad_origin_time, origin_times))
+        for tags in (_STREAM_TAGS, None):
+            assert origin_fault(_outcome(serialized_from_json, copy.deepcopy(record), tags)) == origin_fault(built)
 
     @pytest.mark.parametrize("tags", [_STREAM_TAGS, None], ids=["tag set", "own tags"])
     def test_a_token_is_a_tag_iff_its_origin_is_null_and_it_spells_a_surface(self, tags):

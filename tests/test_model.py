@@ -32,6 +32,7 @@ from tokenweave import (
     validate_utterance,
 )
 from tokenweave.demux import DemuxState
+from tokenweave.formats import serialized_from_json
 from tokenweave.model import _check_int
 from conftest import ASR, DE, ES
 
@@ -263,6 +264,30 @@ class TestSerializedSequence:
         with pytest.raises(ValueError, match=f"^{message}$"):
             SerializedSequence("u", items, origin_times, SerializationMethod("inter_time"))
 
+    @pytest.mark.parametrize(
+        "origin_times, group_ms, message",
+        [
+            ((None, 5, "x"), None, "origin_times[2] must be a JSON integer, got str"),
+            ((None, 5, "x"), 500, "origin_times[2] must be a JSON integer, got str"),
+            ((None, [5], 7), None, "origin_times[1] must be a JSON integer, got list"),
+            # The first bad origin time is named.
+            ((None, 2.5, "x"), None, "origin_times[1] must be a JSON integer, got float"),
+            ((None, -1, 7), None, "origin_times[1] must be non-negative, got -1"),
+            ((None, True, 7), None, "origin_times[1] must be a JSON integer, got bool"),
+        ],
+    )
+    def test_origin_time_that_is_not_an_int_at_least_0_is_refused(self, origin_times, group_ms, message):
+        # With the reader's message: no sequence that the reader refuses can be built, written or replayed.
+        method = SerializationMethod("inter_time", group_ms=group_ms)
+        with pytest.raises(ValueError) as exc:
+            SerializedSequence("u", (ASR, "a", "b"), origin_times, method)
+        assert str(exc.value) == message
+        record = {"v": 1, "utt_id": "u", "method": method.to_json(), "tokens": ["#ASR#", "a", "b"], "origin_times": list(origin_times)}
+        for tags in (TagSet((ASR,)), None):
+            with pytest.raises(ValueError) as exc:
+                serialized_from_json(record, tags)
+            assert str(exc.value) == message
+
     def test_word_before_tag_rejected(self):
         with pytest.raises(ValueError, match="precedes any tag"):
             SerializedSequence("u", ("hi",), (None,), SerializationMethod("inter_time"))
@@ -443,9 +468,10 @@ class TestEmissionTraceMatchesPairOracle:
         got, error = _build(lambda: EmissionTrace("u", "#ES#", entries, duration, ref_len))
         want, want_error = _build(lambda: _PairTrace("u", "#ES#", entries, duration, ref_len))
         assert error == want_error
-        pairs = all(isinstance(e, (tuple, list)) and len(e) == 2 for e in entries)
-        if pairs:
-            # Both routes run one check: the columns fail as the pairs do.
+        int_pairs = all(isinstance(e, (tuple, list)) and len(e) == 2 and {*map(type, e)} <= {int} for e in entries)
+        if int_pairs:
+            # `_from_columns` takes int columns, which its callers check; past the
+            # types, it runs the row constructor's checks: the columns fail as the pairs do.
             columns = _build(
                 lambda: EmissionTrace._from_columns(
                     "u", "#ES#", tuple(o for o, _ in entries), tuple(d for _, d in entries), duration, ref_len

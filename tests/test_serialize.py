@@ -572,28 +572,42 @@ class _DuckMethod:
     group_ms = None
 
 
-STR_TAG = Channel("#ASR#", (TimedWord(0, "a"),))
 GOOD_ES = Channel(ES, (TimedWord(5, "b"),))
-EACH_BAD_CHANNEL = pytest.mark.parametrize("bad", [STR_TAG, _DuckChannel()], ids=["str-tag", "duck-channel"])
+EACH_BAD_CHANNEL = pytest.mark.parametrize("bad", [_DuckChannel()], ids=["duck-channel"])
+
+
+@pytest.mark.parametrize("tag", ["#ASR#", None, b"#ASR#", (ASR,)], ids=["str", "none", "bytes", "tuple"])
+class TestChannelRefusesATagThatIsNoTag:
+    """A Channel's tag is a Tag from construction on, so the serializers need not check it."""
+
+    def test_constructor(self, tag):
+        with pytest.raises(ValueError) as exc:
+            Channel(tag, (TimedWord(0, "a"),))
+        assert str(exc.value) == f"a channel's tag must be a Tag, got {tag!r}"
+
+    def test_from_columns(self, tag):
+        with pytest.raises(ValueError) as exc:
+            Channel._from_columns(tag, (0,), ("a",))
+        assert str(exc.value) == f"a channel's tag must be a Tag, got {tag!r}"
 
 
 class TestSerializersRefuseUncheckedInput:
     @EACH_BAD_CHANNEL
     @pytest.mark.parametrize("method", STUDY_METHODS[:2] + STUDY_METHODS[5:6], ids=["plain", "grouped", "gamma"])
     def test_serialize_utterance(self, bad, method):
-        with pytest.raises(ValueError, match="must be a Channel with a Tag"):
+        with pytest.raises(ValueError, match="^every channel must be a Channel, got "):
             serialize_utterance(Utterance("u", 100, (bad, GOOD_ES)), method)
 
     @EACH_BAD_CHANNEL
     def test_inter_time(self, bad):
-        with pytest.raises(ValueError, match="must be a Channel with a Tag"):
+        with pytest.raises(ValueError, match="^every channel must be a Channel, got "):
             inter_time(Utterance("u", 100, (bad, GOOD_ES)))
 
     @EACH_BAD_CHANNEL
     def test_inter_gamma(self, bad):
-        with pytest.raises(ValueError, match="must be a Channel with a Tag"):
+        with pytest.raises(ValueError, match="^every channel must be a Channel, got "):
             inter_gamma(bad, GOOD_ES, 0.5, "u")
-        with pytest.raises(ValueError, match="must be a Channel with a Tag"):
+        with pytest.raises(ValueError, match="^every channel must be a Channel, got "):
             inter_gamma(GOOD_ES, bad, 0.5, "u")
 
     def test_method_that_is_no_serialization_method(self):

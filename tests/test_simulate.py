@@ -205,23 +205,6 @@ class TestReplay:
         with pytest.raises(ValueError, match="origin time"):
             replay(seq, ReplayPolicy(), 1000)
 
-    @pytest.mark.parametrize(
-        "origin_times, group_ms, message",
-        [
-            ((None, 5, "x"), None, "word 'b' at index 2 in 'u' has origin time 'x'; cannot replay"),
-            ((None, 5, "x"), 500, "word 'b' at index 2 in 'u' has origin time 'x'; cannot replay"),
-            ((None, [5], 7), None, "word 'a' at index 1 in 'u' has origin time [5]; cannot replay"),
-            # The first origin time that is not an int is named, though only the string breaks the sum.
-            ((None, 2.5, "x"), None, "word 'a' at index 1 in 'u' has origin time 2.5; cannot replay"),
-        ],
-    )
-    def test_origin_time_that_is_not_a_number_is_a_value_error(self, origin_times, group_ms, message):
-        # A library caller can build this; no reader or serializer does.
-        seq = SerializedSequence("u", (ASR, "a", "b"), origin_times, SerializationMethod("inter_time", group_ms=group_ms))
-        with pytest.raises(ValueError) as exc:
-            replay(seq, ReplayPolicy(), 1000)
-        assert str(exc.value) == message
-
     def test_empty_sequence_yields_no_traces(self):
         seq = SerializedSequence("u", (), (), SerializationMethod("inter_time"))
         assert replay(seq, ReplayPolicy(), 1000) == {}
@@ -357,6 +340,23 @@ class TestReplayMatchesPairOracle:
                 got = replay(seq, policy, duration)
                 want = _replay_pairs(seq, policy, duration)
                 assert got == want and list(got) == list(want)
+
+
+def test_every_replayed_trace_is_the_row_constructors():
+    # replay fills each trace's int columns through `_from_columns`, which
+    # leaves out the row constructor's int check: the row constructor must
+    # accept every such trace's entries and build the same trace.
+    corpus = synth_corpus(_config(seed=9, num_utterances=500, channels=(ASR, ES), words_per_channel=(0, 40)))
+    checked = 0
+    for u in corpus:
+        for method in SWEEP_METHODS:
+            seq = serialize_utterance(u, method)
+            for mode in ("auto", "origin_time", "group_boundary") if method.group_ms else ("auto", "origin_time"):
+                for overhead_ms in (0, 5):
+                    for tr in replay(seq, ReplayPolicy(mode, overhead_ms), u.duration_ms).values():
+                        assert EmissionTrace(tr.utt_id, tr.tag, tr.entries, tr.source_duration_ms, tr.ref_len) == tr
+                        checked += 1
+    assert checked == 33_116
 
 
 class TestLatencyStudy:
