@@ -251,7 +251,7 @@ def utterance_from_json(obj: dict) -> Utterance:
                 TimedWord(w["t"], w["w"])
             raise
     return Utterance(
-        utt_id=_expect_json(obj["utt_id"], "utt_id", str),
+        utt_id=obj["utt_id"],
         duration_ms=obj["duration_ms"],
         channels=tuple(channels),
     )
@@ -312,7 +312,6 @@ def serialized_from_json(obj: dict, tags: TagSet | None, known: dict[str, Tag] |
         origin_times = [None] * len(tokens)
     if len(_expect_json(origin_times, "origin_times", list)) != len(tokens):
         raise ValueError(f"origin_times length {len(origin_times)} != tokens length {len(tokens)}")
-    utt_id = _expect_json(obj["utt_id"], "utt_id", str)
     method = _expect_json(obj["method"], "method", dict)
     _expect_json(method["name"], "method name", str)
     method = SerializationMethod.from_json(method)
@@ -324,7 +323,7 @@ def serialized_from_json(obj: dict, tags: TagSet | None, known: dict[str, Tag] |
             if isinstance(s, str) and s not in lookup and s.split() == [s] and s != UNKNOWN_CHANNEL:
                 lookup[s] = Tag(s, Modality.TRANSCRIPTION, "und")
     items = tuple([lookup.get(x, x) if t is None and isinstance(x, str) else x for x, t in zip(tokens, origin_times)])
-    return SerializedSequence(utt_id, items, tuple(origin_times), method)
+    return SerializedSequence(obj["utt_id"], items, tuple(origin_times), method)
 
 
 def read_serialized(path: str, tags: TagSet | None, diags: list[Diagnostic]) -> Iterator[SerializedSequence]:
@@ -394,7 +393,6 @@ def trace_to_json(tr: EmissionTrace) -> dict:
 
 def trace_from_json(obj: dict) -> EmissionTrace:
     _check_version(obj)
-    utt_id, tag = _expect_json(obj["utt_id"], "utt_id", str), _expect_json(obj["tag"], "tag", str)
     entries = _expect_json(obj["entries"], "entries", list)
     # The columns in bulk; on failure, entry by entry for the message.
     columns = None
@@ -404,8 +402,8 @@ def trace_from_json(obj: dict) -> EmissionTrace:
         pairs = [_expect_int_pair(e, f"entries[{i}]", "[ordinal, delay]") for i, e in enumerate(entries)]
         columns = tuple([o for o, _ in pairs]), tuple([d for _, d in pairs])
     return EmissionTrace._from_columns(
-        utt_id,
-        tag,
+        obj["utt_id"],
+        obj["tag"],
         *columns,
         _expect_json(obj["source_duration_ms"], "source_duration_ms", int),
         _expect_json(obj["ref_len"], "ref_len", int),

@@ -65,6 +65,11 @@ def _all_token_text(words) -> bool:
         return False
 
 
+def _check_str(value, what: str) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a JSON string, got {type(value).__name__}")
+
+
 def _check_positive_int(value, what: str) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
@@ -254,7 +259,7 @@ class Utterance(_Record):
     """All channels of one audio segment.
 
     Attributes:
-        utt_id: Corpus-unique identifier.
+        utt_id: Corpus-unique identifier, a string.
         duration_ms: Source audio duration, positive integer ms.  Word times
             may exceed it: translation words routinely trail the audio.
         channels: One entry per output stream; tags must be pairwise distinct
@@ -264,6 +269,7 @@ class Utterance(_Record):
     __slots__ = ("utt_id", "duration_ms", "channels")
 
     def __init__(self, utt_id: str, duration_ms: int, channels) -> None:
+        _check_str(utt_id, "utt_id")
         _check_positive_int(duration_ms, "duration_ms")
         _set(self, "utt_id", utt_id)
         _set(self, "duration_ms", duration_ms)
@@ -362,7 +368,7 @@ class SerializedSequence(_Record):
     are tuples of one entry per position.  `tokens` builds
     :class:`TagToken`/:class:`WordToken` views of the columns on each read.
 
-    Invariants (enforced at construction): `method` is a
+    Invariants (enforced at construction): `utt_id` is a string, `method` a
     :class:`SerializationMethod`, the columns are of equal length, every
     origin time is an int ≥ 0 or None and every tag's is None, every word
     is a non-empty string without whitespace, a non-empty sequence starts
@@ -373,6 +379,7 @@ class SerializedSequence(_Record):
     __slots__ = ("utt_id", "items", "origin_times", "method")
 
     def __init__(self, utt_id: str, items, origin_times, method: SerializationMethod) -> None:
+        _check_str(utt_id, "utt_id")
         if not isinstance(method, SerializationMethod):
             raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
         if len(origin_times) != len(items):
@@ -485,8 +492,8 @@ class EmissionTrace(_Record):
     Stored as two parallel columns, `ordinals` and `delays`; `entries` is a view of them.
 
     Attributes:
-        utt_id: Utterance identifier.
-        tag: Channel tag surface the delays belong to.
+        utt_id: Utterance identifier, a string.
+        tag: Channel tag surface the delays belong to, a string.
         ordinals: Token ordinal of each emitted word.
         delays: Emission delay of each word, at least one; measured from
             utterance start and non-decreasing.
@@ -513,6 +520,8 @@ class EmissionTrace(_Record):
 
     # Takes int columns: `__init__` checks them, the trace reader checks them and replay makes them.
     def _fill(self, utt_id, tag, ordinals, delays, source_duration_ms, ref_len) -> None:
+        _check_str(utt_id, "utt_id")
+        _check_str(tag, "tag")
         _check_int(ref_len, "ref_len", 0)
         if not all(map(le, delays, delays[1:])):
             prev, d = next((prev, d) for prev, d in zip(delays, delays[1:]) if d < prev)

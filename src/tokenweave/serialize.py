@@ -1,19 +1,21 @@
 """Serialization: flatten a multi-channel utterance into one token stream.
 
-One core, :func:`serialize_utterance`, sorts every word by the key of a
-policy and emits a channel tag whenever the channel changes:
+One routine orders every policy's words: it keys each word, sorts by the
+policy's key, groups the windows if asked, and emits a channel tag whenever
+the tag surface changes:
 
 * timestamp interleaving (``inter_time``): ``(time, priority, rank,
   channel_index)``;
 * time-step grouping (``inter_time`` with ``group_ms``): the timestamp order,
-  each window (see :func:`assign_group`) re-emitted channel-contiguously,
-  trading a bounded latency increase for fewer channel switches;
+  each window (see :func:`assign_group`) re-emitted as one run per tag
+  surface, trading a bounded latency increase for fewer channel switches;
 * count-ratio interleaving (``inter_gamma``, two channels): transcription
   word ``i`` at ``gamma * (1 + i)``, translation word ``j`` at
   ``(1 - gamma) * (1 + j)``, a tie going to the transcription word.
 
-:func:`inter_time` and :func:`inter_gamma` are spellings of that core.  Every
-policy keeps each channel's word order and emits every word exactly once.
+:func:`serialize_utterance`, :func:`inter_time` and :func:`inter_gamma` all
+call it.  Every policy keeps each channel's word order and emits every word
+exactly once.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .model import (
     Tag,
     TagSet,
     Utterance,
+    _check_str,
     _rebuild,
 )
 
@@ -54,43 +57,45 @@ def assign_group(time: int, step_ms: int) -> int:
     return step_ms * (time // step_ms + 1)
 
 
-def _keyed(channels, priority: dict[str, int]) -> list[tuple[int, int, int, int, str]]:
-    """``(time, priority, rank, channel_index, word)`` per word; unlisted tags rank last."""
-    unknown = len(priority)
-    keyed: list[tuple[int, int, int, int, str]] = []
-    for ci, ch in enumerate(channels):
-        p = priority.get(ch.tag.surface, unknown)
-        keyed += zip(ch.times, repeat(p), range(len(ch)), repeat(ci), ch.texts)
-    return keyed
-
-
-def _count_ratio(gamma: float):
-    """The count-ratio key of entries whose channel 0 is the transcription.
-
-    Channel 0's entries come first and the sort is stable, so a tie goes to
-    the transcription word.
-    """
-    weight = (gamma, 1.0 - gamma)
-    return lambda entry: weight[entry[3]] * (1 + entry[2])
-
-
-def _check_input(channels, method) -> None:
-    """A ValueError unless `method` is a SerializationMethod and each channel a Channel: what :func:`_emit` trusts."""
+def _check_input(channels, utt_id, method) -> None:
+    """A ValueError unless `method` is a SerializationMethod, `utt_id` a string and each channel a Channel: what :func:`_ordered` trusts."""
     if not isinstance(method, SerializationMethod):
         raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
+    _check_str(utt_id, "utt_id")
     if not all(isinstance(ch, Channel) for ch in channels):
         raise ValueError(f"every channel must be a Channel, got {channels!r}")
 
 
-def _emit(keyed, channels, utt_id: str, method: SerializationMethod) -> SerializedSequence:
-    """The sequence for ``(time, priority, rank, channel_index, word)`` entries in order.
+def _ordered(channels, utt_id: str, method: SerializationMethod, priority: dict[str, int]) -> SerializedSequence:
+    """The words of `channels` in the order of `method`, as a sequence that keeps `method`.
 
-    The tag of ``channels[channel_index]`` opens every run of words whose tag
-    surface differs from the previous word's, each word with its time as origin
-    time: valid by construction from checked channels, so not checked again.
+    Each word is keyed ``(time, priority, rank, channel_index, word)``, a tag
+    surface not in `priority` ranking last.  ``inter_gamma`` sorts by the
+    count-ratio key with channel 0 as the transcription (stably, so a tie goes
+    to it); ``inter_time`` by the key itself, then, if grouped, buckets the
+    words by window and tag surface.  A channel's tag opens each run of its
+    surface, each word with its time as origin time: valid by construction
+    from checked channels, so not checked again.
     """
     tags = [ch.tag for ch in channels]
     surfaces = [t.surface for t in tags]
+    keyed: list[tuple[int, int, int, int, str]] = []
+    for ci, ch in enumerate(channels):
+        p = priority.get(surfaces[ci], len(priority))
+        keyed += zip(ch.times, repeat(p), range(len(ch)), repeat(ci), ch.texts)
+    if method.name == "inter_gamma":
+        weight = (method.gamma, 1.0 - method.gamma)
+        keyed.sort(key=lambda entry: weight[entry[3]] * (1 + entry[2]))
+    else:
+        keyed.sort()
+    step = method.group_ms
+    if step is not None:
+        # Bucket `window * len(channels) + s`, s the first channel of the word's tag surface.
+        first = [surfaces.index(s) for s in surfaces]
+        buckets: dict[int, list] = {}
+        for entry in keyed:
+            buckets.setdefault(entry[0] // step * len(first) + first[entry[3]], []).append(entry)
+        keyed = [entry for bucket in buckets.values() for entry in bucket]
     items: list[Tag | str] = []
     origin_times: list[int | None] = []
     prev: str | None = None
@@ -126,10 +131,8 @@ def inter_gamma(
     roles are as given.  A bad `gamma` raises before any work.
     """
     method = SerializationMethod("inter_gamma", gamma=gamma)
-    _check_input((asr, st), method)
-    keyed = _keyed((asr, st), {})
-    keyed.sort(key=_count_ratio(gamma))
-    return _emit(keyed, (asr, st), utt_id, method)
+    _check_input((asr, st), utt_id, method)
+    return _ordered((asr, st), utt_id, method, {})
 
 
 def render_text(s: SerializedSequence) -> str:
@@ -155,39 +158,16 @@ def serialize_utterance(
     ``(1 - gamma) * (1 + st_emitted) >= gamma * (1 + asr_emitted)`` does.
     """
     channels = u.channels
-    _check_input(channels, method)
+    _check_input(channels, u.utt_id, method)
     if method.name == "inter_gamma":
         if len(channels) != 2:
-            raise ValueError(
-                f"inter_gamma needs exactly two channels, utterance {u.utt_id!r} has {len(channels)}"
-            )
+            raise ValueError(f"inter_gamma needs exactly two channels, utterance {u.utt_id!r} has {len(channels)}")
         first, second = channels
         if first.tag.modality != second.tag.modality and second.tag.modality is Modality.TRANSCRIPTION:
             channels = (second, first)
-        keyed = _keyed(channels, {})
-        keyed.sort(key=_count_ratio(method.gamma))
-        return _emit(keyed, channels, u.utt_id, method)
-
-    if tags is not None:
+        priority = {}
+    elif tags is not None:
         priority = {t.surface: i for i, t in enumerate(tags.tags)}
     else:
         priority = {ch.tag.surface: i for i, ch in enumerate(channels)}
-    keyed = _keyed(channels, priority)
-    keyed.sort()
-    step = method.group_ms
-    if step is not None:
-        surfaces = [ch.tag.surface for ch in channels]
-        grouped: list[tuple[int, int, int, int, str]] = []
-        runs: dict[str, list] = {}
-        window = None
-        for key in keyed:
-            if key[0] // step != window:
-                window = key[0] // step
-                for run in runs.values():
-                    grouped += run
-                runs = {}
-            runs.setdefault(surfaces[key[3]], []).append(key)
-        for run in runs.values():
-            grouped += run
-        keyed = grouped
-    return _emit(keyed, channels, u.utt_id, method)
+    return _ordered(channels, u.utt_id, method, priority)

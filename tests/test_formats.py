@@ -56,6 +56,7 @@ from tokenweave.formats import (
     serialized_from_json,
     serialized_to_json,
     trace_from_json,
+    trace_to_json,
     utterance_from_json,
     utterance_to_json,
     write_channels,
@@ -1034,3 +1035,84 @@ class TestColumnarChannelMatchesTimedWordOracle:
         record = {"v": 1, "utt_id": "u1", "duration_ms": 10, "channels": [{"tag": "#ASR#", "modality": "asr", "lang": "en", "words": words}]}
         expected = _outcome(_oracle_utterance_from_json, copy.deepcopy(record))
         assert _outcome(utterance_from_json, record) == expected
+
+
+# ---------------------------------------------------------------------------
+# Each record's writer and reader are inverses over every record its
+# constructor accepts, and a `utt_id` (or a trace's `tag`) that is no string
+# is refused by the constructor and by the reader, with one message.
+
+# Any string a JSON line can hold: a lone surrogate has no UTF-8 form.
+_JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_TOKEN_TEXT = _JSON_TEXT.filter(lambda s: s.split() == [s] and s != UNKNOWN_CHANNEL)
+
+
+@st.composite
+def _constructed_utterances(draw):
+    channels = []
+    for surface in draw(st.lists(_TOKEN_TEXT, max_size=3)):
+        tag = Tag(surface, draw(st.sampled_from(Modality)), draw(_JSON_TEXT.filter(bool)))
+        words = draw(st.lists(st.builds(TimedWord, st.integers(0, 10**12), _TOKEN_TEXT), max_size=4))
+        channels.append(Channel(tag, words))
+    return Utterance(draw(_JSON_TEXT), draw(st.integers(1, 10**12)), channels)
+
+
+@st.composite
+def _constructed_sequences(draw):
+    items, origin_times, method = draw(_columns())
+    seq = _outcome(SerializedSequence, draw(_JSON_TEXT), items, origin_times, method)
+    assume(isinstance(seq, SerializedSequence))
+    # A word that spells a declared surface reads back as a word only if it is timed.
+    assume(all(t is not None for x, t in zip(items, origin_times) if isinstance(x, str) and x in _SURFACES))
+    return seq
+
+
+@st.composite
+def _constructed_traces(draw):
+    entries = draw(st.lists(st.tuples(st.integers(-5, 50), st.integers(-(10**6), 10**6)), min_size=1, max_size=6))
+    entries.sort(key=itemgetter(1))
+    return EmissionTrace(draw(_JSON_TEXT), draw(_JSON_TEXT), entries, draw(st.integers(1, 10**12)), draw(st.integers(0, 50)))
+
+
+# kind: (a builder of one record, whose string fields may be given, its writer, its reader)
+_RECORD_KINDS = {
+    "corpus": (
+        lambda utt_id="u1": Utterance(utt_id, 10, (Channel(ASR, (TimedWord(0, "a"),)),)),
+        utterance_to_json,
+        utterance_from_json,
+    ),
+    "serialized": (
+        lambda utt_id="u1": SerializedSequence(utt_id, (ASR, "a"), (None, 0), SerializationMethod("inter_time")),
+        serialized_to_json,
+        lambda obj: serialized_from_json(obj, _STREAM_TAGS),
+    ),
+    "trace": (lambda utt_id="u1", tag="#ASR#": EmissionTrace(utt_id, tag, ((0, 5),), 10, 1), trace_to_json, trace_from_json),
+}
+
+
+class TestRecordsRoundTripAndRefuseTheSameIds:
+    @pytest.mark.parametrize(
+        "kind, records",
+        [("corpus", _constructed_utterances()), ("serialized", _constructed_sequences()), ("trace", _constructed_traces())],
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_constructed_record_reads_back_equal(self, kind, records, data):
+        record = data.draw(records)
+        _, write, read = _RECORD_KINDS[kind]
+        assert read(json.loads(_dumps(write(record)))) == record
+
+    @pytest.mark.parametrize("value", [5, None, [1], True], ids=["int", "None", "list", "bool"])
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("corpus", "utt_id"), ("serialized", "utt_id"), ("trace", "utt_id"), ("trace", "tag")],
+    )
+    def test_a_field_that_is_no_string_is_refused_alike(self, kind, field, value):
+        build, write, read = _RECORD_KINDS[kind]
+        message = f"{field} must be a JSON string, got {type(value).__name__}"
+        with pytest.raises(ValueError) as built:
+            build(**{field: value})
+        assert str(built.value) == message
+        with pytest.raises(ValueError) as read_back:
+            read({**write(build()), field: value})
+        assert str(read_back.value) == message

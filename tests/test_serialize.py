@@ -401,6 +401,14 @@ class TestInterGamma:
         seq = inter_gamma(a, b, 0.0, "u")
         assert render_text(seq) == "#ASR# a1 a2 a3 #ES# s1 s2"
 
+    def test_roles_are_as_given(self):
+        # Unlike serialize_utterance, inter_gamma does not swap a translation
+        # channel given first out of the transcription role.
+        a, b = _two_channels(["a1", "a2"], ["s1"])
+        seq = inter_gamma(b, a, 0.0, "u")
+        assert render_text(seq) == "#ES# s1 #ASR# a1 a2"
+        assert render_text(serialize_utterance(Utterance("u", 1000, (b, a)), seq.method)) == "#ASR# a1 a2 #ES# s1"
+
     def test_gamma_one_is_translation_first(self):
         a, b = _two_channels(["a1", "a2", "a3"], ["s1", "s2"])
         seq = inter_gamma(a, b, 1.0, "u")
