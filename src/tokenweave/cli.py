@@ -209,10 +209,17 @@ def _read_config(path: str, fields: tuple[str, ...] | None = None) -> dict:
     return _section(path, "config", formats.read_json(path), dict, fields)
 
 
+# The synth config's fields, as `simulate.synth_config_from_json` reads them.
+_SYNTH_FIELDS = (
+    "v", "seed", "num_utterances", "words_per_channel", "word_rate_ms",
+    "translation_lag_ms", "reorder_window_ms", "vocab_size", "channels",
+)
+
+
 def cmd_synth(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     from .simulate import synth_config_from_json, synth_corpus
 
-    obj = _read_config(args.config)
+    obj = _read_config(args.config, _SYNTH_FIELDS)
     if args.seed is not None:
         obj = {**obj, "seed": args.seed}
     if "seed" not in obj:
@@ -234,7 +241,7 @@ def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     if "corpus" in obj:
         corpus = formats.read_corpus(_section(args.config, "corpus", obj["corpus"], str), diags)
     elif "synth" in obj:
-        synth = _section(args.config, "synth", obj["synth"], dict)
+        synth = _section(args.config, "synth", obj["synth"], dict, _SYNTH_FIELDS)
         corpus = synth_corpus(synth_config_from_json(synth))
     else:
         raise ValueError("study config must have a \"corpus\" path or a \"synth\" section")

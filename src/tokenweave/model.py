@@ -271,9 +271,12 @@ class Utterance(_Record):
     def __init__(self, utt_id: str, duration_ms: int, channels) -> None:
         _check_str(utt_id, "utt_id")
         _check_positive_int(duration_ms, "duration_ms")
+        channels = tuple(channels)
+        if not all(isinstance(ch, Channel) for ch in channels):
+            raise ValueError(f"every channel must be a Channel, got {channels!r}")
         _set(self, "utt_id", utt_id)
         _set(self, "duration_ms", duration_ms)
-        _set(self, "channels", tuple(channels))
+        _set(self, "channels", channels)
 
     def channel(self, surface: str) -> Channel | None:
         for ch in self.channels:

@@ -13,14 +13,18 @@ the tag surface changes:
   word ``i`` at ``gamma * (1 + i)``, translation word ``j`` at
   ``(1 - gamma) * (1 + j)``, a tie going to the transcription word.
 
-:func:`serialize_utterance`, :func:`inter_time` and :func:`inter_gamma` all
-call it.  Every policy keeps each channel's word order and emits every word
-exactly once.
+The routine orders one utterance for one or several methods, keying its
+words once and sorting them by time once for all the ``inter_time`` methods:
+:func:`serialize_utterance`, :func:`inter_time` and :func:`inter_gamma` call
+it for one method, and ``study`` once per utterance for all of its methods.
+Every policy keeps each channel's word order and emits every word exactly
+once.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from typing import Iterator
 
 from .model import (
     Channel,
@@ -57,56 +61,70 @@ def assign_group(time: int, step_ms: int) -> int:
     return step_ms * (time // step_ms + 1)
 
 
-def _check_input(channels, utt_id, method) -> None:
-    """A ValueError unless `method` is a SerializationMethod, `utt_id` a string and each channel a Channel: what :func:`_ordered` trusts."""
-    if not isinstance(method, SerializationMethod):
-        raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
-    _check_str(utt_id, "utt_id")
-    if not all(isinstance(ch, Channel) for ch in channels):
-        raise ValueError(f"every channel must be a Channel, got {channels!r}")
+def _ordered(channels, utt_id: str, methods, tags: TagSet | None = None, lead: int | None = None) -> Iterator[SerializedSequence]:
+    """The words of `channels` in the order of each of `methods`: one sequence per method, in order, each keeping its method.
 
+    The ``(time, priority, rank, channel_index, word)`` entries are built once,
+    a tag surface ranking by its position in `tags` (else in the channel
+    order), one not in `tags` last.  ``inter_time`` sorts them once and, if
+    grouped, buckets the sorted words by window and tag surface; each
+    ``inter_gamma`` sorts a copy by the count-ratio key with channel `lead` in
+    the transcription role, its block first so that a tie goes to it.  `lead`
+    None picks the transcription channel of two that differ in modality,
+    else channel 0.  A channel's tag opens each run of its surface, each word
+    with its time as origin time: valid by construction from `Channel`s, so
+    not checked again.
 
-def _ordered(channels, utt_id: str, method: SerializationMethod, priority: dict[str, int]) -> SerializedSequence:
-    """The words of `channels` in the order of `method`, as a sequence that keeps `method`.
-
-    Each word is keyed ``(time, priority, rank, channel_index, word)``, a tag
-    surface not in `priority` ranking last.  ``inter_gamma`` sorts by the
-    count-ratio key with channel 0 as the transcription (stably, so a tie goes
-    to it); ``inter_time`` by the key itself, then, if grouped, buckets the
-    words by window and tag surface.  A channel's tag opens each run of its
-    surface, each word with its time as origin time: valid by construction
-    from checked channels, so not checked again.
+    Sequences are made one at a time as they are taken, each method checked
+    just before its own, so a caller that uses each before taking the next
+    meets the first error where a loop over the methods would.
     """
-    tags = [ch.tag for ch in channels]
-    surfaces = [t.surface for t in tags]
+    tags_of = [ch.tag for ch in channels]
+    surfaces = [t.surface for t in tags_of]
+    if tags is not None:
+        priority = {t.surface: i for i, t in enumerate(tags.tags)}
+    else:
+        priority = {s: i for i, s in enumerate(surfaces)}
     keyed: list[tuple[int, int, int, int, str]] = []
     for ci, ch in enumerate(channels):
         p = priority.get(surfaces[ci], len(priority))
         keyed += zip(ch.times, repeat(p), range(len(ch)), repeat(ci), ch.texts)
-    if method.name == "inter_gamma":
-        weight = (method.gamma, 1.0 - method.gamma)
-        keyed.sort(key=lambda entry: weight[entry[3]] * (1 + entry[2]))
-    else:
-        keyed.sort()
-    step = method.group_ms
-    if step is not None:
-        # Bucket `window * len(channels) + s`, s the first channel of the word's tag surface.
-        first = [surfaces.index(s) for s in surfaces]
-        buckets: dict[int, list] = {}
-        for entry in keyed:
-            buckets.setdefault(entry[0] // step * len(first) + first[entry[3]], []).append(entry)
-        keyed = [entry for bucket in buckets.values() for entry in bucket]
-    items: list[Tag | str] = []
-    origin_times: list[int | None] = []
-    prev: str | None = None
-    for time, _, _, ci, word in keyed:
-        if surfaces[ci] != prev:
-            prev = surfaces[ci]
-            items.append(tags[ci])
-            origin_times.append(None)
-        items.append(word)
-        origin_times.append(time)
-    return _rebuild(SerializedSequence, (utt_id, tuple(items), tuple(origin_times), method))
+    timed = None
+    for method in methods:
+        if not isinstance(method, SerializationMethod):
+            raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
+        if method.name == "inter_gamma":
+            if len(channels) != 2:
+                raise ValueError(f"inter_gamma needs exactly two channels, utterance {utt_id!r} has {len(channels)}")
+            if lead is None:
+                first, second = tags_of
+                lead = int(first.modality != second.modality and second.modality is Modality.TRANSCRIPTION)
+            weight = (method.gamma, 1.0 - method.gamma) if lead == 0 else (1.0 - method.gamma, method.gamma)
+            cut = len(channels[0])
+            order = sorted(keyed if lead == 0 else keyed[cut:] + keyed[:cut], key=lambda e: weight[e[3]] * (1 + e[2]))
+        else:
+            if timed is None:
+                timed = sorted(keyed)
+            order = timed
+            step = method.group_ms
+            if step is not None:
+                # Bucket `window * len(channels) + s`, s the first channel of the word's tag surface.
+                first_of = [surfaces.index(s) for s in surfaces]
+                buckets: dict[int, list] = {}
+                for entry in order:
+                    buckets.setdefault(entry[0] // step * len(first_of) + first_of[entry[3]], []).append(entry)
+                order = [entry for bucket in buckets.values() for entry in bucket]
+        items: list[Tag | str] = []
+        origin_times: list[int | None] = []
+        prev: str | None = None
+        for time, _, _, ci, word in order:
+            if surfaces[ci] != prev:
+                prev = surfaces[ci]
+                items.append(tags_of[ci])
+                origin_times.append(None)
+            items.append(word)
+            origin_times.append(time)
+        yield _rebuild(SerializedSequence, (utt_id, tuple(items), tuple(origin_times), method))
 
 
 def inter_time(
@@ -131,8 +149,11 @@ def inter_gamma(
     roles are as given.  A bad `gamma` raises before any work.
     """
     method = SerializationMethod("inter_gamma", gamma=gamma)
-    _check_input((asr, st), utt_id, method)
-    return _ordered((asr, st), utt_id, method, {})
+    _check_str(utt_id, "utt_id")
+    if not (isinstance(asr, Channel) and isinstance(st, Channel)):
+        raise ValueError(f"every channel must be a Channel, got {(asr, st)!r}")
+    (seq,) = _ordered((asr, st), utt_id, (method,), lead=0)
+    return seq
 
 
 def render_text(s: SerializedSequence) -> str:
@@ -157,17 +178,5 @@ def serialize_utterance(
     role.  Its key orders words as emitting the next transcription word iff
     ``(1 - gamma) * (1 + st_emitted) >= gamma * (1 + asr_emitted)`` does.
     """
-    channels = u.channels
-    _check_input(channels, u.utt_id, method)
-    if method.name == "inter_gamma":
-        if len(channels) != 2:
-            raise ValueError(f"inter_gamma needs exactly two channels, utterance {u.utt_id!r} has {len(channels)}")
-        first, second = channels
-        if first.tag.modality != second.tag.modality and second.tag.modality is Modality.TRANSCRIPTION:
-            channels = (second, first)
-        priority = {}
-    elif tags is not None:
-        priority = {t.surface: i for i, t in enumerate(tags.tags)}
-    else:
-        priority = {ch.tag.surface: i for i, ch in enumerate(channels)}
-    return _ordered(channels, u.utt_id, method, priority)
+    (seq,) = _ordered(u.channels, u.utt_id, (method,), tags)
+    return seq

@@ -19,7 +19,7 @@ from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from .formats import _check_version, _expect_int_pair, _expect_json, _tags_from_json, _tags_to_json
-from .metrics import count_switches, laal
+from .metrics import laal
 from .model import (
     Channel,
     EmissionTrace,
@@ -33,7 +33,7 @@ from .model import (
     _Record,
     _set,
 )
-from .serialize import assign_group, serialize_utterance
+from .serialize import _ordered, assign_group
 
 __all__ = [
     "SynthConfig",
@@ -263,18 +263,20 @@ def latency_study(
 ) -> dict:
     """Compare serialization methods on one corpus: mean lagging and switches.
 
-    One pass over `corpus`: each utterance is serialized with every method,
-    replayed under `policy` with the utterance's own duration, and scored
-    with per-channel lagging.  Only the per-method, per-tag LAAL values are
-    held, and they are summed in corpus order, so the report is deterministic.
+    One pass over `corpus`: each utterance is ordered once for every method,
+    each sequence replayed under `policy` with the utterance's own duration,
+    and scored with per-channel lagging.  Only the per-method, per-tag LAAL
+    values are held, and they are summed in corpus order, so the report is
+    deterministic.
     """
     switches = [0] * len(methods)
     laals: list[dict[str, list[float]]] = [{} for _ in methods]
     utterances = 0
     for utterances, u in enumerate(corpus, start=1):
-        for i, method in enumerate(methods):
-            seq = serialize_utterance(u, method, tags)
-            switches[i] += count_switches(seq)
+        words = sum(map(len, u.channels))
+        for i, seq in enumerate(_ordered(u.channels, u.utt_id, methods, tags)):
+            # Every policy emits each word once, so the rest are tags.
+            switches[i] += len(seq) - words
             for surface, trace in replay(seq, policy, source_duration_ms=u.duration_ms).items():
                 laals[i].setdefault(surface, []).append(laal(trace))
     entries = [

@@ -1069,6 +1069,31 @@ class TestStudy:
         assert rc == 2
         assert "corpus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first", [[], [{"name": "inter_time"}]], ids=["alone", "after-inter-time"])
+    def test_inter_gamma_on_three_channels_is_fatal(self, tmp_path, capsys, first):
+        synth = json.loads(Path(self._study_config(tmp_path)).read_text())["synth"]
+        synth["channels"].append({"surface": "#DE#", "modality": "st", "lang": "de"})
+        config = self._study_config(tmp_path, synth=synth, methods=[*first, {"name": "inter_gamma", "gamma": 0.5}])
+        rc = main(["study", "--config", config, "--output", "-"])
+        assert (rc, capsys.readouterr()) == (2, ("", "error: inter_gamma needs exactly two channels, utterance 's21-u00000' has 3\n"))
+
+    @pytest.mark.parametrize("command", ["synth", "study"])
+    @pytest.mark.parametrize("field, value", [("plans", [["#ASR#"]]), ("per_channel", {"#ASR#": {}})])
+    def test_synth_field_it_does_not_know_is_fatal(self, tmp_path, capsys, command, field, value):
+        # A field a later synth may read must not run here as if it were absent.
+        synth = json.loads(Path(self._study_config(tmp_path)).read_text())["synth"]
+        synth[field] = value
+        if command == "synth":
+            config, section = str(tmp_path / "synth.json"), "config"
+            Path(config).write_text(json.dumps(synth))
+        else:
+            config, section = self._study_config(tmp_path, synth=synth), "synth"
+        out = tmp_path / "out"
+        rc = main([command, "--config", config, "--output", str(out)])
+        fields = "v, seed, num_utterances, words_per_channel, word_rate_ms, translation_lag_ms, reorder_window_ms, vocab_size, channels"
+        assert (rc, capsys.readouterr().err) == (2, f"error: {config}: {section} has an unknown field {field!r}; its fields are {fields}\n")
+        assert not out.exists()
+
     def test_missing_config_field_reports_key(self, tmp_path, capsys):
         path = tmp_path / "study.json"
         path.write_text(json.dumps({"synth": {"v": 1, "channels": []}, "methods": [{"name": "inter_time"}]}))

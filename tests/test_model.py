@@ -171,6 +171,15 @@ class TestUtterance:
         with pytest.raises(ValueError):
             Utterance("u", duration, ())
 
+    @pytest.mark.parametrize("channels, shown", [((5,), "(5,)"), ("ab", "('a', 'b')")], ids=["int", "str"])
+    def test_rejects_a_channel_that_is_no_channel(self, channels, shown):
+        # Checked after utt_id and duration_ms, with the message the serializers give.
+        with pytest.raises(ValueError) as info:
+            Utterance("u", 10, channels)
+        assert str(info.value) == f"every channel must be a Channel, got {shown}"
+        with pytest.raises(ValueError, match="^duration_ms "):
+            Utterance("u", 0, channels)
+
     def test_channels_coerced_to_tuple(self):
         u = Utterance("u", 10, [Channel(ASR, [TimedWord(1, "a")])])
         assert isinstance(u.channels, tuple)

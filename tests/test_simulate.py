@@ -3,8 +3,11 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenweave import (
+    Channel,
     EmissionTrace,
     GroupingConfig,
     Modality,
@@ -14,14 +17,17 @@ from tokenweave import (
     SynthConfig,
     Tag,
     TagSet,
+    Utterance,
+    count_switches,
     inter_time,
+    laal,
     latency_study,
     replay,
     serialize_utterance,
     synth_corpus,
     validate_utterance,
 )
-from tokenweave.serialize import assign_group
+from tokenweave.serialize import _ordered, assign_group
 from tokenweave.formats import _dumps, utterance_to_json
 from tokenweave.simulate import (
     method_label,
@@ -359,6 +365,10 @@ def test_every_replayed_trace_is_the_row_constructors():
     assert checked == 33_116
 
 
+PLAIN = SerializationMethod("inter_time")
+GAMMA_HALF = SerializationMethod("inter_gamma", gamma=0.5)
+
+
 class TestLatencyStudy:
     def test_labels(self):
         assert method_label(SerializationMethod("inter_time")) == "inter_time"
@@ -408,6 +418,124 @@ class TestLatencyStudy:
         assert expected["utterances"] == 12
         assert latency_study(iter(corpus), methods, policy, tags) == expected
         assert latency_study(synth_corpus(config), methods, policy, tags) == expected
+
+    @pytest.mark.parametrize(
+        "methods, policy, message",
+        [
+            ([GAMMA_HALF], ReplayPolicy(), "inter_gamma needs exactly two channels, utterance 'u' has 3"),
+            ([PLAIN, GAMMA_HALF], ReplayPolicy(), "inter_gamma needs exactly two channels, utterance 'u' has 3"),
+            # Each method's sequence is replayed before the next method is checked.
+            ([PLAIN, GAMMA_HALF], ReplayPolicy("group_boundary"), "sequence 'u' was not grouped; no boundary to replay"),
+            ([GAMMA_HALF, PLAIN], ReplayPolicy("group_boundary"), "inter_gamma needs exactly two channels, utterance 'u' has 3"),
+            ([PLAIN, "inter_time"], ReplayPolicy(), "method must be a SerializationMethod, got str"),
+        ],
+    )
+    def test_first_error_is_the_one_of_a_loop_over_the_methods(self, methods, policy, message):
+        three = Utterance("u", 100, tuple(Channel._from_columns(tag, (0, 5), ("a", "b")) for tag in (ASR, ES, DE)))
+        with pytest.raises(ValueError) as info:
+            latency_study([three], methods, policy)
+        assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# latency_study orders each utterance once for all its methods: it must equal
+# a loop that serializes, counts, replays and scores one method at a time.
+
+# A translation tag with the transcription's surface: two channels may share one.
+ASR_AS_ST = Tag("#ASR#", Modality.TRANSLATION, "xx")
+STUDY_SWEEP = [
+    *(SerializationMethod("inter_time", group_ms=g) for g in (None, 250, 500, 1000)),
+    *(SerializationMethod("inter_gamma", gamma=g) for g in (0.0, 0.5, 1.0)),
+]
+
+
+@st.composite
+def _study_utterances(draw):
+    """1-3 channels of monotone times: the transcription first, second or absent, two of one modality, or a shared surface."""
+    tags = draw(st.lists(st.sampled_from([ASR, ES, DE, ASR_AS_ST]), min_size=1, max_size=3))
+    channels = []
+    for tag in tags:
+        times = sorted(draw(st.lists(st.integers(0, 3000), max_size=10)))
+        words = draw(st.lists(st.sampled_from(["a", "b.", "#ES#"]), min_size=len(times), max_size=len(times)))
+        channels.append(Channel._from_columns(tag, tuple(times), tuple(words)))
+    return Utterance(f"u{len(tags)}", draw(st.integers(1, 4000)), tuple(channels))
+
+
+@st.composite
+def _study_methods(draw):
+    extra = [
+        SerializationMethod("inter_gamma", gamma=draw(st.floats(0.0, 1.0))),
+        SerializationMethod("inter_time", group_ms=draw(st.integers(1, 2000))),
+    ]
+    return draw(st.permutations(STUDY_SWEEP + extra))
+
+
+def _outcome(run):
+    """What `run()` returns, or the message of the ValueError it raises."""
+    try:
+        return run()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _oracle_study(corpus, methods, policy, tags):
+    """The report of serialize_utterance -> count_switches -> replay -> laal, one method at a time."""
+    switches = [0] * len(methods)
+    laals = [{} for _ in methods]
+    for u in corpus:
+        for i, m in enumerate(methods):
+            seq = serialize_utterance(u, m, tags)
+            switches[i] += count_switches(seq)
+            for surface, trace in replay(seq, policy, u.duration_ms).items():
+                laals[i].setdefault(surface, []).append(laal(trace))
+    return {
+        "utterances": len(corpus),
+        "replay": {"mode": policy.mode, "overhead_ms": policy.overhead_ms},
+        "methods": [
+            {
+                "method": m.to_json(),
+                "label": method_label(m),
+                "mean_switches": total / len(corpus) if corpus else 0.0,
+                "total_switches": total,
+                "channels": [
+                    {"tag": tag, "mean_laal_ms": sum(vals) / len(vals), "utterances": len(vals)}
+                    for tag, vals in sorted(by_tag.items())
+                ],
+            }
+            for m, total, by_tag in zip(methods, switches, laals)
+        ],
+    }
+
+
+STUDY_TAG_SETS = [None, TagSet((ASR, ES, DE)), TagSet((DE, ES, ASR)), TagSet((ES,))]
+STUDY_POLICIES = [ReplayPolicy(), ReplayPolicy("origin_time", 5), ReplayPolicy("group_boundary", 3)]
+
+
+class TestOneOrderingForEveryMethod:
+    @given(_study_utterances(), _study_methods(), st.sampled_from(STUDY_TAG_SETS))
+    @settings(max_examples=150)
+    def test_sequences_equal_one_method_at_a_time(self, u, methods, tags):
+        # inter_gamma refuses all but two channels, so the inter_time methods also run alone.
+        for methods in (methods, [m for m in methods if m.name == "inter_time"]):
+            got = _outcome(lambda: list(_ordered(u.channels, u.utt_id, methods, tags)))
+            want = _outcome(lambda: [serialize_utterance(u, m, tags) for m in methods])
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert [(s.utt_id, s.items, s.origin_times) for s in got] == [(s.utt_id, s.items, s.origin_times) for s in want]
+            assert all(s.method is m for s, m in zip(got, methods))
+
+    @given(
+        st.lists(_study_utterances(), max_size=4),
+        _study_methods(),
+        st.sampled_from(STUDY_TAG_SETS),
+        st.sampled_from(STUDY_POLICIES),
+    )
+    @settings(max_examples=150)
+    def test_report_equals_the_one_method_loop(self, corpus, methods, tags, policy):
+        for methods in (methods, [m for m in methods if m.name == "inter_time"]):
+            got = _outcome(lambda: latency_study(corpus, methods, policy, tags))
+            assert got == _outcome(lambda: _oracle_study(corpus, methods, policy, tags))
 
 
 @pytest.mark.parametrize(
