@@ -20,7 +20,7 @@ from contextlib import closing
 # those: a CLI stage is a short process, and its imports are a large part of
 # its run time.
 from . import formats
-from .model import Diagnostic, SerializationMethod, validate_utterance
+from .model import Diagnostic, SerializationMethod, _expect_json, _json_object, validate_utterance
 
 __all__ = ["main"]
 
@@ -196,42 +196,28 @@ def cmd_laal(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 # synth / study
 
 
-def _section(path: str, name: str, obj, kind: type, fields: tuple[str, ...] | None = None):
-    """`obj` if it has the JSON type `kind` and no field beyond `fields`, else a ValueError naming `path` and `name`."""
-    obj = formats._expect_json(obj, f"{path}: {name}", kind)
-    for field in obj if fields is not None else ():
-        if field not in fields:
-            raise ValueError(f"{path}: {name} has an unknown field {field!r}; its fields are {', '.join(fields)}")
-    return obj
-
-
-def _read_config(path: str, fields: tuple[str, ...] | None = None) -> dict:
-    return _section(path, "config", formats.read_json(path), dict, fields)
-
-
-# The synth config's fields, as `simulate.synth_config_from_json` reads them.
-_SYNTH_FIELDS = (
-    "v", "seed", "num_utterances", "words_per_channel", "word_rate_ms",
-    "translation_lag_ms", "reorder_window_ms", "vocab_size", "channels",
-)
+def _section(path: str, name: str, obj, kind: type):
+    """`obj` if it has the JSON type `kind`, else a ValueError naming `path` and `name`."""
+    return _expect_json(obj, f"{path}: {name}", kind)
 
 
 def cmd_synth(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
-    from .simulate import synth_config_from_json, synth_corpus
+    from .simulate import SynthConfig, synth_corpus
 
-    obj = _read_config(args.config, _SYNTH_FIELDS)
+    obj = _section(args.config, "config", formats.read_json(args.config), dict)
     if args.seed is not None:
         obj = {**obj, "seed": args.seed}
     if "seed" not in obj:
         raise ValueError("no seed: provide --seed or a \"seed\" field in the config")
-    config = synth_config_from_json(obj)
+    config = SynthConfig.from_json(obj, f"{args.config}: config")
     formats.write_corpus(synth_corpus(config), args.output)
 
 
 def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
-    from .simulate import latency_study, replay_policy_from_json, synth_config_from_json, synth_corpus
+    from .simulate import ReplayPolicy, SynthConfig, latency_study, synth_corpus
 
-    obj = _read_config(args.config, ("corpus", "synth", "methods", "replay", "tags"))
+    fields = ("corpus", "synth", "methods", "replay", "tags")
+    obj = _json_object(formats.read_json(args.config), fields, f"{args.config}: config")
     _refuse_stdin_twice(
         {"--config": args.config, 'the config\'s "corpus"': obj.get("corpus"), 'the config\'s "tags"': obj.get("tags")}
     )
@@ -241,24 +227,23 @@ def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     if "corpus" in obj:
         corpus = formats.read_corpus(_section(args.config, "corpus", obj["corpus"], str), diags)
     elif "synth" in obj:
-        synth = _section(args.config, "synth", obj["synth"], dict, _SYNTH_FIELDS)
-        corpus = synth_corpus(synth_config_from_json(synth))
+        corpus = synth_corpus(SynthConfig.from_json(obj["synth"], f"{args.config}: synth"))
     else:
         raise ValueError("study config must have a \"corpus\" path or a \"synth\" section")
 
     methods = []
     for i, m in enumerate(_section(args.config, "methods", obj.get("methods", []), list)):
-        m = _section(args.config, f"methods[{i}]", m, dict, ("name", "gamma", "group_ms"))
-        name = _section(args.config, f"methods[{i}].name", m.get("name"), str)
+        what = f"{args.config}: methods[{i}]"
+        name = _expect_json(_json_object(m, SerializationMethod._fields, what).get("name"), f"{what}.name", str)
         try:
+            # A "-" in a study method's name reads as "_", as in build's --method.
             methods.append(SerializationMethod.from_json({**m, "name": name.replace("-", "_")}))
         except ValueError as exc:
-            raise ValueError(f"{args.config}: methods[{i}]: {exc}") from exc
+            raise ValueError(f"{what}: {exc}") from exc
     if not methods:
         raise ValueError("study config lists no methods")
 
-    replay = _section(args.config, "replay", obj.get("replay", {}), dict, ("mode", "overhead_ms"))
-    policy = replay_policy_from_json(replay)
+    policy = ReplayPolicy.from_json(obj.get("replay", {}), f"{args.config}: replay")
     tags = formats.read_tag_set(_section(args.config, "tags", obj["tags"], str)) if "tags" in obj else None
 
     with closing(corpus):

@@ -35,6 +35,7 @@ from .model import (
     TimedWord,
     UNKNOWN_CHANNEL,
     Utterance,
+    _expect_json,
     validate_utterance,
 )
 
@@ -134,16 +135,6 @@ def read_json(path: str, what: str = "JSON"):
         return _decode(text)
     except ValueError as exc:
         raise ValueError(f"{path}: invalid {what}: {exc}") from exc
-
-
-_JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
-
-
-def _expect_json(value, what: str, kind: type):
-    """`value` if it has the JSON type `kind`, else a ValueError naming `what`."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{what} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
-    return value
 
 
 def _expect_int_pair(value, what: str, shape: str) -> tuple[int, int]:
@@ -312,9 +303,7 @@ def serialized_from_json(obj: dict, tags: TagSet | None, known: dict[str, Tag] |
         origin_times = [None] * len(tokens)
     if len(_expect_json(origin_times, "origin_times", list)) != len(tokens):
         raise ValueError(f"origin_times length {len(origin_times)} != tokens length {len(tokens)}")
-    method = _expect_json(obj["method"], "method", dict)
-    _expect_json(method["name"], "method name", str)
-    method = SerializationMethod.from_json(method)
+    method = SerializationMethod.from_json(obj["method"])
     if tags is not None:
         lookup = tags._by_surface
     else:

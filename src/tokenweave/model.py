@@ -50,24 +50,55 @@ class Modality(enum.Enum):
     TRANSLATION = "st"
 
 
+def _check_encodable(value: str, what: str) -> None:
+    """A ValueError naming `what` if `value` has no UTF-8 form; callers test ``value.isascii()`` first, the cheap common case."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} holds a lone surrogate, which has no UTF-8 form: {value!r}") from None
+
+
 def _check_token_text(value: str, what: str) -> None:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{what} must be a non-empty string, got {value!r}")
     if value.split() != [value]:
         raise ValueError(f"{what} must not contain whitespace: {value!r}")
+    if not value.isascii():
+        _check_encodable(value, what)
 
 
 def _all_token_text(words) -> bool:
-    """Whether every word is a non-empty string without whitespace: iff the join/split round trip is exact."""
+    """Whether every word passes `_check_token_text`: iff the join has a UTF-8 form and the join/split round trip is exact."""
     try:
-        return " ".join(words).split() == list(words)
-    except TypeError:
+        text = " ".join(words)
+        if not text.isascii():
+            text.encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
         return False
+    return text.split() == list(words)
+
+
+_JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
+
+
+def _expect_json(value, what: str, kind: type):
+    """`value` if it has the JSON type `kind`, else a ValueError naming `what`."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _json_object(obj, fields: tuple[str, ...], what: str) -> dict:
+    """`obj` if it is a JSON object with no field beyond `fields`, else a ValueError naming `what`."""
+    for field in _expect_json(obj, what, dict):
+        if field not in fields:
+            raise ValueError(f"{what} has an unknown field {field!r}; its fields are {', '.join(fields)}")
+    return obj
 
 
 def _check_str(value, what: str) -> None:
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a JSON string, got {type(value).__name__}")
+    if not _expect_json(value, what, str).isascii():
+        _check_encodable(value, what)
 
 
 def _check_positive_int(value, what: str) -> None:
@@ -96,7 +127,7 @@ def _rebuild(cls, values):
 
 
 class _Record:
-    """Base of the record classes: equality, hash, repr and pickling by the fields in `__slots__`.
+    """Base of the record classes: equality, hash, repr, JSON and pickling by the fields in `__slots__`.
 
     A slot whose name starts with ``_`` is derived: it is pickled but takes
     no part in equality, hash or repr.  Records are frozen: assigning or
@@ -120,6 +151,18 @@ class _Record:
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def to_json(self) -> dict:
+        """The public fields that are not None, in slot order, each tuple as a list.
+
+        This is the JSON object of a record whose fields hold JSON values; a
+        record with other fields writes them itself.
+        """
+        return {
+            name: list(value) if type(value) is tuple else value
+            for name in self._fields
+            if (value := getattr(self, name)) is not None
+        }
 
     def __reduce__(self):
         return _rebuild, (type(self), tuple(getattr(self, name) for name in self.__slots__))
@@ -178,6 +221,8 @@ class Tag(_Record):
             raise ValueError(f"modality must be a Modality, got {modality!r}")
         if not isinstance(language, str) or not language:
             raise ValueError(f"language must be a non-empty string, got {language!r}")
+        if not language.isascii():
+            _check_encodable(language, "language")
         _set(self, "surface", surface)
         _set(self, "modality", modality)
         _set(self, "language", language)
@@ -347,17 +392,11 @@ class SerializationMethod(_Record):
         _set(self, "gamma", gamma)
         _set(self, "group_ms", group_ms)
 
-    def to_json(self) -> dict:
-        out: dict = {"name": self.name}
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        if self.group_ms is not None:
-            out["group_ms"] = self.group_ms
-        return out
-
     @classmethod
-    def from_json(cls, obj: dict) -> "SerializationMethod":
-        return cls(name=obj["name"], gamma=obj.get("gamma"), group_ms=obj.get("group_ms"))
+    def from_json(cls, obj) -> "SerializationMethod":
+        """A method from its JSON object; one that is no object, has a field it does not know or a name that is no string is a ValueError."""
+        _expect_json(_json_object(obj, cls._fields, "method")["name"], "method name", str)
+        return cls(**obj)
 
 
 class SerializedSequence(_Record):
@@ -477,16 +516,6 @@ class Diagnostic(_Record):
         _set(self, "utt_id", utt_id)
         _set(self, "tag", tag)
         _set(self, "index", index)
-
-    def to_json(self) -> dict:
-        out: dict = {"code": self.code, "message": self.message}
-        if self.utt_id is not None:
-            out["utt_id"] = self.utt_id
-        if self.tag is not None:
-            out["tag"] = self.tag
-        if self.index is not None:
-            out["index"] = self.index
-        return out
 
 
 class EmissionTrace(_Record):

@@ -18,7 +18,7 @@ import random
 from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
-from .formats import _check_version, _expect_int_pair, _expect_json, _tags_from_json, _tags_to_json
+from .formats import SCHEMA_VERSION, _check_version, _expect_int_pair, _tags_from_json, _tags_to_json
 from .metrics import laal
 from .model import (
     Channel,
@@ -30,6 +30,8 @@ from .model import (
     TagSet,
     Utterance,
     _check_int,
+    _expect_json,
+    _json_object,
     _Record,
     _set,
 )
@@ -42,9 +44,6 @@ __all__ = [
     "replay",
     "latency_study",
     "method_label",
-    "synth_config_to_json",
-    "synth_config_from_json",
-    "replay_policy_from_json",
 ]
 
 
@@ -68,15 +67,16 @@ class SynthConfig(_Record):
             trails its transcription anchor by.
         reorder_window_ms: Half-width of the jitter applied to translation
             times before re-sorting; 0 keeps them anchor-ordered.
-        channels: Channel plan (tags with modality and language).
         vocab_size: Number of distinct word surfaces to draw from.
+        channels: Channel plan (tags with modality and language).
 
-    Every number must be an int (not a bool); nothing is coerced.
+    Every number must be an int (not a bool); nothing is coerced.  The JSON
+    form holds these fields, in this order, after ``"v": 1``.
     """
 
     __slots__ = (
         "seed", "num_utterances", "words_per_channel", "word_rate_ms",
-        "translation_lag_ms", "reorder_window_ms", "channels", "vocab_size",
+        "translation_lag_ms", "reorder_window_ms", "vocab_size", "channels",
     )
 
     def __init__(
@@ -98,42 +98,24 @@ class SynthConfig(_Record):
         # Reuse TagSet validation for surface uniqueness.
         TagSet(self.channels)
 
+    def to_json(self) -> dict:
+        return {"v": SCHEMA_VERSION, **super().to_json(), "channels": _tags_to_json(self.channels)}
 
-def synth_config_to_json(c: SynthConfig) -> dict:
-    return {
-        "v": 1,
-        "seed": c.seed,
-        "num_utterances": c.num_utterances,
-        "words_per_channel": list(c.words_per_channel),
-        "word_rate_ms": list(c.word_rate_ms),
-        "translation_lag_ms": list(c.translation_lag_ms),
-        "reorder_window_ms": c.reorder_window_ms,
-        "vocab_size": c.vocab_size,
-        "channels": _tags_to_json(c.channels),
-    }
-
-
-def synth_config_from_json(obj: dict) -> SynthConfig:
-    """Parse a generator config; a field of the wrong JSON type is a ValueError naming it."""
-    _check_version(obj)
-    channels = _tags_from_json(obj["channels"], "channels")
-    return SynthConfig(
-        seed=_expect_json(obj["seed"], "seed", int),
-        num_utterances=_expect_json(obj["num_utterances"], "num_utterances", int),
-        words_per_channel=_expect_int_pair(obj["words_per_channel"], "words_per_channel", "[low, high]"),
-        word_rate_ms=_expect_int_pair(obj["word_rate_ms"], "word_rate_ms", "[low, high]"),
-        translation_lag_ms=_expect_int_pair(obj["translation_lag_ms"], "translation_lag_ms", "[low, high]"),
-        reorder_window_ms=_expect_json(obj["reorder_window_ms"], "reorder_window_ms", int),
-        channels=channels,
-        vocab_size=_expect_json(obj["vocab_size"], "vocab_size", int),
-    )
-
-
-def replay_policy_from_json(obj: dict) -> ReplayPolicy:
-    return ReplayPolicy(
-        mode=obj.get("mode", "auto"),
-        overhead_ms=_expect_json(obj.get("overhead_ms", 0), "overhead_ms", int),
-    )
+    @classmethod
+    def from_json(cls, obj, what: str = "config") -> "SynthConfig":
+        """A generator config from its JSON object; an unknown field, or one of the wrong JSON type, is a ValueError naming it."""
+        _check_version(_json_object(obj, ("v", *cls._fields), what))
+        channels = _tags_from_json(obj["channels"], "channels")
+        return cls(
+            seed=_expect_json(obj["seed"], "seed", int),
+            num_utterances=_expect_json(obj["num_utterances"], "num_utterances", int),
+            words_per_channel=_expect_int_pair(obj["words_per_channel"], "words_per_channel", "[low, high]"),
+            word_rate_ms=_expect_int_pair(obj["word_rate_ms"], "word_rate_ms", "[low, high]"),
+            translation_lag_ms=_expect_int_pair(obj["translation_lag_ms"], "translation_lag_ms", "[low, high]"),
+            reorder_window_ms=_expect_json(obj["reorder_window_ms"], "reorder_window_ms", int),
+            channels=channels,
+            vocab_size=_expect_json(obj["vocab_size"], "vocab_size", int),
+        )
 
 
 def synth_corpus(config: SynthConfig) -> Iterator[Utterance]:
@@ -200,6 +182,13 @@ class ReplayPolicy(_Record):
             raise ValueError(f"unknown replay mode {mode!r}")
         _set(self, "mode", mode)
         _set(self, "overhead_ms", _check_int(overhead_ms, "overhead_ms", 0))
+
+    @classmethod
+    def from_json(cls, obj, what: str = "replay") -> "ReplayPolicy":
+        """A policy from its JSON object, absent fields at their defaults; an unknown field is a ValueError naming `what`."""
+        if "overhead_ms" in _json_object(obj, cls._fields, what):
+            _expect_json(obj["overhead_ms"], "overhead_ms", int)
+        return cls(**obj)
 
 
 def replay(
@@ -292,4 +281,4 @@ def latency_study(
         }
         for method, total, laal_by_tag in zip(methods, switches, laals)
     ]
-    return {"utterances": utterances, "replay": {"mode": policy.mode, "overhead_ms": policy.overhead_ms}, "methods": entries}
+    return {"utterances": utterances, "replay": policy.to_json(), "methods": entries}

@@ -44,7 +44,6 @@ from tokenweave.formats import (
     write_traces,
 )
 from tokenweave.serialize import render_text
-from tokenweave.simulate import synth_config_to_json
 from conftest import ASR, DE, DEMO_GROUPED_500, DEMO_UNGROUPED, ES, FR
 
 
@@ -112,7 +111,7 @@ def big_files(tmp_path_factory):
     write_serialized(seqs, files["built"])
     write_channels([(s.utt_id, demux_full(s, tags).words) for s in seqs], files["hyps"])
     write_traces([tr for s, u in zip(seqs, corpus) for tr in replay(s, ReplayPolicy(), u.duration_ms).values()], files["traces"])
-    Path(files["config"]).write_text(json.dumps(synth_config_to_json(BIG_CONFIG)))
+    Path(files["config"]).write_text(json.dumps(BIG_CONFIG.to_json()))
     return files
 
 
@@ -440,6 +439,11 @@ class TestDemuxAndEval:
             ({"method": {"name": "inter_time", "group_ms": [1]}}, "group_ms must be a positive integer, got [1]"),
             ({"method": {"name": "zigzag"}}, "unknown serialization method 'zigzag'"),
             ({"method": {"name": "inter_gamma", "gamma": 0.5, "group_ms": 500}}, "inter_gamma takes no group_ms, got 500"),
+            # A misspelt field would otherwise be read as absent: here, as an ungrouped inter_time.
+            (
+                {"method": {"name": "inter_time", "group-ms": 500}},
+                "method has an unknown field 'group-ms'; its fields are name, gamma, group_ms",
+            ),
         ],
     )
     def test_serialized_field_of_the_wrong_type_is_a_bad_record(self, tmp_path, demo_files, capsys, fields, message):
@@ -835,7 +839,7 @@ class TestSynth:
             channels=(ASR, ES),
             vocab_size=40,
         )
-        blob = synth_config_to_json(cfg)
+        blob = cfg.to_json()
         if seed is None:
             del blob["seed"]
         path = tmp_path / "synth.json"
@@ -878,18 +882,16 @@ class TestSynth:
 
 class TestStudy:
     def _study_config(self, tmp_path, **overrides):
-        synth = synth_config_to_json(
-            SynthConfig(
-                seed=21,
-                num_utterances=15,
-                words_per_channel=(1, 10),
-                word_rate_ms=(100, 300),
-                translation_lag_ms=(0, 300),
-                reorder_window_ms=100,
-                channels=(ASR, ES),
-                vocab_size=40,
-            )
-        )
+        synth = SynthConfig(
+            seed=21,
+            num_utterances=15,
+            words_per_channel=(1, 10),
+            word_rate_ms=(100, 300),
+            translation_lag_ms=(0, 300),
+            reorder_window_ms=100,
+            channels=(ASR, ES),
+            vocab_size=40,
+        ).to_json()
         blob = {
             "synth": synth,
             "methods": [
@@ -1315,7 +1317,7 @@ def test_escaped_lone_surrogate_in_a_document_is_fatal(tmp_path, demo_files, cap
     corpus, tags = demo_files
     surface = {"surface": "\ud800", "modality": "st", "lang": "xx"}
     tag_set = json.loads(Path(tags).read_text())
-    synth = {**synth_config_to_json(BIG_CONFIG), "num_utterances": 2}
+    synth = {**BIG_CONFIG.to_json(), "num_utterances": 2}
     synth["channels"] = [*synth["channels"], surface]
     document = {
         "tags": {**tag_set, "tags": [*tag_set["tags"], surface]},
@@ -1508,7 +1510,7 @@ class TestEntryPoints:
         # Stdlib modules are left out: the host's site-packages add their own.
         f = dict(pipeline_inputs, out=str(tmp_path / "out"))
         synth, study = tmp_path / "synth.json", tmp_path / "study.json"
-        synth.write_text(json.dumps({**synth_config_to_json(BIG_CONFIG), "num_utterances": 4}))
+        synth.write_text(json.dumps({**BIG_CONFIG.to_json(), "num_utterances": 4}))
         study.write_text(json.dumps({"corpus": f["corpus"], "tags": f["tags"], "methods": [{"name": "inter_time"}]}))
         argv = {
             "--help": ["--help"],
@@ -1536,7 +1538,7 @@ class TestEntryPoints:
         )
         f = dict(pipeline_inputs, out=str(tmp_path / "out"))
         synth, study = tmp_path / "synth.json", tmp_path / "study.json"
-        synth.write_text(json.dumps({**synth_config_to_json(BIG_CONFIG), "num_utterances": 4}))
+        synth.write_text(json.dumps({**BIG_CONFIG.to_json(), "num_utterances": 4}))
         study.write_text(json.dumps({"corpus": f["corpus"], "tags": f["tags"], "methods": [{"name": "inter_time"}]}))
         argv = {
             "--help": ["--help"],

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import pickle
 import sys
 from itertools import chain
@@ -32,8 +33,8 @@ from tokenweave import (
     validate_utterance,
 )
 from tokenweave.demux import DemuxState
-from tokenweave.formats import serialized_from_json
-from tokenweave.model import _check_int
+from tokenweave.formats import _dumps, serialized_from_json
+from tokenweave.model import _all_token_text, _check_int, _check_token_text
 from conftest import ASR, DE, ES
 
 
@@ -101,6 +102,45 @@ class TestTokenTextWhitespace:
         for make in (*_TOKEN_TEXT_CHECKS, _make_tag):
             with pytest.raises(ValueError, match="whitespace"):
                 make(value)
+
+
+# Text no UTF-8 file can hold: a lone surrogate, alone, after ASCII and after other non-ASCII text.
+_SURROGATE_TEXTS = ["b\ud800", "x\udc80", "\udfff", "é\ud800"]
+
+
+class TestLoneSurrogates:
+    """Every string a record holds has a UTF-8 form, so no writer stops partway through a file."""
+
+    @pytest.mark.parametrize("text", _SURROGATE_TEXTS)
+    @pytest.mark.parametrize(
+        "what, build",
+        [
+            ("utt_id", lambda t: Utterance(t, 10, ())),
+            ("word", lambda t: TimedWord(0, t)),
+            ("word", lambda t: WordToken(t)),
+            ("word", lambda t: Channel._from_columns(ASR, (0, 5), ("é", t))),
+            ("word", lambda t: SerializedSequence("u", (ASR, "a", t), (None, 0, 5), SerializationMethod("inter_time"))),
+            ("tag surface", lambda t: Tag(t, Modality.TRANSCRIPTION, "en")),
+            ("language", lambda t: Tag("#X#", Modality.TRANSCRIPTION, t)),
+            ("utt_id", lambda t: SerializedSequence(t, (ASR, "a"), (None, 0), SerializationMethod("inter_time"))),
+            ("utt_id", lambda t: EmissionTrace(t, "#ASR#", ((0, 1),), 10, 1)),
+            ("tag", lambda t: EmissionTrace("u", t, ((0, 1),), 10, 1)),
+        ],
+    )
+    def test_is_refused_with_one_message(self, text, what, build):
+        with pytest.raises(ValueError) as info:
+            build(text)
+        assert str(info.value) == f"{what} holds a lone surrogate, which has no UTF-8 form: {text!r}"
+
+    def test_other_text_beyond_ascii_is_kept(self):
+        ch = Channel._from_columns(Tag("#日本#", Modality.TRANSLATION, "ja"), (0, 5), ("é", "日本"))
+        assert ch.texts == ("é", "日本") and ch.tag.surface == "#日本#"
+
+    @given(st.lists(st.text(st.characters(exclude_categories=()), max_size=3), max_size=4))
+    @example(["a", "b\ud800"])
+    @example(["é", "\udc80"])
+    def test_bulk_check_agrees_with_the_word_check(self, words):
+        assert _all_token_text(words) == all(_accepts(lambda w: _check_token_text(w, "word"), w) for w in words)
 
 
 class TestTag:
@@ -343,6 +383,19 @@ class TestSerializationMethod:
     def test_json_round_trip(self, method):
         assert SerializationMethod.from_json(method.to_json()) == method
 
+    @given(
+        st.builds(SerializationMethod, st.just("inter_time"), group_ms=st.none() | st.integers(1, 10**9))
+        | st.builds(SerializationMethod, st.just("inter_gamma"), gamma=st.floats(0, 1) | st.integers(0, 1))
+    )
+    def test_rebuilds_from_its_own_json(self, method):
+        assert SerializationMethod.from_json(json.loads(_dumps(method.to_json()))) == method
+
+    def test_json_refuses_a_field_it_does_not_know(self):
+        # Read as absent, the misspelt field would make an ungrouped inter_time.
+        with pytest.raises(ValueError) as info:
+            SerializationMethod.from_json({"name": "inter_time", "group-ms": 500})
+        assert str(info.value) == "method has an unknown field 'group-ms'; its fields are name, gamma, group_ms"
+
     def test_values_are_stored_as_given(self):
         assert SerializationMethod("inter_gamma", gamma=1).to_json() == {"name": "inter_gamma", "gamma": 1}
         assert type(SerializationMethod("inter_gamma", gamma=1).gamma) is int
@@ -572,8 +625,8 @@ _RECORD_CASES = [
             "word_rate_ms",
             "translation_lag_ms",
             "reorder_window_ms",
-            "channels",
             "vocab_size",
+            "channels",
         ),
         dict(
             seed=2,

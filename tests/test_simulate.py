@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -29,12 +30,7 @@ from tokenweave import (
 )
 from tokenweave.serialize import _ordered, assign_group
 from tokenweave.formats import _dumps, utterance_to_json
-from tokenweave.simulate import (
-    method_label,
-    replay_policy_from_json,
-    synth_config_from_json,
-    synth_config_to_json,
-)
+from tokenweave.simulate import method_label
 from conftest import ASR, DE, ES
 
 
@@ -54,6 +50,26 @@ def _config(**overrides) -> SynthConfig:
 
 
 EN2 = Tag("#EN2#", Modality.TRANSCRIPTION, "en")
+
+
+@st.composite
+def _synth_configs(draw) -> SynthConfig:
+    """Any valid generator config: ranges low <= high, a word rate up to at least 1, distinct channel tags."""
+
+    def pair(least_high=0):
+        lo = draw(st.integers(0, 10**4))
+        return lo, draw(st.integers(max(lo, least_high), 10**4))
+
+    return SynthConfig(
+        seed=draw(st.integers(-(2**63), 2**63)),
+        num_utterances=draw(st.integers(0, 10**4)),
+        words_per_channel=pair(),
+        word_rate_ms=pair(1),
+        translation_lag_ms=pair(),
+        reorder_window_ms=draw(st.integers(0, 10**4)),
+        channels=draw(st.permutations([ASR, ES, DE, EN2]).map(lambda tags: tags[: draw(st.integers(1, 4))])),
+        vocab_size=draw(st.integers(1, 10**6)),
+    )
 
 # Overrides of `_config` that reach every branch of `synth_corpus`, each with
 # the SHA-256 of the corpus file `synth` writes for it.  The golden manifest
@@ -172,13 +188,28 @@ class TestSynthCorpus:
 
     def test_config_json_round_trip(self):
         cfg = _config()
-        assert synth_config_from_json(synth_config_to_json(cfg)) == cfg
+        assert SynthConfig.from_json(cfg.to_json()) == cfg
+
+    @given(_synth_configs())
+    def test_config_rebuilds_from_its_own_json(self, cfg):
+        assert SynthConfig.from_json(json.loads(_dumps(cfg.to_json()))) == cfg
+
+    def test_config_json_keeps_its_key_order(self):
+        keys = list(_config().to_json())
+        assert keys == ["v", "seed", "num_utterances", "words_per_channel", "word_rate_ms",
+                        "translation_lag_ms", "reorder_window_ms", "vocab_size", "channels"]
+
+    def test_config_json_refuses_a_field_it_does_not_know(self):
+        fields = "v, seed, num_utterances, words_per_channel, word_rate_ms, translation_lag_ms, reorder_window_ms, vocab_size, channels"
+        with pytest.raises(ValueError) as info:
+            SynthConfig.from_json({**_config().to_json(), "plans": [["#ASR#"]]})
+        assert str(info.value) == f"config has an unknown field 'plans'; its fields are {fields}"
 
     def test_config_json_rejects_other_versions(self):
-        blob = synth_config_to_json(_config())
+        blob = _config().to_json()
         blob["v"] = 2
         with pytest.raises(ValueError, match="version"):
-            synth_config_from_json(blob)
+            SynthConfig.from_json(blob)
 
 
 class TestReplay:
@@ -263,10 +294,17 @@ class TestReplay:
         for overhead in (2.5, True, "5"):
             with pytest.raises(ValueError, match=f"^overhead_ms must be an integer, got {overhead!r}$"):
                 ReplayPolicy(overhead_ms=overhead)
-        assert replay_policy_from_json({}) == ReplayPolicy()
-        assert replay_policy_from_json({"mode": "origin_time", "overhead_ms": 5}) == ReplayPolicy(
-            "origin_time", 5
-        )
+        assert ReplayPolicy.from_json({}) == ReplayPolicy()
+        assert ReplayPolicy.from_json({"mode": "origin_time", "overhead_ms": 5}) == ReplayPolicy("origin_time", 5)
+
+    @given(st.builds(ReplayPolicy, st.sampled_from(["origin_time", "group_boundary", "auto"]), st.integers(0, 10**6)))
+    def test_policy_rebuilds_from_its_own_json(self, policy):
+        assert ReplayPolicy.from_json(json.loads(_dumps(policy.to_json()))) == policy
+
+    def test_policy_json_refuses_a_field_it_does_not_know(self):
+        with pytest.raises(ValueError) as info:
+            ReplayPolicy.from_json({"overhead": 5})
+        assert str(info.value) == "replay has an unknown field 'overhead'; its fields are mode, overhead_ms"
 
     def test_grouped_delay_dominates_by_at_most_one_window(self):
         tags = TagSet((ASR, ES, DE))
