@@ -38,7 +38,7 @@ _EXPORTS = {
             "check_sequence",
             "validate_utterance",
         ),
-        "serialize": ("assign_group", "inter_time", "inter_gamma", "serialize_utterance", "render_text"),
+        "serialize": ("assign_group", "inter_time", "serialize_utterance", "render_text"),
         "demux": ("DemuxState", "feed", "demux_full"),
         "metrics": (
             "wer", "bleu_corpus", "laal", "laal_report",

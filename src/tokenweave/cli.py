@@ -196,15 +196,10 @@ def cmd_laal(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 # synth / study
 
 
-def _section(path: str, name: str, obj, kind: type):
-    """`obj` if it has the JSON type `kind`, else a ValueError naming `path` and `name`."""
-    return _expect_json(obj, f"{path}: {name}", kind)
-
-
 def cmd_synth(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     from .simulate import SynthConfig, synth_corpus
 
-    obj = _section(args.config, "config", formats.read_json(args.config), dict)
+    obj = _expect_json(formats.read_json(args.config), f"{args.config}: config", dict)
     if args.seed is not None:
         obj = {**obj, "seed": args.seed}
     if "seed" not in obj:
@@ -225,14 +220,14 @@ def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     if "corpus" in obj and "synth" in obj:
         raise ValueError("study config must have exactly one of \"corpus\" or \"synth\"")
     if "corpus" in obj:
-        corpus = formats.read_corpus(_section(args.config, "corpus", obj["corpus"], str), diags)
+        corpus = formats.read_corpus(_expect_json(obj["corpus"], f"{args.config}: corpus", str), diags)
     elif "synth" in obj:
         corpus = synth_corpus(SynthConfig.from_json(obj["synth"], f"{args.config}: synth"))
     else:
         raise ValueError("study config must have a \"corpus\" path or a \"synth\" section")
 
     methods = []
-    for i, m in enumerate(_section(args.config, "methods", obj.get("methods", []), list)):
+    for i, m in enumerate(_expect_json(obj.get("methods", []), f"{args.config}: methods", list)):
         what = f"{args.config}: methods[{i}]"
         name = _expect_json(_json_object(m, SerializationMethod._fields, what).get("name"), f"{what}.name", str)
         try:
@@ -244,7 +239,7 @@ def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
         raise ValueError("study config lists no methods")
 
     policy = ReplayPolicy.from_json(obj.get("replay", {}), f"{args.config}: replay")
-    tags = formats.read_tag_set(_section(args.config, "tags", obj["tags"], str)) if "tags" in obj else None
+    tags = formats.read_tag_set(_expect_json(obj["tags"], f"{args.config}: tags", str)) if "tags" in obj else None
 
     with closing(corpus):
         report = latency_study(corpus, methods, policy, tags)

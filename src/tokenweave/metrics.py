@@ -30,7 +30,6 @@ from .model import (
 )
 
 __all__ = [
-    "EmissionTrace",
     "normalize_words",
     "wer",
     "bleu_corpus",

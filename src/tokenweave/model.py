@@ -278,6 +278,9 @@ class Channel(_Record):
     def __init__(self, tag: Tag, words) -> None:
         """Build from TimedWord objects."""
         words = tuple(words)
+        for w in words:
+            if not isinstance(w, TimedWord):
+                raise ValueError(f"every word must be a TimedWord, got {w!r}")
         self._fill(tag, tuple([w.time for w in words]), tuple([w.word for w in words]))
 
     def _fill(self, tag, times, texts) -> None:
@@ -541,7 +544,10 @@ class EmissionTrace(_Record):
 
     def __init__(self, utt_id: str, tag: str, entries, source_duration_ms: int, ref_len: int) -> None:
         """Build from ``(token_ordinal, delay_ms)`` pairs."""
-        entries = [(o, d) for o, d in entries]
+        entries = tuple(entries)
+        for i, entry in enumerate(entries):
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise ValueError(f"entries[{i}] must be an (ordinal, delay) pair, got {entry!r}")
         ordinals, delays = tuple([o for o, _ in entries]), tuple([d for _, d in entries])
         if not {*map(type, ordinals), *map(type, delays)} <= {int}:
             _check_int(ref_len, "ref_len", 0)  # first, as in `_fill`
@@ -575,10 +581,6 @@ class EmissionTrace(_Record):
     def entries(self) -> tuple[tuple[int, int], ...]:
         """The ``(token_ordinal, delay_ms)`` pairs, built from the columns on each read."""
         return tuple(zip(self.ordinals, self.delays))
-
-    @property
-    def hyp_len(self) -> int:
-        return len(self.delays)
 
 
 def validate_utterance(u: Utterance, tags: Iterable[Tag]) -> list[Diagnostic]:

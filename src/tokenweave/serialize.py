@@ -15,8 +15,8 @@ the tag surface changes:
 
 The routine orders one utterance for one or several methods, keying its
 words once and sorting them by time once for all the ``inter_time`` methods:
-:func:`serialize_utterance`, :func:`inter_time` and :func:`inter_gamma` call
-it for one method, and ``study`` once per utterance for all of its methods.
+:func:`serialize_utterance` and :func:`inter_time` call it for one method,
+and ``study`` once per utterance for all of its methods.
 Every policy keeps each channel's word order and emits every word exactly
 once.
 """
@@ -27,7 +27,6 @@ from itertools import repeat
 from typing import Iterator
 
 from .model import (
-    Channel,
     GroupingConfig,
     Modality,
     SerializationMethod,
@@ -35,14 +34,12 @@ from .model import (
     Tag,
     TagSet,
     Utterance,
-    _check_str,
     _rebuild,
 )
 
 __all__ = [
     "assign_group",
     "inter_time",
-    "inter_gamma",
     "render_text",
     "serialize_utterance",
 ]
@@ -61,19 +58,19 @@ def assign_group(time: int, step_ms: int) -> int:
     return step_ms * (time // step_ms + 1)
 
 
-def _ordered(channels, utt_id: str, methods, tags: TagSet | None = None, lead: int | None = None) -> Iterator[SerializedSequence]:
+def _ordered(channels, utt_id: str, methods, tags: TagSet | None = None) -> Iterator[SerializedSequence]:
     """The words of `channels` in the order of each of `methods`: one sequence per method, in order, each keeping its method.
 
     The ``(time, priority, rank, channel_index, word)`` entries are built once,
     a tag surface ranking by its position in `tags` (else in the channel
     order), one not in `tags` last.  ``inter_time`` sorts them once and, if
     grouped, buckets the sorted words by window and tag surface; each
-    ``inter_gamma`` sorts a copy by the count-ratio key with channel `lead` in
-    the transcription role, its block first so that a tie goes to it.  `lead`
-    None picks the transcription channel of two that differ in modality,
-    else channel 0.  A channel's tag opens each run of its surface, each word
-    with its time as origin time: valid by construction from `Channel`s, so
-    not checked again.
+    ``inter_gamma`` sorts a copy by the count-ratio key, the block of the
+    channel in the transcription role first so that a tie goes to it: the
+    transcription channel of two that differ in modality, else channel 0.
+    A channel's tag opens each run of its surface, each word with its time
+    as origin time: valid by construction from `Channel`s, so not checked
+    again.
 
     Sequences are made one at a time as they are taken, each method checked
     just before its own, so a caller that uses each before taking the next
@@ -96,12 +93,11 @@ def _ordered(channels, utt_id: str, methods, tags: TagSet | None = None, lead: i
         if method.name == "inter_gamma":
             if len(channels) != 2:
                 raise ValueError(f"inter_gamma needs exactly two channels, utterance {utt_id!r} has {len(channels)}")
-            if lead is None:
-                first, second = tags_of
-                lead = int(first.modality != second.modality and second.modality is Modality.TRANSCRIPTION)
-            weight = (method.gamma, 1.0 - method.gamma) if lead == 0 else (1.0 - method.gamma, method.gamma)
+            first, second = tags_of
+            swap = first.modality != second.modality and second.modality is Modality.TRANSCRIPTION
+            weight = (1.0 - method.gamma, method.gamma) if swap else (method.gamma, 1.0 - method.gamma)
             cut = len(channels[0])
-            order = sorted(keyed if lead == 0 else keyed[cut:] + keyed[:cut], key=lambda e: weight[e[3]] * (1 + e[2]))
+            order = sorted(keyed[cut:] + keyed[:cut] if swap else keyed, key=lambda e: weight[e[3]] * (1 + e[2]))
         else:
             if timed is None:
                 timed = sorted(keyed)
@@ -137,25 +133,6 @@ def inter_time(
     return serialize_utterance(u, SerializationMethod("inter_time", group_ms=step), tags)
 
 
-def inter_gamma(
-    asr: Channel,
-    st: Channel,
-    gamma: float,
-    utt_id: str = "",
-) -> SerializedSequence:
-    """Count-ratio interleaving of `asr` (transcription role) and `st`; `gamma` is in [0, 1].
-
-    The order of :func:`serialize_utterance` with ``inter_gamma``, but the
-    roles are as given.  A bad `gamma` raises before any work.
-    """
-    method = SerializationMethod("inter_gamma", gamma=gamma)
-    _check_str(utt_id, "utt_id")
-    if not (isinstance(asr, Channel) and isinstance(st, Channel)):
-        raise ValueError(f"every channel must be a Channel, got {(asr, st)!r}")
-    (seq,) = _ordered((asr, st), utt_id, (method,), lead=0)
-    return seq
-
-
 def render_text(s: SerializedSequence) -> str:
     """Render a sequence as plain text: token surfaces joined by single spaces."""
     return " ".join([x.surface if isinstance(x, Tag) else x for x in s.items])
@@ -173,9 +150,10 @@ def serialize_utterance(
     position in the channel, then channel index.  With ``group_ms``, each
     window of ``time // group_ms`` is re-emitted as one run per tag surface,
     in order of each surface's first appearance; words keep their own time
-    as origin time.  ``inter_gamma`` needs exactly two channels; when their
-    modalities differ, the transcription channel takes the transcription
-    role.  Its key orders words as emitting the next transcription word iff
+    as origin time.  ``inter_gamma`` needs exactly two channels.  The
+    transcription channel takes the transcription role when the two differ
+    in modality; otherwise channel 0 does.  Its key orders words as
+    emitting the next transcription word iff
     ``(1 - gamma) * (1 + st_emitted) >= gamma * (1 + asr_emitted)`` does.
     """
     (seq,) = _ordered(u.channels, u.utt_id, (method,), tags)

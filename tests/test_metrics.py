@@ -373,6 +373,11 @@ class TestLaal:
             ((), 0, 1, "empty trace for 't'/'#ES#'"),
             (((0, 1),), 0, 1, "source_duration_ms must be >= 1, got 0"),
             (((0, 10**400),), 1, 1, f"times beyond {sys.float_info.max:g} ms cannot be scored"),
+            ([5], 10, 1, "entries[0] must be an (ordinal, delay) pair, got 5"),
+            (((0, 1), (0, 1, 2)), 10, 1, "entries[1] must be an (ordinal, delay) pair, got (0, 1, 2)"),
+            (((0, 1), [2]), 10, -1, "entries[1] must be an (ordinal, delay) pair, got [2]"),
+            # Unpacked, a mapping would give its keys.
+            (({0: "x", 5: "y"},), 10, 1, "entries[0] must be an (ordinal, delay) pair, got {0: 'x', 5: 'y'}"),
         ],
     )
     def test_trace_is_checked_at_construction_in_order(self, entries, duration, ref_len, message):
@@ -413,7 +418,7 @@ class TestLaal:
             laal(_trace([1], 0, 1))  # duration below one ms
         with pytest.raises(ValueError):
             EmissionTrace("t", "#ES#", ((0, 1),), source_duration_ms=10, ref_len=-1)
-        assert _trace([1, 2, 3], 10, 5).hyp_len == 3
+        assert len(_trace([1, 2, 3], 10, 5).delays) == 3
         assert _trace([1, 2, 3], 10, 5).delays == (1, 2, 3)
 
     def test_lowering_a_delay_lowers_the_average(self):
@@ -424,7 +429,7 @@ class TestLaal:
 
 def _laal_loop(trace: EmissionTrace) -> float:
     """The linear-scan LAAL that the bisecting one replaced, kept as its reference."""
-    h = trace.hyp_len
+    h = len(trace.delays)
     t_src = trace.source_duration_ms
     d_star = t_src / max(trace.ref_len, h)
     delays = trace.delays

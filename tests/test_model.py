@@ -220,6 +220,16 @@ class TestUtterance:
         with pytest.raises(ValueError, match="^duration_ms "):
             Utterance("u", 0, channels)
 
+    @pytest.mark.parametrize(
+        "words, shown",
+        [([(0, "a")], "(0, 'a')"), ((TimedWord(0, "a"), "b"), "'b'"), ("ab", "'a'")],
+        ids=["pair", "str-word", "str"],
+    )
+    def test_channel_rejects_a_word_that_is_no_timed_word(self, words, shown):
+        with pytest.raises(ValueError) as info:
+            Channel(ASR, words)
+        assert str(info.value) == f"every word must be a TimedWord, got {shown}"
+
     def test_channels_coerced_to_tuple(self):
         u = Utterance("u", 10, [Channel(ASR, [TimedWord(1, "a")])])
         assert isinstance(u.channels, tuple)
@@ -460,6 +470,9 @@ class _PairTrace:
     ref_len: int
 
     def __post_init__(self) -> None:
+        for i, e in enumerate(self.entries):
+            if not (isinstance(e, (tuple, list)) and len(e) == 2):
+                raise ValueError(f"entries[{i}] must be an (ordinal, delay) pair, got {e!r}")
         entries = tuple((o, d) for o, d in self.entries)
         object.__setattr__(self, "entries", entries)
         _check_int(self.ref_len, "ref_len", 0)
@@ -477,10 +490,6 @@ class _PairTrace:
         _check_int(self.source_duration_ms, "source_duration_ms", 1)
         if max(self.source_duration_ms, -entries[0][1], entries[-1][1]) > sys.float_info.max:
             raise ValueError(f"times beyond {sys.float_info.max:g} ms cannot be scored")
-
-    @property
-    def hyp_len(self) -> int:
-        return len(self.entries)
 
     @property
     def delays(self) -> tuple:
@@ -541,7 +550,7 @@ class TestEmissionTraceMatchesPairOracle:
             )
             assert columns[1] == error
         if error is None:
-            assert (got.entries, got.delays, got.hyp_len) == (want.entries, want.delays, want.hyp_len)
+            assert (got.entries, got.delays) == (want.entries, want.delays)
             assert (got.utt_id, got.tag, got.source_duration_ms, got.ref_len) == ("u", "#ES#", duration, ref_len)
             assert got.ordinals == tuple(o for o, _ in want.entries)
             assert columns[0] == got and hash(columns[0]) == hash(got)
@@ -549,7 +558,7 @@ class TestEmissionTraceMatchesPairOracle:
 
     def test_columns_are_stored_and_entries_is_a_view(self):
         tr = EmissionTrace._from_columns("u", "#ES#", (0, 2), (5, 9), 10, 2)
-        assert (tr.ordinals, tr.delays, tr.entries, tr.hyp_len) == ((0, 2), (5, 9), ((0, 5), (2, 9)), 2)
+        assert (tr.ordinals, tr.delays, tr.entries) == ((0, 2), (5, 9), ((0, 5), (2, 9)))
         assert tr == EmissionTrace("u", "#ES#", [[0, 5], [2, 9]], 10, 2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             tr.delays = (1, 2)

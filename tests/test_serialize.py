@@ -22,7 +22,6 @@ from tokenweave import (
     assign_group,
     check_sequence,
     count_switches,
-    inter_gamma,
     inter_time,
     render_text,
     replay,
@@ -389,65 +388,71 @@ class TestGroupingProperties:
         assert at_1000 <= at_500 <= ungrouped
 
 
-def _two_channels(asr_words: list[str], st_words: list[str]) -> tuple[Channel, Channel]:
-    a = Channel(ASR, tuple(TimedWord(100 * (i + 1), w) for i, w in enumerate(asr_words)))
-    b = Channel(ES, tuple(TimedWord(130 * (i + 1), w) for i, w in enumerate(st_words)))
+def _two_channels(asr_words: list[str], st_words: list[str], tags=(ASR, ES)) -> tuple[Channel, Channel]:
+    a = Channel(tags[0], tuple(TimedWord(100 * (i + 1), w) for i, w in enumerate(asr_words)))
+    b = Channel(tags[1], tuple(TimedWord(130 * (i + 1), w) for i, w in enumerate(st_words)))
     return a, b
+
+
+def _gamma(a: Channel, b: Channel, gamma) -> SerializedSequence:
+    """The count-ratio sequence of the two-channel utterance ``(a, b)``."""
+    return serialize_utterance(Utterance("u", 1, (a, b)), SerializationMethod("inter_gamma", gamma=gamma))
 
 
 class TestInterGamma:
     def test_gamma_zero_is_transcription_first(self):
         a, b = _two_channels(["a1", "a2", "a3"], ["s1", "s2"])
-        seq = inter_gamma(a, b, 0.0, "u")
+        seq = _gamma(a, b, 0.0)
         assert render_text(seq) == "#ASR# a1 a2 a3 #ES# s1 s2"
 
-    def test_roles_are_as_given(self):
-        # Unlike serialize_utterance, inter_gamma does not swap a translation
-        # channel given first out of the transcription role.
+    def test_transcription_given_second_takes_the_transcription_role(self):
         a, b = _two_channels(["a1", "a2"], ["s1"])
-        seq = inter_gamma(b, a, 0.0, "u")
-        assert render_text(seq) == "#ES# s1 #ASR# a1 a2"
-        assert render_text(serialize_utterance(Utterance("u", 1000, (b, a)), seq.method)) == "#ASR# a1 a2 #ES# s1"
+        assert render_text(_gamma(b, a, 0.0)) == "#ASR# a1 a2 #ES# s1"
+
+    def test_channel_0_takes_the_transcription_role_between_equal_modalities(self):
+        es, de = _two_channels(["s1", "s2"], ["d1"], (ES, DE))
+        assert render_text(_gamma(es, de, 0.0)) == "#ES# s1 s2 #DE# d1"
+        assert render_text(_gamma(de, es, 0.0)) == "#DE# d1 #ES# s1 s2"
 
     def test_gamma_one_is_translation_first(self):
         a, b = _two_channels(["a1", "a2", "a3"], ["s1", "s2"])
-        seq = inter_gamma(a, b, 1.0, "u")
+        seq = _gamma(a, b, 1.0)
         assert render_text(seq) == "#ES# s1 s2 #ASR# a1 a2 a3"
 
     def test_gamma_half_alternates_on_equal_lengths(self):
         a, b = _two_channels(["a1", "a2", "a3"], ["s1", "s2", "s3"])
-        seq = inter_gamma(a, b, 0.5, "u")
+        seq = _gamma(a, b, 0.5)
         assert render_text(seq) == "#ASR# a1 #ES# s1 #ASR# a2 #ES# s2 #ASR# a3 #ES# s3"
 
     def test_remainder_after_exhaustion(self):
         a, b = _two_channels(["a1"], ["s1", "s2", "s3"])
-        seq = inter_gamma(a, b, 0.5, "u")
+        seq = _gamma(a, b, 0.5)
         assert render_text(seq) == "#ASR# a1 #ES# s1 s2 s3"
 
     def test_quarter_gamma_mixes_three_to_one(self):
         a, b = _two_channels([f"a{i}" for i in range(1, 7)], ["s1", "s2"])
-        seq = inter_gamma(a, b, 0.25, "u")
+        seq = _gamma(a, b, 0.25)
         words = [t.word for t in _words(seq)]
         # Counts drift toward a 3:1 transcription:translation ratio.
         assert words[:4] == ["a1", "a2", "a3", "s1"]
 
     def test_empty_channels(self):
         a, b = _two_channels([], [])
-        assert inter_gamma(a, b, 0.5, "u").tokens == ()
+        assert _gamma(a, b, 0.5).tokens == ()
         a, b = _two_channels([], ["s1"])
-        assert render_text(inter_gamma(a, b, 0.0, "u")) == "#ES# s1"
+        assert render_text(_gamma(a, b, 0.0)) == "#ES# s1"
 
     def test_gamma_domain(self):
         a, b = _two_channels(["a1"], ["s1"])
         for bad in (-0.1, 1.0001, 2, "0.5", True, None, float("nan")):
             with pytest.raises(ValueError):
-                inter_gamma(a, b, bad, "u")
+                _gamma(a, b, bad)
         with pytest.raises(ValueError):
             SerializationMethod("inter_gamma", gamma=1.5)
 
     def test_method_provenance(self):
         a, b = _two_channels(["a1"], ["s1"])
-        assert inter_gamma(a, b, 0.25, "u").method == SerializationMethod("inter_gamma", gamma=0.25)
+        assert _gamma(a, b, 0.25).method == SerializationMethod("inter_gamma", gamma=0.25)
 
     @given(
         st.lists(st.sampled_from(["x", "y", "z"]), max_size=10),
@@ -456,7 +461,7 @@ class TestInterGamma:
     )
     def test_emits_every_word_in_channel_order(self, asr_words, st_words, gamma):
         a, b = _two_channels(asr_words, st_words)
-        seq = inter_gamma(a, b, gamma, "u")
+        seq = _gamma(a, b, gamma)
         routed: dict[str, list[str]] = {"#ASR#": [], "#ES#": []}
         current = None
         for tok in seq.tokens:
@@ -471,11 +476,14 @@ class TestInterGamma:
         st.lists(st.sampled_from(["x", "y", "z"]), max_size=12),
         st.lists(st.sampled_from(["p", "q", "r"]), max_size=12),
         st.one_of(st.sampled_from([0, 1, 0.1, 1 / 3, 0.9]), st.floats(min_value=0.0, max_value=1.0)),
+        # Both orders of a transcription and a translation, and two translations.
+        st.sampled_from([(ASR, ES), (ES, ASR), (ES, DE), (DE, ES)]),
     )
     @settings(max_examples=300)
-    def test_count_ratio_key_matches_the_merge_loop(self, asr_words, st_words, gamma):
-        a, b = _two_channels(asr_words, st_words)
-        assert inter_gamma(a, b, gamma, "u") == oracle_inter_gamma(a, b, gamma, "u")
+    def test_count_ratio_key_matches_the_merge_loop(self, first_words, second_words, gamma, tags):
+        u = Utterance("u", 1, _two_channels(first_words, second_words, tags))
+        method = SerializationMethod("inter_gamma", gamma=gamma)
+        assert serialize_utterance(u, method) == oracle_serialize(u, method, None)
 
 
 class TestSerializeUtteranceDispatch:
@@ -556,11 +564,10 @@ def test_every_serialized_sequence_passes_the_constructor(u, tags, uniform_gamma
     for step in (None, 1, 250, 500, 1000):
         _assert_constructor_accepts(serialize_utterance(u, SerializationMethod("inter_time", group_ms=step), tags))
         _assert_constructor_accepts(inter_time(u, GroupingConfig(step), tags))
-    for gamma in (0, 0.5, 1, uniform_gamma):
-        if len(u.channels) == 2:
-            _assert_constructor_accepts(serialize_utterance(u, SerializationMethod("inter_gamma", gamma=gamma), tags))
-        if len(u.channels) >= 2:
-            _assert_constructor_accepts(inter_gamma(u.channels[0], u.channels[1], gamma, u.utt_id))
+    if len(u.channels) >= 2:
+        two = Utterance(u.utt_id, u.duration_ms, u.channels[:2])
+        for gamma in (0, 0.5, 1, uniform_gamma):
+            _assert_constructor_accepts(serialize_utterance(two, SerializationMethod("inter_gamma", gamma=gamma), tags))
 
 
 class _DuckChannel:
@@ -610,13 +617,6 @@ class TestSerializersRefuseUncheckedInput:
     def test_inter_time(self, bad):
         with pytest.raises(ValueError, match="^every channel must be a Channel, got "):
             inter_time(Utterance("u", 100, (bad, GOOD_ES)))
-
-    @EACH_BAD_CHANNEL
-    def test_inter_gamma(self, bad):
-        with pytest.raises(ValueError, match="^every channel must be a Channel, got "):
-            inter_gamma(bad, GOOD_ES, 0.5, "u")
-        with pytest.raises(ValueError, match="^every channel must be a Channel, got "):
-            inter_gamma(GOOD_ES, bad, 0.5, "u")
 
     def test_method_that_is_no_serialization_method(self):
         u = Utterance("u", 100, (Channel(ASR, (TimedWord(0, "a"),)), GOOD_ES))
