@@ -232,7 +232,7 @@ def cmd_study(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
         name = _expect_json(_json_object(m, SerializationMethod._fields, what).get("name"), f"{what}.name", str)
         try:
             # A "-" in a study method's name reads as "_", as in build's --method.
-            methods.append(SerializationMethod.from_json({**m, "name": name.replace("-", "_")}))
+            methods.append(SerializationMethod(**{**m, "name": name.replace("-", "_")}))
         except ValueError as exc:
             raise ValueError(f"{what}: {exc}") from exc
     if not methods:

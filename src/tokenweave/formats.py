@@ -137,14 +137,6 @@ def read_json(path: str, what: str = "JSON"):
         raise ValueError(f"{path}: invalid {what}: {exc}") from exc
 
 
-def _expect_int_pair(value, what: str, shape: str) -> tuple[int, int]:
-    """`value` as a tuple if it is a JSON list of two integers, else a ValueError naming `what`."""
-    pair = _expect_json(value, what, list)
-    if len(pair) != 2:
-        raise ValueError(f"{what} must be a {shape} pair, got {pair!r}")
-    return (_expect_json(pair[0], f"{what}[0]", int), _expect_json(pair[1], f"{what}[1]", int))
-
-
 def _check_version(obj: dict) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"record must be a JSON object, got {type(obj).__name__}")
@@ -383,20 +375,7 @@ def trace_to_json(tr: EmissionTrace) -> dict:
 def trace_from_json(obj: dict) -> EmissionTrace:
     _check_version(obj)
     entries = _expect_json(obj["entries"], "entries", list)
-    # The columns in bulk; on failure, entry by entry for the message.
-    columns = None
-    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
-        columns = tuple(map(itemgetter(0), entries)), tuple(map(itemgetter(1), entries))
-    if columns is None or not {*map(type, columns[0]), *map(type, columns[1])} <= {int}:
-        pairs = [_expect_int_pair(e, f"entries[{i}]", "[ordinal, delay]") for i, e in enumerate(entries)]
-        columns = tuple([o for o, _ in pairs]), tuple([d for _, d in pairs])
-    return EmissionTrace._from_columns(
-        obj["utt_id"],
-        obj["tag"],
-        *columns,
-        _expect_json(obj["source_duration_ms"], "source_duration_ms", int),
-        _expect_json(obj["ref_len"], "ref_len", int),
-    )
+    return EmissionTrace(obj["utt_id"], obj["tag"], entries, obj["source_duration_ms"], obj["ref_len"])
 
 
 def read_traces(path: str, diags: list[Diagnostic]) -> Iterator[EmissionTrace]:

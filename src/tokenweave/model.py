@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from operator import attrgetter, le
+from operator import attrgetter, itemgetter, le
 from typing import Iterable
 
 __all__ = [
@@ -107,12 +107,21 @@ def _check_positive_int(value, what: str) -> None:
 
 
 def _check_int(value, what: str, least: int | None = None) -> int:
-    """`value` if it is an int, not a bool, and at least `least` if given; else a ValueError naming `what`."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+    """`value` if it is an int, not a bool, and at least `least` if given; else a ValueError naming `what`, as `_expect_json` does."""
+    if type(value) is not int:
+        _expect_json(value, what, int)
     if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
     return value
+
+
+def _check_pair(value, what: str, shape: str) -> tuple[int, int]:
+    """`value` as a tuple if it is a list or tuple of two ints, not bools; else a ValueError naming `what` and the `shape` of the pair."""
+    if not isinstance(value, tuple):
+        _expect_json(value, what, list)
+    if len(value) != 2:
+        raise ValueError(f"{what} must be a {shape} pair, got {value!r}")
+    return _check_int(value[0], f"{what}[0]"), _check_int(value[1], f"{what}[1]")
 
 
 _set = object.__setattr__
@@ -537,7 +546,8 @@ class EmissionTrace(_Record):
 
     Ordinals, delays, `source_duration_ms` and `ref_len` must be ints (not
     bools); nothing is coerced.  Every trace can be scored by :func:`~tokenweave.metrics.laal`:
-    construction also rejects times beyond the float range.
+    construction also rejects times beyond the float range.  The row
+    constructor is the trace reader's one check, with the reader's messages.
     """
 
     __slots__ = ("utt_id", "tag", "ordinals", "delays", "source_duration_ms", "ref_len")
@@ -545,18 +555,16 @@ class EmissionTrace(_Record):
     def __init__(self, utt_id: str, tag: str, entries, source_duration_ms: int, ref_len: int) -> None:
         """Build from ``(token_ordinal, delay_ms)`` pairs."""
         entries = tuple(entries)
-        for i, entry in enumerate(entries):
-            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
-                raise ValueError(f"entries[{i}] must be an (ordinal, delay) pair, got {entry!r}")
-        ordinals, delays = tuple([o for o, _ in entries]), tuple([d for _, d in entries])
-        if not {*map(type, ordinals), *map(type, delays)} <= {int}:
-            _check_int(ref_len, "ref_len", 0)  # first, as in `_fill`
-            for i, (o, d) in enumerate(entries):
-                _check_int(o, f"entries[{i}] ordinal")
-                _check_int(d, f"entries[{i}] delay")
-        self._fill(utt_id, tag, ordinals, delays, source_duration_ms, ref_len)
+        # The columns in bulk; on failure, entry by entry for the message.
+        columns = None
+        if set(map(type, entries)) <= {tuple, list} and set(map(len, entries)) <= {2}:
+            columns = tuple(map(itemgetter(0), entries)), tuple(map(itemgetter(1), entries))
+        if columns is None or not {*map(type, columns[0]), *map(type, columns[1])} <= {int}:
+            pairs = [_check_pair(e, f"entries[{i}]", "[ordinal, delay]") for i, e in enumerate(entries)]
+            columns = tuple([o for o, _ in pairs]), tuple([d for _, d in pairs])
+        self._fill(utt_id, tag, *columns, source_duration_ms, ref_len)
 
-    # Takes int columns: `__init__` checks them, the trace reader checks them and replay makes them.
+    # Takes int columns: `__init__`, which the trace reader calls, checks them and replay makes them.
     def _fill(self, utt_id, tag, ordinals, delays, source_duration_ms, ref_len) -> None:
         _check_str(utt_id, "utt_id")
         _check_str(tag, "tag")

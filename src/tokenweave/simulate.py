@@ -18,7 +18,7 @@ import random
 from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
-from .formats import SCHEMA_VERSION, _check_version, _expect_int_pair, _tags_from_json, _tags_to_json
+from .formats import SCHEMA_VERSION, _check_version, _tags_from_json, _tags_to_json
 from .metrics import laal
 from .model import (
     Channel,
@@ -30,7 +30,7 @@ from .model import (
     TagSet,
     Utterance,
     _check_int,
-    _expect_json,
+    _check_pair,
     _json_object,
     _Record,
     _set,
@@ -47,11 +47,11 @@ __all__ = [
 ]
 
 
-def _check_range(r: tuple[int, int], what: str) -> tuple[int, int]:
-    lo, hi = _check_int(r[0], f"{what}[0]"), _check_int(r[1], f"{what}[1]")
+def _check_range(r, what: str) -> tuple[int, int]:
+    lo, hi = pair = _check_pair(r, what, "[low, high]")
     if lo < 0 or hi < lo:
-        raise ValueError(f"{what} must be a non-empty non-negative range, got {r!r}")
-    return (lo, hi)
+        raise ValueError(f"{what} must be a non-empty non-negative range, got {pair!r}")
+    return pair
 
 
 class SynthConfig(_Record):
@@ -70,8 +70,9 @@ class SynthConfig(_Record):
         vocab_size: Number of distinct word surfaces to draw from.
         channels: Channel plan (tags with modality and language).
 
-    Every number must be an int (not a bool); nothing is coerced.  The JSON
-    form holds these fields, in this order, after ``"v": 1``.
+    Every number must be an int (not a bool), and every range a list or tuple
+    of two; nothing is coerced.  The constructor checks them, with the JSON
+    reader's messages.  The JSON form holds these fields, in order, after ``"v": 1``.
     """
 
     __slots__ = (
@@ -103,19 +104,11 @@ class SynthConfig(_Record):
 
     @classmethod
     def from_json(cls, obj, what: str = "config") -> "SynthConfig":
-        """A generator config from its JSON object; an unknown field, or one of the wrong JSON type, is a ValueError naming it."""
+        """A generator config from its JSON object; an unknown field is a ValueError naming `what`, and the constructor checks the rest."""
         _check_version(_json_object(obj, ("v", *cls._fields), what))
-        channels = _tags_from_json(obj["channels"], "channels")
-        return cls(
-            seed=_expect_json(obj["seed"], "seed", int),
-            num_utterances=_expect_json(obj["num_utterances"], "num_utterances", int),
-            words_per_channel=_expect_int_pair(obj["words_per_channel"], "words_per_channel", "[low, high]"),
-            word_rate_ms=_expect_int_pair(obj["word_rate_ms"], "word_rate_ms", "[low, high]"),
-            translation_lag_ms=_expect_int_pair(obj["translation_lag_ms"], "translation_lag_ms", "[low, high]"),
-            reorder_window_ms=_expect_json(obj["reorder_window_ms"], "reorder_window_ms", int),
-            channels=channels,
-            vocab_size=_expect_json(obj["vocab_size"], "vocab_size", int),
-        )
+        fields = {name: obj[name] for name in cls._fields}
+        fields["channels"] = _tags_from_json(fields["channels"], "channels")
+        return cls(**fields)
 
 
 def synth_corpus(config: SynthConfig) -> Iterator[Utterance]:
@@ -185,10 +178,8 @@ class ReplayPolicy(_Record):
 
     @classmethod
     def from_json(cls, obj, what: str = "replay") -> "ReplayPolicy":
-        """A policy from its JSON object, absent fields at their defaults; an unknown field is a ValueError naming `what`."""
-        if "overhead_ms" in _json_object(obj, cls._fields, what):
-            _expect_json(obj["overhead_ms"], "overhead_ms", int)
-        return cls(**obj)
+        """A policy from its JSON object, absent fields at their defaults; an unknown field is a ValueError naming `what`, and the constructor checks the rest."""
+        return cls(**_json_object(obj, cls._fields, what))
 
 
 def replay(

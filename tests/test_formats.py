@@ -41,7 +41,6 @@ from tokenweave import (
 from tokenweave.formats import (
     _check_version,
     _dumps,
-    _expect_int_pair,
     _expect_json,
     _read_jsonl,
     _read_lines,
@@ -289,21 +288,22 @@ class TestTraceRoundTrip:
         assert diags[0].code == "bad-record"
 
 
+def _oracle_entry(value, what: str) -> tuple[int, int]:
+    """One entry as an (ordinal, delay) tuple if it is a JSON list of two integers, else the reader's ValueError."""
+    pair = _expect_json(value, what, list)
+    if len(pair) != 2:
+        raise ValueError(f"{what} must be a [ordinal, delay] pair, got {pair!r}")
+    return _expect_json(pair[0], f"{what}[0]", int), _expect_json(pair[1], f"{what}[1]", int)
+
+
 def _oracle_trace_from_json(obj: dict) -> EmissionTrace:
     """The trace reader that checked entries one at a time, kept as the reference."""
     _check_version(obj)
-    utt_id, tag = _expect_json(obj["utt_id"], "utt_id", str), _expect_json(obj["tag"], "tag", str)
-    entries = [
-        _expect_int_pair(e, f"entries[{i}]", "[ordinal, delay]")
-        for i, e in enumerate(_expect_json(obj["entries"], "entries", list))
-    ]
+    raw = _expect_json(obj["entries"], "entries", list)
+    utt_id, tag, duration, ref_len = obj["utt_id"], obj["tag"], obj["source_duration_ms"], obj["ref_len"]
+    entries = [_oracle_entry(e, f"entries[{i}]") for i, e in enumerate(raw)]
     return EmissionTrace._from_columns(
-        utt_id,
-        tag,
-        tuple([o for o, _ in entries]),
-        tuple([d for _, d in entries]),
-        _expect_json(obj["source_duration_ms"], "source_duration_ms", int),
-        _expect_json(obj["ref_len"], "ref_len", int),
+        utt_id, tag, tuple([o for o, _ in entries]), tuple([d for _, d in entries]), duration, ref_len
     )
 
 
@@ -334,7 +334,7 @@ class TestTraceReaderMatchesEntryOracle:
         assert got == expected  # equal traces, or the same exception type and message
         assert type(got) is type(expected)
         if isinstance(got, EmissionTrace):
-            # The reader checks the columns' int types for `_from_columns`: the row constructor builds the same trace.
+            # The reader is the row constructor: the trace's own entries build it again.
             assert EmissionTrace(got.utt_id, got.tag, got.entries, got.source_duration_ms, got.ref_len) == got
 
     @pytest.mark.parametrize(

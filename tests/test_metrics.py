@@ -373,11 +373,11 @@ class TestLaal:
             ((), 0, 1, "empty trace for 't'/'#ES#'"),
             (((0, 1),), 0, 1, "source_duration_ms must be >= 1, got 0"),
             (((0, 10**400),), 1, 1, f"times beyond {sys.float_info.max:g} ms cannot be scored"),
-            ([5], 10, 1, "entries[0] must be an (ordinal, delay) pair, got 5"),
-            (((0, 1), (0, 1, 2)), 10, 1, "entries[1] must be an (ordinal, delay) pair, got (0, 1, 2)"),
-            (((0, 1), [2]), 10, -1, "entries[1] must be an (ordinal, delay) pair, got [2]"),
+            ([5], 10, 1, "entries[0] must be a JSON list, got int"),
+            (((0, 1), (0, 1, 2)), 10, 1, "entries[1] must be a [ordinal, delay] pair, got (0, 1, 2)"),
+            (((0, 1), [2]), 10, -1, "entries[1] must be a [ordinal, delay] pair, got [2]"),
             # Unpacked, a mapping would give its keys.
-            (({0: "x", 5: "y"},), 10, 1, "entries[0] must be an (ordinal, delay) pair, got {0: 'x', 5: 'y'}"),
+            (({0: "x", 5: "y"},), 10, 1, "entries[0] must be a JSON list, got dict"),
         ],
     )
     def test_trace_is_checked_at_construction_in_order(self, entries, duration, ref_len, message):
@@ -389,15 +389,15 @@ class TestLaal:
     @pytest.mark.parametrize(
         "entries, duration, ref_len, message",
         [
-            (((0, 1.9), (1.5, 2.7)), 10, 2, "entries[0] delay must be an integer, got 1.9"),
-            (((0, 1), (1.5, 2)), 10, 2, "entries[1] ordinal must be an integer, got 1.5"),
-            (((0, 1), (1, True)), 10, 2, "entries[1] delay must be an integer, got True"),
-            (((False, 1),), 10, 1, "entries[0] ordinal must be an integer, got False"),
-            (((0, "1"),), 10, 1, "entries[0] delay must be an integer, got '1'"),
-            (((0, 1),), 10.5, 1, "source_duration_ms must be an integer, got 10.5"),
-            (((0, 1),), True, 1, "source_duration_ms must be an integer, got True"),
-            (((0, 1),), 10, 1.0, "ref_len must be an integer, got 1.0"),
-            (((0, 1),), 10, None, "ref_len must be an integer, got None"),
+            (((0, 1.9), (1.5, 2.7)), 10, 2, "entries[0][1] must be a JSON integer, got float"),
+            (((0, 1), (1.5, 2)), 10, 2, "entries[1][0] must be a JSON integer, got float"),
+            (((0, 1), (1, True)), 10, 2, "entries[1][1] must be a JSON integer, got bool"),
+            (((False, 1),), 10, 1, "entries[0][0] must be a JSON integer, got bool"),
+            (((0, "1"),), 10, 1, "entries[0][1] must be a JSON integer, got str"),
+            (((0, 1),), 10.5, 1, "source_duration_ms must be a JSON integer, got float"),
+            (((0, 1),), True, 1, "source_duration_ms must be a JSON integer, got bool"),
+            (((0, 1),), 10, 1.0, "ref_len must be a JSON integer, got float"),
+            (((0, 1),), 10, None, "ref_len must be a JSON integer, got NoneType"),
         ],
     )
     def test_numbers_must_be_ints_and_are_never_coerced(self, entries, duration, ref_len, message):

@@ -5,7 +5,6 @@ import dataclasses
 import json
 import pickle
 import sys
-from itertools import chain
 from operator import itemgetter
 
 import pytest
@@ -470,16 +469,16 @@ class _PairTrace:
     ref_len: int
 
     def __post_init__(self) -> None:
+        entries = []
         for i, e in enumerate(self.entries):
-            if not (isinstance(e, (tuple, list)) and len(e) == 2):
-                raise ValueError(f"entries[{i}] must be an (ordinal, delay) pair, got {e!r}")
-        entries = tuple((o, d) for o, d in self.entries)
+            if not isinstance(e, (tuple, list)):
+                raise ValueError(f"entries[{i}] must be a JSON list, got {type(e).__name__}")
+            if len(e) != 2:
+                raise ValueError(f"entries[{i}] must be a [ordinal, delay] pair, got {e!r}")
+            entries.append((_check_int(e[0], f"entries[{i}][0]"), _check_int(e[1], f"entries[{i}][1]")))
+        entries = tuple(entries)
         object.__setattr__(self, "entries", entries)
         _check_int(self.ref_len, "ref_len", 0)
-        if not set(map(type, chain.from_iterable(entries))) <= {int}:
-            for i, (o, d) in enumerate(entries):
-                _check_int(o, f"entries[{i}] ordinal")
-                _check_int(d, f"entries[{i}] delay")
         prev = None
         for _, d in entries:
             if prev is not None and d < prev:

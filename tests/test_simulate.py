@@ -152,15 +152,19 @@ class TestSynthCorpus:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-            ({"seed": True}, "seed must be an integer, got True"),
-            ({"num_utterances": 2.7}, "num_utterances must be an integer, got 2.7"),
-            ({"words_per_channel": (1.9, 3.2)}, "words_per_channel[0] must be an integer, got 1.9"),
-            ({"word_rate_ms": (True, 2.5)}, "word_rate_ms[0] must be an integer, got True"),
-            ({"word_rate_ms": (1, 2.5)}, "word_rate_ms[1] must be an integer, got 2.5"),
-            ({"translation_lag_ms": ("0", 5)}, "translation_lag_ms[0] must be an integer, got '0'"),
-            ({"reorder_window_ms": 0.0}, "reorder_window_ms must be an integer, got 0.0"),
-            ({"vocab_size": False}, "vocab_size must be an integer, got False"),
+            ({"seed": 1.5}, "seed must be a JSON integer, got float"),
+            ({"seed": True}, "seed must be a JSON integer, got bool"),
+            ({"num_utterances": 2.7}, "num_utterances must be a JSON integer, got float"),
+            ({"words_per_channel": (1.9, 3.2)}, "words_per_channel[0] must be a JSON integer, got float"),
+            ({"word_rate_ms": (True, 2.5)}, "word_rate_ms[0] must be a JSON integer, got bool"),
+            ({"word_rate_ms": (1, 2.5)}, "word_rate_ms[1] must be a JSON integer, got float"),
+            ({"translation_lag_ms": ("0", 5)}, "translation_lag_ms[0] must be a JSON integer, got str"),
+            ({"reorder_window_ms": 0.0}, "reorder_window_ms must be a JSON integer, got float"),
+            ({"vocab_size": False}, "vocab_size must be a JSON integer, got bool"),
+            # A range is a list or tuple of two: not the first two of three, nor an int or a mapping.
+            ({"words_per_channel": (1, 2, 3)}, "words_per_channel must be a [low, high] pair, got (1, 2, 3)"),
+            ({"words_per_channel": 5}, "words_per_channel must be a JSON list, got int"),
+            ({"words_per_channel": {"a": 1, "b": 2}}, "words_per_channel must be a JSON list, got dict"),
         ],
     )
     def test_config_numbers_must_be_ints(self, overrides, message):
@@ -292,7 +296,7 @@ class TestReplay:
             ReplayPolicy(overhead_ms=-1)
         # Traces take ints only; a fractional overhead was truncated in them.
         for overhead in (2.5, True, "5"):
-            with pytest.raises(ValueError, match=f"^overhead_ms must be an integer, got {overhead!r}$"):
+            with pytest.raises(ValueError, match=f"^overhead_ms must be a JSON integer, got {type(overhead).__name__}$"):
                 ReplayPolicy(overhead_ms=overhead)
         assert ReplayPolicy.from_json({}) == ReplayPolicy()
         assert ReplayPolicy.from_json({"mode": "origin_time", "overhead_ms": 5}) == ReplayPolicy("origin_time", 5)
@@ -584,11 +588,34 @@ class TestOneOrderingForEveryMethod:
         (lambda: TagSet(("#A#",)), "a TagSet holds Tag objects, got '#A#'"),
         (lambda: TagSet((ASR, None)), "a TagSet holds Tag objects, got None"),
         (lambda: _config(channels=(5,)), "a TagSet holds Tag objects, got 5"),
-        (lambda: ReplayPolicy(overhead_ms=True), "overhead_ms must be an integer, got True"),
-        (lambda: ReplayPolicy(overhead_ms="5"), "overhead_ms must be an integer, got '5'"),
+        (lambda: ReplayPolicy(overhead_ms=True), "overhead_ms must be a JSON integer, got bool"),
+        (lambda: ReplayPolicy(overhead_ms="5"), "overhead_ms must be a JSON integer, got str"),
     ],
 )
 def test_a_field_of_the_wrong_type_is_a_value_error(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+_PAIR_FIELDS = ("words_per_channel", "word_rate_ms", "translation_lag_ms")
+_ODD_JSON = (True, 1.5, "1", None, [1], {})
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        *((SynthConfig, field, odd) for field in ("seed", "num_utterances", "reorder_window_ms", "vocab_size") for odd in _ODD_JSON),
+        *((SynthConfig, field, v) for field in _PAIR_FIELDS for odd in _ODD_JSON for v in (odd, [0, odd])),
+        *((ReplayPolicy, "overhead_ms", odd) for odd in _ODD_JSON),
+    ],
+)
+def test_reader_and_constructor_refuse_a_field_alike(cls, field, value):
+    # The constructor is the one check: from_json only picks the fields out of the object.
+    record = _config() if cls is SynthConfig else ReplayPolicy()
+    with pytest.raises(ValueError) as read:
+        cls.from_json({**record.to_json(), field: value})
+    with pytest.raises(ValueError) as built:
+        cls(**{**{name: getattr(record, name) for name in cls._fields}, field: value})
+    assert str(read.value) == str(built.value)
+    assert str(read.value).startswith(field)
