@@ -223,9 +223,9 @@ def utterance_to_json(u: Utterance) -> dict:
 def utterance_from_json(obj: dict) -> Utterance:
     _check_version(obj)
     channels = []
-    for ch in obj["channels"]:
+    for ch in _expect_json(obj["channels"], "channels", list):
         tag = Tag(ch["tag"], Modality(ch["modality"]), ch["lang"])
-        words = ch["words"]
+        words = _expect_json(ch["words"], "words", list)
         try:
             channels.append(Channel._from_columns(tag, tuple([w["t"] for w in words]), tuple([w["w"] for w in words])))
         except (KeyError, TypeError):
@@ -374,8 +374,7 @@ def trace_to_json(tr: EmissionTrace) -> dict:
 
 def trace_from_json(obj: dict) -> EmissionTrace:
     _check_version(obj)
-    entries = _expect_json(obj["entries"], "entries", list)
-    return EmissionTrace(obj["utt_id"], obj["tag"], entries, obj["source_duration_ms"], obj["ref_len"])
+    return EmissionTrace(obj["utt_id"], obj["tag"], obj["entries"], obj["source_duration_ms"], obj["ref_len"])
 
 
 def read_traces(path: str, diags: list[Diagnostic]) -> Iterator[EmissionTrace]:

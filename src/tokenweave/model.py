@@ -115,11 +115,14 @@ def _check_int(value, what: str, least: int | None = None) -> int:
     return value
 
 
+def _check_list(value, what: str):
+    """`value` if it is a tuple or a list, else a ValueError naming `what`, as `_expect_json` does: a string or a generator is refused."""
+    return value if isinstance(value, tuple) else _expect_json(value, what, list)
+
+
 def _check_pair(value, what: str, shape: str) -> tuple[int, int]:
     """`value` as a tuple if it is a list or tuple of two ints, not bools; else a ValueError naming `what` and the `shape` of the pair."""
-    if not isinstance(value, tuple):
-        _expect_json(value, what, list)
-    if len(value) != 2:
+    if len(_check_list(value, what)) != 2:
         raise ValueError(f"{what} must be a {shape} pair, got {value!r}")
     return _check_int(value[0], f"{what}[0]"), _check_int(value[1], f"{what}[1]")
 
@@ -249,7 +252,7 @@ class TagSet(_Record):
     __slots__ = ("tags", "_by_surface")
 
     def __init__(self, tags) -> None:
-        tags = tuple(tags)
+        tags = tuple(_check_list(tags, "tags"))
         _set(self, "tags", tags)
         if not tags:
             raise ValueError("a TagSet needs at least one tag")
@@ -285,8 +288,8 @@ class Channel(_Record):
     __slots__ = ("tag", "times", "texts")
 
     def __init__(self, tag: Tag, words) -> None:
-        """Build from TimedWord objects."""
-        words = tuple(words)
+        """Build from a list or tuple of TimedWord objects."""
+        words = tuple(_check_list(words, "words"))
         for w in words:
             if not isinstance(w, TimedWord):
                 raise ValueError(f"every word must be a TimedWord, got {w!r}")
@@ -319,8 +322,9 @@ class Utterance(_Record):
         utt_id: Corpus-unique identifier, a string.
         duration_ms: Source audio duration, positive integer ms.  Word times
             may exceed it: translation words routinely trail the audio.
-        channels: One entry per output stream; tags must be pairwise distinct
-            (reported by the validator, not the constructor).
+        channels: One entry per output stream, in a list or tuple; tags must
+            be pairwise distinct (reported by the validator, not the
+            constructor).
     """
 
     __slots__ = ("utt_id", "duration_ms", "channels")
@@ -328,7 +332,7 @@ class Utterance(_Record):
     def __init__(self, utt_id: str, duration_ms: int, channels) -> None:
         _check_str(utt_id, "utt_id")
         _check_positive_int(duration_ms, "duration_ms")
-        channels = tuple(channels)
+        channels = tuple(_check_list(channels, "channels"))
         if not all(isinstance(ch, Channel) for ch in channels):
             raise ValueError(f"every channel must be a Channel, got {channels!r}")
         _set(self, "utt_id", utt_id)
@@ -436,7 +440,7 @@ class SerializedSequence(_Record):
         _check_str(utt_id, "utt_id")
         if not isinstance(method, SerializationMethod):
             raise ValueError(f"method must be a SerializationMethod, got {type(method).__name__}")
-        if len(origin_times) != len(items):
+        if len(_check_list(items, "items")) != len(_check_list(origin_times, "origin_times")):
             raise ValueError(f"origin_times length {len(origin_times)} != items length {len(items)}")
         # Origin times in bulk; on failure, the first bad one for its message.
         if not set(map(type, origin_times)) <= {int, type(None)} or min(filter(None, origin_times), default=0) < 0:
@@ -547,14 +551,15 @@ class EmissionTrace(_Record):
     Ordinals, delays, `source_duration_ms` and `ref_len` must be ints (not
     bools); nothing is coerced.  Every trace can be scored by :func:`~tokenweave.metrics.laal`:
     construction also rejects times beyond the float range.  The row
-    constructor is the trace reader's one check, with the reader's messages.
+    constructor is the trace reader's one check, with the reader's messages:
+    `entries` must be a list or tuple of pairs, each a list or tuple.
     """
 
     __slots__ = ("utt_id", "tag", "ordinals", "delays", "source_duration_ms", "ref_len")
 
     def __init__(self, utt_id: str, tag: str, entries, source_duration_ms: int, ref_len: int) -> None:
-        """Build from ``(token_ordinal, delay_ms)`` pairs."""
-        entries = tuple(entries)
+        """Build from a list or tuple of ``(token_ordinal, delay_ms)`` pairs."""
+        entries = tuple(_check_list(entries, "entries"))
         # The columns in bulk; on failure, entry by entry for the message.
         columns = None
         if set(map(type, entries)) <= {tuple, list} and set(map(len, entries)) <= {2}:

@@ -30,6 +30,7 @@ from .model import (
     TagSet,
     Utterance,
     _check_int,
+    _check_list,
     _check_pair,
     _json_object,
     _Record,
@@ -70,9 +71,10 @@ class SynthConfig(_Record):
         vocab_size: Number of distinct word surfaces to draw from.
         channels: Channel plan (tags with modality and language).
 
-    Every number must be an int (not a bool), and every range a list or tuple
-    of two; nothing is coerced.  The constructor checks them, with the JSON
-    reader's messages.  The JSON form holds these fields, in order, after ``"v": 1``.
+    Every number must be an int (not a bool), every range a list or tuple of
+    two, and `channels` a list or tuple; nothing is coerced.  The constructor
+    checks them, with the JSON reader's messages.  The JSON form holds these
+    fields, in order, after ``"v": 1``.
     """
 
     __slots__ = (
@@ -88,7 +90,7 @@ class SynthConfig(_Record):
         _set(self, "words_per_channel", _check_range(words_per_channel, "words_per_channel"))
         _set(self, "word_rate_ms", _check_range(word_rate_ms, "word_rate_ms"))
         _set(self, "translation_lag_ms", _check_range(translation_lag_ms, "translation_lag_ms"))
-        _set(self, "channels", tuple(channels))
+        _set(self, "channels", tuple(_check_list(channels, "channels")))
         if self.word_rate_ms[1] < 1:
             raise ValueError("word_rate_ms upper bound must be >= 1")
         _set(self, "reorder_window_ms", _check_int(reorder_window_ms, "reorder_window_ms", 0))

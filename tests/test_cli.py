@@ -781,14 +781,17 @@ class TestLaal:
         lines = path.read_text().splitlines()
         empty = {**json.loads(lines[0]), "utt_id": "b", "entries": []}
         silent = {**json.loads(lines[0]), "utt_id": "c", "source_duration_ms": 0}
-        path.write_text("\n".join([lines[0], json.dumps(empty), json.dumps(silent), *lines[1:]]) + "\n")
+        decreasing = {**json.loads(lines[0]), "utt_id": "d", "entries": [[1, 400], [2, 100]]}
+        bad = [json.dumps(empty), json.dumps(silent), json.dumps(decreasing)]
+        path.write_text("\n".join([lines[0], *bad, *lines[1:]]) + "\n")
         rc = main(["laal", "--traces", str(path)])
         assert rc == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)["traces"] == 3
         diags = [json.loads(line) for line in captured.err.splitlines()]
-        assert [(d["code"], d["index"]) for d in diags] == [("bad-record", 2), ("bad-record", 3)]
+        assert [(d["code"], d["index"]) for d in diags] == [("bad-record", 2), ("bad-record", 3), ("bad-record", 4)]
         assert "empty trace for 'b'/" in diags[0]["message"]
+        assert diags[2]["message"].endswith(":4: delays must be non-decreasing, got 100 after 400")
 
 
     @pytest.mark.parametrize(

@@ -156,6 +156,22 @@ class TestCorpusDiagnostics:
         assert corpus == []
         assert diags[0].code == "bad-record"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("words", ""), ("words", {}), ("words", "hi"), ("channels", {}), ("channels", "")],
+        ids=["words-empty-str", "words-dict", "words-str", "channels-dict", "channels-empty-str"],
+    )
+    def test_words_or_channels_that_are_no_list_are_a_bad_record(self, tmp_path, demo_utterance, field, value):
+        # Not an empty channel or utterance, and not a string indexed as a word.
+        blob = utterance_to_json(demo_utterance)
+        (blob["channels"][0] if field == "words" else blob)[field] = value
+        path = self._write(tmp_path, [json.dumps(blob)])
+        corpus, diags = _read(read_corpus, path)
+        assert corpus == []
+        assert [(d.code, d.message) for d in diags] == [
+            ("bad-record", f"{path}:1: {field} must be a JSON list, got {type(value).__name__}")
+        ]
+
     def test_version_mismatch(self, tmp_path, demo_utterance):
         blob = utterance_to_json(demo_utterance)
         blob["v"] = 99
@@ -924,9 +940,9 @@ class TestOwnTagsMatchTheReference:
 def _oracle_utterance_from_json(obj):
     _check_version(obj)
     channels = []
-    for ch in obj["channels"]:
+    for ch in _expect_json(obj["channels"], "channels", list):
         tag = Tag(ch["tag"], Modality(ch["modality"]), ch["lang"])
-        words = tuple(TimedWord(w["t"], w["w"]) for w in ch["words"])
+        words = tuple(TimedWord(w["t"], w["w"]) for w in _expect_json(ch["words"], "words", list))
         channels.append(Channel(tag=tag, words=words))
     return Utterance(utt_id=obj["utt_id"], duration_ms=obj["duration_ms"], channels=tuple(channels))
 

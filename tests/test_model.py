@@ -210,7 +210,7 @@ class TestUtterance:
         with pytest.raises(ValueError):
             Utterance("u", duration, ())
 
-    @pytest.mark.parametrize("channels, shown", [((5,), "(5,)"), ("ab", "('a', 'b')")], ids=["int", "str"])
+    @pytest.mark.parametrize("channels, shown", [((5,), "(5,)"), (["a", "b"], "('a', 'b')")], ids=["int", "str"])
     def test_rejects_a_channel_that_is_no_channel(self, channels, shown):
         # Checked after utt_id and duration_ms, with the message the serializers give.
         with pytest.raises(ValueError) as info:
@@ -221,7 +221,7 @@ class TestUtterance:
 
     @pytest.mark.parametrize(
         "words, shown",
-        [([(0, "a")], "(0, 'a')"), ((TimedWord(0, "a"), "b"), "'b'"), ("ab", "'a'")],
+        [([(0, "a")], "(0, 'a')"), ((TimedWord(0, "a"), "b"), "'b'"), (["a", "b"], "'a'")],
         ids=["pair", "str-word", "str"],
     )
     def test_channel_rejects_a_word_that_is_no_timed_word(self, words, shown):
@@ -724,3 +724,25 @@ class TestRecordContract:
             with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
                 delattr(record, name)
             assert record == cls(**kwargs)
+
+
+@pytest.mark.parametrize("value", [5, {}, "ab"], ids=["int", "dict", "str"])
+@pytest.mark.parametrize(
+    "cls, field",
+    [
+        (TagSet, "tags"),
+        (Channel, "words"),
+        (Utterance, "channels"),
+        (SerializedSequence, "items"),
+        (SerializedSequence, "origin_times"),
+        (EmissionTrace, "entries"),
+        (SynthConfig, "channels"),
+    ],
+    ids=["TagSet", "Channel", "Utterance", "SerializedSequence-items", "SerializedSequence-origin_times", "EmissionTrace", "SynthConfig"],
+)
+def test_collection_field_that_is_no_list_or_tuple_is_refused(cls, field, value):
+    # With the readers' message, as a ValueError: a string is no list of its characters.
+    kwargs = next(kwargs for case_cls, kwargs, _, _ in _RECORD_CASES if case_cls is cls)
+    with pytest.raises(ValueError) as info:
+        cls(**{**kwargs, field: value})
+    assert str(info.value) == f"{field} must be a JSON list, got {type(value).__name__}"
