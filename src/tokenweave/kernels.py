@@ -5,17 +5,29 @@ Myers' bit-vector algorithm (JACM 1999) in Hyyrö's global edit-distance form
 vectors of vertical +1/-1 deltas, so each word of the longer side costs about
 a dozen integer operations instead of one Python step per cell.  Python's
 unbounded ints hold a column of any length, so there is no 64-bit block loop.
+
+As Levenshtein libraries do, the common prefix and suffix are stripped first:
+they align at no cost in some optimal alignment, so the DP runs only over the
+words between them, and a pair of equal sequences costs only the comparisons.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
+from itertools import compress, count
+from operator import ne
 
 __all__ = ["edit_distance"]
 
 
 def edit_distance(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Levenshtein distance between two word sequences, with unit costs."""
+    # Strip the common prefix, then the common suffix: `compress` yields the indices where `ne`
+    # holds, so `next` finds the first mismatch without a Python step per word.
+    k = next(compress(count(), map(ne, a, b)), min(len(a), len(b)))
+    a, b = a[k:], b[k:]
+    k = next(compress(count(), map(ne, reversed(a), reversed(b))), min(len(a), len(b)))
+    a, b = a[: len(a) - k], b[: len(b) - k]
     if len(a) < len(b):
         a, b = b, a
     m = len(b)

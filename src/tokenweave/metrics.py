@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain, islice, repeat
-from operator import mul, sub
+from itertools import chain, repeat
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .kernels import edit_distance
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 BLEU_MAX_ORDER = 4
+_BLEU_STATS = 2 + 2 * BLEU_MAX_ORDER  # the length of a `_bleu_stats` list
 
 # `string.punctuation`, written out: importing `string` would cost every stage that loads this module.
 _PUNCT_TABLE = str.maketrans("", "", "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
@@ -67,26 +68,43 @@ def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> float:
     return edit_distance(reference, hypothesis) / len(reference)
 
 
-def _bleu_stats(reference: Sequence[str], hypothesis: Sequence[str]) -> Counter:
-    """BLEU sufficient statistics of one segment; a corpus's are their sum.
+def _bleu_stats(reference: Sequence[str], hypothesis: Sequence[str]) -> list[int]:
+    """BLEU sufficient statistics of one segment; a corpus's are their position-wise sum.
 
-    ``"ref_len"``, ``"hyp_len"`` and, per order n, the hypothesis n-grams
-    ``("totals", n)`` and their reference-clipped matches ``("matches", n)``.
+    ``[ref_len, hyp_len, matches_1..4, totals_1..4]``: per order n, the
+    hypothesis's n-grams and their reference-clipped matches.  Each distinct
+    word gets a dense id, and each n-gram one int in base (distinct words + 1),
+    built from the codes of order n - 1.  When a hypothesis's n-grams are all
+    distinct, each clips to 1 if the reference has it, so the matches are the
+    size of a set intersection; otherwise they are counted.
     """
-    stats = Counter(ref_len=len(reference), hyp_len=len(hypothesis))
-    for n in range(1, min(len(hypothesis), BLEU_MAX_ORDER) + 1):
-        ref_count = Counter(zip(*(islice(reference, i, None) for i in range(n)))).get
-        matches = 0
-        for gram, c in Counter(zip(*(islice(hypothesis, i, None) for i in range(n)))).items():
-            r = ref_count(gram)
-            if r:
-                matches += c if c < r else r
-        stats["matches", n] = matches
-        stats["totals", n] = len(hypothesis) - n + 1
+    hyp_len = len(hypothesis)
+    stats = [len(reference), hyp_len] + [0] * (_BLEU_STATS - 2)
+    ids: dict[str, int] = {}
+    ref_ids = [ids.setdefault(w, len(ids)) for w in reference]
+    hyp_ids = [ids.setdefault(w, len(ids)) for w in hypothesis]
+    shift = (len(ids) + 1).__mul__
+    ref, hyp = ref_ids, hyp_ids
+    for n in range(1, min(hyp_len, BLEU_MAX_ORDER) + 1):
+        if n > 1:
+            ref = list(map(add, map(shift, ref), ref_ids[n - 1 :]))
+            hyp = list(map(add, map(shift, hyp), hyp_ids[n - 1 :]))
+        grams = set(hyp)
+        if len(grams) == len(hyp):
+            matches = len(grams.intersection(ref))
+        else:
+            ref_count = Counter(ref).get
+            matches = 0
+            for gram, c in Counter(hyp).items():
+                r = ref_count(gram)
+                if r:
+                    matches += c if c < r else r
+        stats[1 + n] = matches
+        stats[1 + BLEU_MAX_ORDER + n] = len(hyp)
     return stats
 
 
-def _bleu_from_stats(stats: Counter, smoothing: bool = False) -> float:
+def _bleu_from_stats(stats: Sequence[int], smoothing: bool = False) -> float:
     """Corpus BLEU, scaled to [0, 100], from summed `_bleu_stats`.
 
     Uniform weights over the pooled clipped precisions of orders 1..4, times
@@ -95,14 +113,14 @@ def _bleu_from_stats(stats: Counter, smoothing: bool = False) -> float:
     segments still score 100.  Any other zero precision zeroes the score,
     unless `smoothing` adds 1 to every count.
     """
-    ref_len, hyp_len = stats["ref_len"], stats["hyp_len"]
+    ref_len, hyp_len = stats[0], stats[1]
     if hyp_len == 0:
         return 0.0
 
     log_sum = 0.0
     orders = 0
     for n in range(1, BLEU_MAX_ORDER + 1):
-        num, den = stats["matches", n], stats["totals", n]
+        num, den = stats[1 + n], stats[1 + BLEU_MAX_ORDER + n]
         if smoothing:
             num, den = num + 1, den + 1
         if den == 0:
@@ -128,7 +146,7 @@ def bleu_corpus(
         raise ValueError(f"got {len(references)} references but {len(hypotheses)} hypotheses")
     if not references:
         raise ValueError("BLEU needs at least one segment")
-    return _bleu_from_stats(sum(map(_bleu_stats, references, hypotheses), Counter()), smoothing)
+    return _bleu_from_stats(list(map(sum, zip(*map(_bleu_stats, references, hypotheses)))), smoothing)
 
 
 def laal(trace: EmissionTrace) -> float:
@@ -249,7 +267,7 @@ def evaluate_corpus(
             s, modality = ch.tag.surface, ch.tag.modality
             acc = per_tag.get(s)
             if acc is None:
-                acc = per_tag[s] = [modality, 0, 0, 0 if modality is Modality.TRANSCRIPTION else Counter()]
+                acc = per_tag[s] = [modality, 0, 0, 0 if modality is Modality.TRANSCRIPTION else [0] * _BLEU_STATS]
             elif acc[0] is not modality:
                 raise ValueError(
                     f"tag {s!r} is {modality.value} in utterance {u.utt_id!r} but {acc[0].value} before it"
@@ -264,7 +282,7 @@ def evaluate_corpus(
             if modality is Modality.TRANSCRIPTION:
                 acc[3] += edit_distance(ref_words, hyp_words)
             else:
-                acc[3] += _bleu_stats(ref_words, hyp_words)
+                acc[3] = list(map(add, acc[3], _bleu_stats(ref_words, hyp_words)))
         ref_tags = {ch.tag.surface for ch in u.channels}
         for s, words in hyp_channels.items():
             if words and s not in ref_tags:
@@ -304,5 +322,5 @@ def evaluate_corpus(
     if total_ref_words:
         report["overall_wer"] = total_dist / total_ref_words
     if bleu_stats:
-        report["overall_bleu"] = _bleu_from_stats(sum(bleu_stats, Counter()))
+        report["overall_bleu"] = _bleu_from_stats(list(map(sum, zip(*bleu_stats))))
     return report

@@ -513,6 +513,21 @@ class GroupingConfig(_Record):
         _set(self, "step_ms", step_ms)
 
 
+# The window rule of `group_ms`.  It lives beside the records, not in
+# `serialize`, so that `simulate.replay` reaches it without loading `serialize`.
+def assign_group(time: int, step_ms: int) -> int:
+    """Upper boundary of the grouping window containing `time`.
+
+    Windows are half-open: the boundary ``t_s`` is the unique multiple of
+    `step_ms` with ``t_s - step_ms <= time < t_s``.
+    """
+    if step_ms < 1:
+        raise ValueError(f"step_ms must be >= 1, got {step_ms}")
+    if time < 0:
+        raise ValueError(f"time must be >= 0, got {time}")
+    return step_ms * (time // step_ms + 1)
+
+
 class Diagnostic(_Record):
     """One validation or parse finding.  Diagnostics are data, not failures.
 

@@ -35,6 +35,7 @@ from .model import (
     TagSet,
     Utterance,
     _rebuild,
+    assign_group,
 )
 
 __all__ = [
@@ -43,19 +44,6 @@ __all__ = [
     "render_text",
     "serialize_utterance",
 ]
-
-
-def assign_group(time: int, step_ms: int) -> int:
-    """Upper boundary of the grouping window containing `time`.
-
-    Windows are half-open: the boundary ``t_s`` is the unique multiple of
-    `step_ms` with ``t_s - step_ms <= time < t_s``.
-    """
-    if step_ms < 1:
-        raise ValueError(f"step_ms must be >= 1, got {step_ms}")
-    if time < 0:
-        raise ValueError(f"time must be >= 0, got {time}")
-    return step_ms * (time // step_ms + 1)
 
 
 def _ordered(channels, utt_id: str, methods, tags: TagSet | None = None) -> Iterator[SerializedSequence]:

@@ -19,7 +19,6 @@ from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from .formats import SCHEMA_VERSION, _check_version, _tags_from_json, _tags_to_json
-from .metrics import laal
 from .model import (
     Channel,
     EmissionTrace,
@@ -35,8 +34,8 @@ from .model import (
     _json_object,
     _Record,
     _set,
+    assign_group,
 )
-from .serialize import _ordered, assign_group
 
 __all__ = [
     "SynthConfig",
@@ -123,16 +122,21 @@ def synth_corpus(config: SynthConfig) -> Iterator[Utterance]:
     re-sorted ascending so the channel stays a monotone emission trace.
     """
     rng = random.Random(config.seed)
+    # A range [lo, hi] is drawn as `lo + draw(hi - lo + 1)`: `rng.randint(lo, hi)`'s numbers, without its extra frame.
+    draw = rng.randrange
     lead = [t.modality is Modality.TRANSCRIPTION for t in config.channels]
     if not any(lead):
         lead = [True] * len(lead)
-    rate = max(1, config.word_rate_ms[0]), config.word_rate_ms[1]
-    lag, window = config.translation_lag_ms, config.reorder_window_ms
+    count_lo, count_hi = config.words_per_channel
+    rate_lo, rate_hi = max(1, config.word_rate_ms[0]), config.word_rate_ms[1]
+    lag_lo, lag_hi = config.translation_lag_ms
+    count_n, rate_n, lag_n = count_hi - count_lo + 1, rate_hi - rate_lo + 1, lag_hi - lag_lo + 1
+    window = config.reorder_window_ms
 
     for idx in range(config.num_utterances):
-        counts = [rng.randint(*config.words_per_channel) for _ in lead]
+        counts = [count_lo + draw(count_n) for _ in lead]
         times = [
-            list(accumulate(rng.randint(*rate) for _ in range(n))) if is_lead else []
+            list(accumulate(rate_lo + draw(rate_n) for _ in range(n))) if is_lead else []
             for n, is_lead in zip(counts, lead)
         ]
         # An empty anchor reads as a single word at 0.
@@ -141,13 +145,13 @@ def synth_corpus(config: SynthConfig) -> Iterator[Utterance]:
         for n, ts, is_lead in zip(counts, times, lead):
             if not is_lead:
                 for k in range(n):
-                    t = anchor[min(k * m // n, m - 1)] + rng.randint(*lag)
+                    t = anchor[min(k * m // n, m - 1)] + lag_lo + draw(lag_n)
                     if window:
-                        t += rng.randint(-window, window)
+                        t += draw(2 * window + 1) - window
                     ts.append(max(0, t))
                 ts.sort()
         channels = tuple(
-            Channel._from_columns(tag, tuple(ts), tuple([f"w{rng.randrange(config.vocab_size)}" for _ in ts]))
+            Channel._from_columns(tag, tuple(ts), tuple([f"w{draw(config.vocab_size)}" for _ in ts]))
             for tag, ts in zip(config.channels, times)
         )
         # Every list is ascending, so its last time is its latest.
@@ -251,6 +255,9 @@ def latency_study(
     values are held, and they are summed in corpus order, so the report is
     deterministic.
     """
+    from .metrics import laal
+    from .serialize import _ordered
+
     switches = [0] * len(methods)
     laals: list[dict[str, list[float]]] = [{} for _ in methods]
     utterances = 0

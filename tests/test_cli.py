@@ -1506,7 +1506,8 @@ class TestEntryPoints:
             ("build", ["serialize"]),
             ("demux", ["demux"]),
             *[(c, ["kernels", "metrics"]) for c in ("stats", "eval", "laal")],
-            *[(c, ["kernels", "metrics", "serialize", "simulate"]) for c in ("synth", "study")],
+            ("synth", ["simulate"]),
+            ("study", ["kernels", "metrics", "serialize", "simulate"]),
         ],
     )
     def test_each_command_loads_only_the_layers_it_runs(self, tmp_path, pipeline_inputs, command, layers):

@@ -63,6 +63,10 @@ def oracle_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
         (["a", "b"], ["b", "a"], 2),
         (["x"], ["x", "x", "x"], 2),
         (["kitten", "sat"], ["sitting", "sat"], 1),
+        (["p", "s"], ["p", "x", "s"], 1),  # one side empty once prefix and suffix are stripped
+        (["a", "a", "a"], ["a", "a"], 1),  # the prefix and suffix could overlap
+        (["a", "b", "a"], ["a", "a"], 1),
+        (("a", "b", "x"), ["a", "b", "y"], 1),  # a tuple against a list, as `eval` passes them
     ],
 )
 def test_edit_distance_known_cases(a, b, expected):
@@ -74,6 +78,14 @@ words = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=12)
 
 @given(words, words)
 def test_matches_exhaustive_oracle(a, b):
+    assert edit_distance(a, b) == oracle_distance(tuple(a), tuple(b))
+
+
+# A shared prefix and suffix around each middle, which may be empty on both
+# sides, so some pairs are equal and nothing is left after stripping.
+@given(words, words, words, words)
+def test_shared_prefix_and_suffix_match_exhaustive_oracle(p, x, y, s):
+    a, b = p + x + s, p + y + s
     assert edit_distance(a, b) == oracle_distance(tuple(a), tuple(b))
 
 

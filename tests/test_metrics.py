@@ -7,9 +7,10 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import closing
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenweave import (
@@ -312,6 +313,38 @@ class TestBleuMatchesTwoPassOracle:
         refs = [r for r, _ in pairs]
         hyps = [h for _, h in pairs]
         assert bleu_corpus(refs, hyps, smoothing=smoothing) == _bleu_oracle(refs, hyps, smoothing)
+
+
+# The tuple-and-`Counter` `_bleu_stats` that integer-coded n-grams replaced,
+# kept as the reference: same statistics, in the list layout.
+def _counter_bleu_stats(reference, hypothesis) -> list[int]:
+    stats = Counter(ref_len=len(reference), hyp_len=len(hypothesis))
+    for n in range(1, min(len(hypothesis), 4) + 1):
+        ref_count = Counter(zip(*(islice(reference, i, None) for i in range(n)))).get
+        matches = 0
+        for gram, c in Counter(zip(*(islice(hypothesis, i, None) for i in range(n)))).items():
+            r = ref_count(gram)
+            if r:
+                matches += c if c < r else r
+        stats["matches", n] = matches
+        stats["totals", n] = len(hypothesis) - n + 1
+    return [stats["ref_len"], stats["hyp_len"], *(stats[k, n] for k in ("matches", "totals") for n in range(1, 5))]
+
+
+# From 3 words n-grams repeat, so clipping counts them; from distinct words
+# every order takes the set intersection.  Either side may be empty.
+_FEW_WORDS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=12)
+_DISTINCT_WORDS = st.lists(st.sampled_from([f"w{i}" for i in range(16)]), max_size=12, unique=True)
+
+
+class TestBleuStatsMatchCounterReference:
+    @given(st.one_of(_FEW_WORDS, _DISTINCT_WORDS), st.one_of(_FEW_WORDS, _DISTINCT_WORDS))
+    @example([], [])
+    @example(["a"], [])
+    @example([], ["a", "b"])
+    @settings(max_examples=400)
+    def test_equal_to_the_counter_loop(self, reference, hypothesis):
+        assert _bleu_stats(reference, hypothesis) == _counter_bleu_stats(reference, hypothesis)
 
 
 def _trace(delays, duration, ref_len, tag="#ES#"):
@@ -641,7 +674,7 @@ def _dict_join_oracle(refs, hyps: dict, normalize=False) -> dict:
             s, modality = ch.tag.surface, ch.tag.modality
             acc = per_tag.get(s)
             if acc is None:
-                acc = per_tag[s] = [modality, 0, 0, 0 if modality is Modality.TRANSCRIPTION else Counter()]
+                acc = per_tag[s] = [modality, 0, 0, 0 if modality is Modality.TRANSCRIPTION else [0] * 10]
             elif acc[0] is not modality:
                 raise ValueError(
                     f"tag {s!r} is {modality.value} in utterance {u.utt_id!r} but {acc[0].value} before it"
@@ -656,7 +689,7 @@ def _dict_join_oracle(refs, hyps: dict, normalize=False) -> dict:
             if modality is Modality.TRANSCRIPTION:
                 acc[3] += edit_distance(ref_words, hyp_words)
             else:
-                acc[3] += _bleu_stats(ref_words, hyp_words)
+                acc[3] = [x + y for x, y in zip(acc[3], _bleu_stats(ref_words, hyp_words))]
     extra = set(hyps) - seen
     if extra:
         raise ValueError(f"hypothesis for unknown utterance {sorted(extra)[0]!r}")
@@ -684,7 +717,7 @@ def _dict_join_oracle(refs, hyps: dict, normalize=False) -> dict:
     if total_ref_words:
         report["overall_wer"] = total_dist / total_ref_words
     if bleu_stats:
-        report["overall_bleu"] = _bleu_from_stats(sum(bleu_stats, Counter()))
+        report["overall_bleu"] = _bleu_from_stats([sum(col) for col in zip(*bleu_stats)])
     return report
 
 

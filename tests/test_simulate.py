@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,31 @@ class TestSynthCorpus:
             for ch in u.channels:
                 times = [tw.time for tw in ch.words]
                 assert times == sorted(times)
+
+    # `synth_corpus` draws a range [lo, hi] as `lo + randrange(hi - lo + 1)`;
+    # the pinned bytes above hold only while that is `randint(lo, hi)`.
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (7, 7),  # lo == hi
+            (0, 0),
+            (-150, 150),  # the jitter of `_config`'s window
+            (-400, 400),
+            (-(10**4), 10**4),
+            *sorted({
+                r
+                for overrides, _ in [({}, None), *PINNED_SYNTH.values()]
+                for cfg in [_config(**overrides)]
+                for r in (cfg.words_per_channel, (max(1, cfg.word_rate_ms[0]), cfg.word_rate_ms[1]), cfg.translation_lag_ms)
+            }),
+            (0, 2**40),
+        ],
+    )
+    def test_one_call_range_draw_is_randint(self, lo, hi):
+        for seed in (0, 42, -(2**63)):
+            one, two = random.Random(seed), random.Random(seed)
+            assert [lo + one.randrange(hi - lo + 1) for _ in range(300)] == [two.randint(lo, hi) for _ in range(300)]
+            assert one.random() == two.random()  # and the same state after
 
     @pytest.mark.parametrize("name", PINNED_SYNTH)
     def test_corpus_bytes_are_pinned(self, name):
